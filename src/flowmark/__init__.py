@@ -14,15 +14,10 @@ from flowmark.decoder import (
     DecodeInfeasibleError,
     DetectionReport,
     IdsParams,
-    TrellisState,
-    TrellisTables,
-    backward_pass,
+    Trellis,
     block_posterior,
     calibrate_threshold,
     decode,
-    enumeration_oracle,
-    forward_pass,
-    transition_log_prob,
     trellis_tables,
 )
 from flowmark.analysis import KsResult, MfaResult, delta_rtt_overlay, ks_distance, mfa_aggregate
@@ -51,15 +46,10 @@ __all__ = [
     "DecodeInfeasibleError",
     "DetectionReport",
     "IdsParams",
-    "TrellisState",
-    "TrellisTables",
-    "backward_pass",
+    "Trellis",
     "block_posterior",
     "calibrate_threshold",
     "decode",
-    "enumeration_oracle",
-    "forward_pass",
-    "transition_log_prob",
     "trellis_tables",
     "KsResult",
     "MfaResult",

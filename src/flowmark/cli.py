@@ -8,6 +8,7 @@ emitted as one JSON object on stderr with a nonzero exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -21,82 +22,48 @@ from flowmark.idscode import WatermarkConfig, as_bits, encode, watermark_bits
 from flowmark.qim import embed_flow, qim_extract
 from flowmark.traffic import poisson_flow, read_trace, to_ipds, write_trace
 
-# config-file keys understood by `experiment` (flat key = value lines)
-_CONFIG_TYPES = {
-    "n": "intlist",
-    "spread": "int",
-    "delta_ms": "floatlist",
-    "key_seed": "int",
-    "density": "floatopt",
-    "sigma_ms": "floatlist",
-    "p_d": "floatlist",
-    "p_i": "floatlist",
-    "insert_spacing_ms": "float",
-    "max_insert_run": "int",
-    "protect_first": "bool",
-    "jitter_mode": "str",
-    "source": "str",
-    "rate_pps": "float",
-    "flow_len": "int",
-    "trace_dir": "stropt",
-    "trials": "int",
-    "alpha": "float",
-    "seed": "int",
-    "jobs": "int",
-    "holdout": "bool",
-    "dec_sigma_ms": "floatopt",
-    "dec_p_d": "floatopt",
-    "dec_p_i": "floatopt",
-}
+_CASTS = {"int": int, "float": float, "str": str}
 
 
-def _parse_value(kind: str, raw: str):
+def _parse_value(annotation: str, raw: str):
+    """Parse one config value by its ExperimentConfig annotation:
+    `X | list` takes a comma list, `X | None` an empty value or `none`."""
     raw = raw.strip()
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
+    kind, *alts = (part.strip() for part in annotation.split("|"))
+    if "None" in alts and raw.lower() in ("", "none"):
+        return None
     if kind == "bool":
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
-    if kind == "str":
-        return raw
-    if kind in ("floatopt", "stropt"):
-        if raw.lower() in ("", "none"):
-            return None
-        return float(raw) if kind == "floatopt" else raw
-    if kind in ("intlist", "floatlist"):
-        cast = int if kind == "intlist" else float
+    cast = _CASTS[kind]
+    if "list" in alts:
         vals = [cast(part) for part in raw.split(",") if part.strip()]
         return vals[0] if len(vals) == 1 else vals
-    raise ValueError(f"unknown config kind {kind}")
+    return cast(raw)
 
 
 def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
     """Read a flat `key = value` config file, then apply key=value overrides."""
-    values: dict = {}
+    annotations = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    items = []
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                if "=" not in text:
-                    raise ValueError(f"{path}: line {lineno}: expected key = value")
-                key, raw = (part.strip() for part in text.split("=", 1))
-                if key not in _CONFIG_TYPES:
-                    raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
-                values[key] = _parse_value(_CONFIG_TYPES[key], raw)
-    for item in overrides or []:
-        if "=" not in item:
-            raise ValueError(f"override must look like key=value: {item!r}")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        if key not in _CONFIG_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        values[key] = _parse_value(_CONFIG_TYPES[key], raw)
+                if text:
+                    items.append((f"{path}: line {lineno}: ", text))
+    items += [(f"override {item!r}: ", item) for item in overrides or []]
+    values: dict = {}
+    for where, text in items:
+        if "=" not in text:
+            raise ValueError(f"{where}expected key = value")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        if key not in annotations:
+            raise ValueError(f"{where}unknown key {key!r}")
+        values[key] = _parse_value(annotations[key], raw)
     return ExperimentConfig(**values)
 
 
@@ -140,11 +107,6 @@ def cmd_embed(args) -> int:
     cfg = WatermarkConfig(watermark=w, spread=args.spread,
                           delta=args.delta_ms / 1000.0, key_seed=args.key_seed,
                           density=args.density)
-    if len(flow) < cfg.code_len + 1:
-        raise ValueError(
-            f"flow of {len(flow)} packets is too short: embedding "
-            f"{cfg.n_bits}x{cfg.spread} bits needs at least {cfg.code_len + 1} packets"
-        )
     code = encode(w, cfg)
     marked, delays = embed_flow(flow, code, cfg.delta)
     write_trace(marked, args.out)
@@ -245,8 +207,6 @@ def cmd_decode(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = load_config(args.config, args.set)
-    if args.jobs is not None:
-        config.jobs = args.jobs
     report = run_experiment(config)
     if args.json:
         report.to_json(args.json)
@@ -397,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="KEY=VALUE", help="override a config key")
     p.add_argument("--json", default=None, help="write the full report here")
     p.add_argument("--csv", default=None, help="write per-cell CSV here")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("ks", help="KS distance between two traces' IPDs")

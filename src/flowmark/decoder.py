@@ -21,7 +21,7 @@ lengths in the hundreds underflow otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,12 +68,6 @@ class IdsParams:
         )
 
 
-@dataclass(frozen=True)
-class TrellisState:
-    acc_bit: int
-    drift: int
-
-
 @dataclass
 class DetectionReport:
     """Decoder output for one flow."""
@@ -105,12 +99,14 @@ def default_drift_window(n_code: int, params: IdsParams) -> int:
     return max(1, int(math.ceil(spread + params.max_insert_run)))
 
 
-class _Engine:
+class Trellis:
     """Vectorized trellis sweeps for one received sequence.
 
     State arrays have shape (2, D): rows are the accumulated bit, columns
     the drift in [-d_max, d_max].  Linear-domain vectors are renormalized
-    each step and the log scale is carried separately.
+    each step and the log scale is carried separately.  trellis_tables()
+    fills fw and bw, the (vectors, log scales) of states 1..N from each
+    sweep, and log_evidence, log P(y).
     """
 
     def __init__(self, y, key, params: IdsParams, density: float, d_max: int,
@@ -284,196 +280,68 @@ class _Engine:
             vec[obs ^ 1, di] += weight * p.p_sub
         return vec
 
-    def forward_sweep(self):
-        """Normalized forward vectors for states 1..N plus log scales."""
+    def _sweep(self, vec, advance, states):
+        """Renormalize-and-accumulate over states in sweep order: vec is
+        the unnormalized vector of states[0], advance(vec, s) carries it
+        to state s.  Returns the normalized vectors of states 1..N and
+        their log scales; states past a zero-mass step keep zeros/-inf."""
         vecs = np.zeros((self.n_code, 2, self.D))
         logw = np.full(self.n_code, -math.inf)
-        vec = self.init_vec()
-        scale = float(vec.sum())
-        w = -math.inf if scale <= 0.0 else math.log(scale)
-        if scale > 0.0:
-            vec /= scale
-        vecs[0] = vec
-        logw[0] = w
-        for i in range(2, self.n_code + 1):
-            if not math.isfinite(w):
-                break
-            vec = self.step(vec, i)
+        w = 0.0
+        for k, s in enumerate(states):
+            if k:
+                vec = advance(vec, s)
             scale = float(vec.sum())
             if scale <= 0.0:
-                w = -math.inf
-                vecs[i - 1] = 0.0
-                logw[i - 1] = w
                 break
             vec /= scale
             w += math.log(scale)
-            vecs[i - 1] = vec
-            logw[i - 1] = w
+            vecs[s - 1] = vec
+            logw[s - 1] = w
         return vecs, logw
-
-    def backward_sweep(self):
-        """Normalized backward vectors for states 1..N plus log scales."""
-        vecs = np.zeros((self.n_code, 2, self.D))
-        logw = np.full(self.n_code, -math.inf)
-        vec = self.terminal_vec()
-        scale = float(vec.sum())
-        w = -math.inf if scale <= 0.0 else math.log(scale)
-        if scale > 0.0:
-            vec /= scale
-        vecs[-1] = vec
-        logw[-1] = w
-        for i in range(self.n_code, 1, -1):
-            if not math.isfinite(w):
-                break
-            vec = self.step_back(vec, i)
-            scale = float(vec.sum())
-            if scale <= 0.0:
-                w = -math.inf
-                vecs[i - 2] = 0.0
-                logw[i - 2] = w
-                break
-            vec /= scale
-            w += math.log(scale)
-            vecs[i - 2] = vec
-            logw[i - 2] = w
-        return vecs, logw
-
-
-def _to_ids_params(params, delta: float | None) -> IdsParams:
-    if isinstance(params, IdsParams):
-        return params
-    if isinstance(params, ChannelParams):
-        if delta is None:
-            raise ValueError("delta required to derive the bit-channel law")
-        return IdsParams.from_channel(params, delta)
-    raise TypeError(f"unsupported channel parameter object: {type(params)!r}")
-
-
-@dataclass
-class TrellisTables:
-    """Forward/backward quantities of one decode, in log domain."""
-
-    y: np.ndarray
-    key: np.ndarray
-    params: IdsParams
-    density: float
-    d_max: int
-    spread: int | None = None
-    log_forward: np.ndarray | None = None
-    log_backward: np.ndarray | None = None
-    log_evidence: float = math.nan
-    wtilde: np.ndarray | None = None
-    _engine: "_Engine" = field(default=None, repr=False)
-    _fw: tuple = field(default=None, repr=False)
-    _bw: tuple = field(default=None, repr=False)
-
-    @property
-    def n_code(self) -> int:
-        return int(self.key.size)
 
     def state_log_joint(self, i: int) -> np.ndarray:
         """log F_i + log B_i over states; its logsumexp is log P(y) for
         every i (the forward/backward consistency identity)."""
-        if self.log_forward is None or self.log_backward is None:
-            raise ValueError("tables must contain both sweeps")
-        return self.log_forward[i - 1] + self.log_backward[i - 1]
+        (fvecs, flogw), (bvecs, blogw) = self.fw, self.bw
+        with np.errstate(divide="ignore"):
+            return (np.log(fvecs[i - 1]) + flogw[i - 1]) + (np.log(bvecs[i - 1]) + blogw[i - 1])
 
 
-def _abs_log(vecs: np.ndarray, logw: np.ndarray) -> np.ndarray:
-    out = np.full_like(vecs, -math.inf)
-    with np.errstate(divide="ignore"):
-        for i in range(vecs.shape[0]):
-            if math.isfinite(logw[i]):
-                out[i] = np.log(vecs[i]) + logw[i]
-    return out
+def trellis_tables(y, key, params: IdsParams, density: float, d_max: int,
+                   wtilde=None) -> Trellis:
+    """Forward and backward sweeps over one engine, ready for per-bit
+    posteriors; log_evidence is exact via the carried normalizers."""
+    t = Trellis(y, key, params, density, d_max, wtilde=wtilde)
+    n = t.n_code
+    terminal = t.terminal_vec()
+    t.fw = t._sweep(t.init_vec(), t.step, range(1, n + 1))
+    t.bw = t._sweep(terminal.copy(), lambda vec, s: t.step_back(vec, s + 1),
+                    range(n, 0, -1))
+    fvecs, flogw = t.fw
+    closing = float(np.sum(fvecs[-1] * terminal)) if math.isfinite(flogw[-1]) else 0.0
+    t.log_evidence = flogw[-1] + math.log(closing) if closing > 0.0 else -math.inf
+    return t
 
 
-def forward_pass(y, key, params, density: float, d_max: int, wtilde=None,
-                 delta: float | None = None) -> TrellisTables:
-    """Forward sweep; log_evidence is exact via carried normalizers."""
-    ids = _to_ids_params(params, delta)
-    eng = _Engine(y, key, ids, density, d_max, wtilde=wtilde)
-    vecs, logw = eng.forward_sweep()
-    tables = TrellisTables(
-        y=eng.y, key=eng.key, params=ids, density=density, d_max=d_max,
-        wtilde=eng.wtilde, _engine=eng, _fw=(vecs, logw),
-    )
-    tables.log_forward = _abs_log(vecs, logw)
-    if math.isfinite(logw[-1]):
-        closing = float(np.sum(vecs[-1] * eng.terminal_vec()))
-        tables.log_evidence = (
-            logw[-1] + math.log(closing) if closing > 0.0 else -math.inf
-        )
-    else:
-        tables.log_evidence = -math.inf
-    return tables
-
-
-def backward_pass(y, key, params, density: float, d_max: int,
-                  delta: float | None = None) -> TrellisTables:
-    """Backward sweep (terminal anchored to the observed length)."""
-    ids = _to_ids_params(params, delta)
-    eng = _Engine(y, key, ids, density, d_max)
-    vecs, logw = eng.backward_sweep()
-    tables = TrellisTables(
-        y=eng.y, key=eng.key, params=ids, density=density, d_max=d_max,
-        _engine=eng, _bw=(vecs, logw),
-    )
-    tables.log_backward = _abs_log(vecs, logw)
-    return tables
-
-
-def trellis_tables(y, key, params, density: float, d_max: int,
-                   delta: float | None = None,
-                   spread: int | None = None) -> TrellisTables:
-    """Both sweeps over one engine, ready for per-bit posteriors."""
-    ids = _to_ids_params(params, delta)
-    eng = _Engine(y, key, ids, density, d_max)
-    fvecs, flogw = eng.forward_sweep()
-    bvecs, blogw = eng.backward_sweep()
-    tables = TrellisTables(
-        y=eng.y, key=eng.key, params=ids, density=density, d_max=d_max,
-        spread=spread, _engine=eng, _fw=(fvecs, flogw), _bw=(bvecs, blogw),
-    )
-    tables.log_forward = _abs_log(fvecs, flogw)
-    tables.log_backward = _abs_log(bvecs, blogw)
-    if math.isfinite(flogw[-1]):
-        closing = float(np.sum(fvecs[-1] * eng.terminal_vec()))
-        tables.log_evidence = (
-            flogw[-1] + math.log(closing) if closing > 0.0 else -math.inf
-        )
-    else:
-        tables.log_evidence = -math.inf
-    return tables
-
-
-def block_posterior(j: int, tables: TrellisTables, w_hypothesis: int,
-                    spread: int | None = None) -> float:
+def block_posterior(j: int, trellis: Trellis, w_hypothesis: int, spread: int) -> float:
     """log P(y | watermark bit j = w_hypothesis).
 
     Chains the forward table at the block start through the block with the
     sparse pattern fixed by the hypothesis, then closes with the backward
     table at the block end.
     """
-    eng = tables._engine
-    if eng is None or tables._fw is None or tables._bw is None:
-        raise ValueError("tables must come from trellis_tables()")
-    n_code = tables.n_code
-    if spread is None:
-        spread = tables.spread
-    if spread is None:
-        raise ValueError("spread not recorded in tables; pass it explicitly")
-    n_blocks = n_code // spread
+    n_blocks = trellis.n_code // spread
     if not 1 <= j <= n_blocks:
         raise ValueError(f"block index {j} outside 1..{n_blocks}")
 
-    fvecs, flogw = tables._fw
-    bvecs, blogw = tables._bw
+    fvecs, flogw = trellis.fw
+    bvecs, blogw = trellis.bw
     start = (j - 1) * spread
     end = j * spread
 
     if start == 0:
-        vec = eng.init_vec(wbit=int(w_hypothesis))
+        vec = trellis.init_vec(wbit=int(w_hypothesis))
         lo = 2
         logw = 0.0
     else:
@@ -485,7 +353,7 @@ def block_posterior(j: int, tables: TrellisTables, w_hypothesis: int,
     first_pos = start + 1
     for i in range(lo, end + 1):
         wbit = int(w_hypothesis) if i == first_pos else 0
-        vec = eng.step(vec, i, wbit=wbit)
+        vec = trellis.step(vec, i, wbit=wbit)
         scale = float(vec.sum())
         if scale <= 0.0:
             return -math.inf
@@ -497,113 +365,6 @@ def block_posterior(j: int, tables: TrellisTables, w_hypothesis: int,
     if closing <= 0.0:
         return -math.inf
     return logw + math.log(closing) + float(blogw[end - 1])
-
-
-def transition_log_prob(prev: TrellisState, nxt: TrellisState, emitted,
-                        key_bit: int, params: IdsParams,
-                        density: float | None = None,
-                        wtilde_bit: int | None = None) -> float:
-    """Log probability of one trellis transition with its emitted fragment.
-
-    Either density (sparse-bit prior) or wtilde_bit (known sparse bit) must
-    be given.  Inconsistent (drift change, fragment) pairs have probability
-    zero, which is returned as -inf rather than raised.
-    """
-    if (density is None) == (wtilde_bit is None):
-        raise ValueError("give exactly one of density or wtilde_bit")
-    emitted = as_bits(emitted)
-    p = params
-    dd = nxt.drift - prev.drift
-    if wtilde_bit is not None:
-        weights = ((int(wtilde_bit), 1.0),)
-    else:
-        weights = ((0, 1.0 - density), (1, density))
-
-    total = 0.0
-    for wv, pw in weights:
-        if dd == -1 and emitted.size == 0:
-            if nxt.acc_bit == prev.acc_bit ^ key_bit ^ wv:
-                total += pw * p.p_delete * (1.0 - p.p_insert)
-        elif dd >= 0 and emitted.size == dd + 1:
-            if nxt.acc_bit != key_bit ^ wv:
-                continue
-            if np.any(emitted[1:] != 0):
-                continue
-            run = p.max_insert_run
-            drop_part = p.p_delete * p.p_insert ** (dd + 1) if dd + 1 <= run else 0.0
-            keep_part = (1.0 - p.p_delete) * p.p_insert ** dd if dd <= run else 0.0
-            coef = (1.0 - p.p_insert) * (drop_part + keep_part)
-            match = 1.0 - p.p_sub if int(emitted[0]) == prev.acc_bit else p.p_sub
-            total += pw * coef * match
-    return math.log(total) if total > 0.0 else -math.inf
-
-
-def enumeration_oracle(x, params: IdsParams, y) -> float:
-    """Exact P(y | sent code x) by enumerating every channel event path.
-
-    Walks every combination of per-packet drops and insertion bursts that
-    could map x to y, multiplying in substitution weights for each merged
-    bit.  Independent of the trellis; used to verify it.  Sizes are capped
-    to keep the enumeration honest and fast.
-    """
-    x = as_bits(x)
-    y = as_bits(y)
-    if x.size > 6:
-        raise ValueError("oracle accepts code lengths up to 6")
-    p = params
-    run = p.max_insert_run if p.p_insert > 0.0 else 0
-    if run > 2:
-        raise ValueError("oracle accepts insertion runs up to 2")
-    n, n_obs = int(x.size), int(y.size)
-    if n < 1:
-        raise ValueError("code must be nonempty")
-    ins_w = [p.p_insert ** m * (1.0 - p.p_insert) for m in range(run + 1)]
-    keep = 1.0 - p.p_delete
-
-    total = 0.0
-
-    def emit_match(bit: int, pos: int) -> float:
-        return 1.0 - p.p_sub if int(y[pos]) == bit else p.p_sub
-
-    def zeros_ok(pos: int, count: int) -> bool:
-        return not np.any(y[pos:pos + count])
-
-    def resolve(i: int, pos: int, prob: float, pending: int):
-        nonlocal total
-        if i > n:
-            if pos == n_obs:
-                total += prob
-            return
-        pending ^= int(x[i - 1])
-        # dropped, nothing inserted: the merged bit keeps accumulating
-        if p.p_delete > 0.0:
-            resolve(i + 1, pos, prob * p.p_delete * (1.0 - p.p_insert), pending)
-            # dropped but m bursts inserted: the merged bit is observed on
-            # the first inserted packet, the rest are zeros
-            for m in range(1, run + 1):
-                if ins_w[m] <= 0.0 or pos + m > n_obs:
-                    break
-                if not zeros_ok(pos + 1, m - 1):
-                    continue
-                resolve(i + 1, pos + m,
-                        prob * p.p_delete * ins_w[m] * emit_match(pending, pos), 0)
-        # delivered with m insertions after it
-        for m in range(0, run + 1):
-            if ins_w[m] <= 0.0 or pos + 1 + m > n_obs:
-                break
-            if not zeros_ok(pos + 1, m):
-                continue
-            resolve(i + 1, pos + 1 + m,
-                    prob * keep * ins_w[m] * emit_match(pending, pos), 0)
-
-    # head packet always arrives; a burst may precede the first marked IPD
-    for m0 in range(0, run + 1):
-        if ins_w[m0] <= 0.0 or m0 > n_obs:
-            break
-        if not zeros_ok(0, m0):
-            continue
-        resolve(1, m0, ins_w[m0], 0)
-    return total
 
 
 def binomial_score_threshold(n: int, alpha: float = 0.01) -> float:
@@ -654,7 +415,10 @@ def decode(y, cfg: WatermarkConfig, params, w_reference,
     without an explicit threshold the exact binomial null quantile at 1%
     is used.
     """
-    ids = _to_ids_params(params, cfg.delta)
+    if isinstance(params, ChannelParams):
+        params = IdsParams.from_channel(params, cfg.delta)
+    elif not isinstance(params, IdsParams):
+        raise TypeError(f"unsupported channel parameter object: {type(params)!r}")
     w_ref = as_bits(w_reference)
     if w_ref.size != cfg.n_bits:
         raise ValueError("reference watermark length does not match config")
@@ -663,16 +427,16 @@ def decode(y, cfg: WatermarkConfig, params, w_reference,
     if density is None:
         density = cfg.density
     if d_max is None:
-        d_max = max(default_drift_window(n_code, ids), abs(y.size - n_code) + 2)
+        d_max = max(default_drift_window(n_code, params), abs(y.size - n_code) + 2)
     key = keystream(cfg.key_seed, n_code)
 
-    tables = trellis_tables(y, key, ids, density, d_max, spread=cfg.spread)
+    trellis = trellis_tables(y, key, params, density, d_max)
     n = cfg.n_bits
     llr = np.zeros(n)
     w_hat = np.zeros(n, dtype=np.uint8)
     for j in range(1, n + 1):
-        lp1 = block_posterior(j, tables, 1)
-        lp0 = block_posterior(j, tables, 0)
+        lp1 = block_posterior(j, trellis, 1, cfg.spread)
+        lp0 = block_posterior(j, trellis, 0, cfg.spread)
         if math.isfinite(lp1) or math.isfinite(lp0):
             llr[j - 1] = lp1 - lp0 if math.isfinite(lp1) and math.isfinite(lp0) else (
                 math.inf if math.isfinite(lp1) else -math.inf
@@ -690,5 +454,5 @@ def decode(y, cfg: WatermarkConfig, params, w_reference,
         score=score,
         threshold=float(threshold),
         detected=bool(score >= threshold),
-        log_evidence=tables.log_evidence,
+        log_evidence=trellis.log_evidence,
     )

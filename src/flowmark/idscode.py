@@ -77,14 +77,6 @@ def sparsify(w, spread: int) -> np.ndarray:
     return out
 
 
-def unsparsify(wt, spread: int) -> np.ndarray:
-    """Left inverse of sparsify: read the block-leading bits."""
-    wt = as_bits(wt)
-    if wt.size % spread != 0:
-        raise ValueError("length must be a multiple of the spread factor")
-    return wt[::spread].copy()
-
-
 def keystream(seed: int, length: int) -> np.ndarray:
     """Pseudo-random key bits, reproducible from the seed (PCG64)."""
     if length < 0:

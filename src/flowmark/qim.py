@@ -41,7 +41,8 @@ def qim_embed(ipds: np.ndarray, code: np.ndarray, delta: float) -> np.ndarray:
     if np.any(ipds < 0.0):
         raise ValueError("IPDs must be nonnegative")
     if ipds.size < code.size:
-        raise ValueError(f"flow too short: {ipds.size} IPDs for {code.size} code bits")
+        raise ValueError(f"flow too short: {ipds.size} IPDs for {code.size} code bits; "
+                         f"embedding needs at least {code.size + 1} packets")
 
     out = np.empty_like(ipds)
     cum_orig = 0.0

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from flowmark.cli import load_config, main
+from flowmark.experiment import ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +152,48 @@ def test_experiment_rerun_byte_identical(tmp_path, capsys):
     b = json.loads(paths[1].read_text())
     a.pop("wall_clock"), b.pop("wall_clock")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# (raw text, parsed value) forms per ExperimentConfig field: comma lists,
+# empty/none for optional fields, and the boolean spellings
+CONFIG_FORMS = {
+    "n": [("40, 60", [40, 60]), ("40", 40)],
+    "spread": [("5", 5)],
+    "delta_ms": [("80,100", [80.0, 100.0]), ("80", 80.0)],
+    "key_seed": [("7", 7)],
+    "density": [("0.05", 0.05), ("none", None), ("", None)],
+    "sigma_ms": [("10, 20, 30", [10.0, 20.0, 30.0])],
+    "p_d": [("0.1", 0.1)],
+    "p_i": [("0.1,0.2", [0.1, 0.2])],
+    "insert_spacing_ms": [("2.5", 2.5)],
+    "max_insert_run": [("4", 4)],
+    "protect_first": [("off", False), ("True", True)],
+    "jitter_mode": [("laplace", "laplace")],
+    "source": [("poisson", "poisson")],
+    "rate_pps": [("2", 2.0)],
+    "flow_len": [("1500", 1500)],
+    "trace_dir": [("traces/a", "traces/a"), ("", None), ("None", None)],
+    "trials": [("20", 20)],
+    "alpha": [("0.05", 0.05)],
+    "seed": [("11", 11)],
+    "jobs": [("2", 2)],
+    "holdout": [("yes", True), ("0", False)],
+    "dec_sigma_ms": [("20", 20.0), ("none", None)],
+    "dec_p_d": [("0.2", 0.2)],
+    "dec_p_i": [("0.05", 0.05), ("", None)],
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_config_value_forms(tmp_path, key):
+    cfg = tmp_path / "exp.cfg"
+    for raw, want in CONFIG_FORMS[key]:
+        cfg.write_text(f"{key} = {raw}\n")
+        for got in (getattr(load_config(str(cfg), []), key),
+                    getattr(load_config(None, [f"{key}={raw}"]), key)):
+            assert got == want and type(got) is type(want)
+            if isinstance(want, list):
+                assert [type(v) for v in got] == [type(v) for v in want]
 
 
 def test_unknown_config_key(tmp_path):
