@@ -201,6 +201,11 @@ def cmd_decode(args) -> int:
     )
     report = decode(bits[:n_bits], cfg, params, cfg.watermark,
                     threshold=args.threshold, d_max=args.d_max)
+    if report.status != "ok":
+        print(json.dumps({"warning": report.status,
+                          "message": f"{n_bits} received bits have probability 0 under "
+                                     "the channel model; the score carries no evidence"}),
+              file=sys.stderr)
     _emit(report.to_dict(), args.out)
     return 0
 

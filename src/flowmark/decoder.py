@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from flowmark.channel import ChannelParams, substitution_prob
 from flowmark.idscode import WatermarkConfig, as_bits, keystream
@@ -78,6 +79,9 @@ class DetectionReport:
     threshold: float
     detected: bool
     log_evidence: float
+    # "zero-evidence": y is impossible under the assumed channel and the
+    # decode carries no information (all LLRs 0)
+    status: str
 
     def to_dict(self) -> dict:
         # clamp infinite ratios (zero-noise decodes) to keep strict JSON
@@ -89,6 +93,7 @@ class DetectionReport:
             "threshold": self.threshold,
             "detected": self.detected,
             "log_evidence": float(max(self.log_evidence, -big)),
+            "status": self.status,
         }
 
 
@@ -102,11 +107,16 @@ def default_drift_window(n_code: int, params: IdsParams) -> int:
 class Trellis:
     """Vectorized trellis sweeps for one received sequence.
 
-    State arrays have shape (2, D): rows are the accumulated bit, columns
-    the drift in [-d_max, d_max].  Linear-domain vectors are renormalized
-    each step and the log scale is carried separately.  trellis_tables()
-    fills fw and bw, the (vectors, log scales) of states 1..N from each
-    sweep, and log_evidence, log P(y).
+    State arrays have shape (..., 2, D): rows are the accumulated bit,
+    columns the drift in [-d_max, d_max], and leading axes a batch of
+    independent chains.  Linear-domain vectors are renormalized each step
+    and the log scale is carried separately.  trellis_tables() fills fw
+    and bw, the (vectors, log scales) of states 1..N from each sweep, and
+    log_evidence, log P(y).
+
+    The sparse bit enters a step only through one pair of weights per
+    chain, the weights of code bit 0 and 1 (see code_weights), so both of
+    its values share one pass over the insertion lengths.
     """
 
     def __init__(self, y, key, params: IdsParams, density: float, d_max: int,
@@ -120,9 +130,12 @@ class Trellis:
             wtilde = as_bits(wtilde)
             if wtilde.size != self.n_code:
                 raise ValueError("conditioning pattern must match the code length")
-        self.wtilde = wtilde
         if not 0.0 < density < 1.0:
             raise ValueError("density must lie in (0, 1)")
+        if wtilde is None:
+            same_flip = np.array([1.0 - density, density])
+        else:
+            same_flip = np.stack([1 - wtilde, wtilde], axis=1).astype(np.float64)
         self.params = params
         self.density = density
         self.d_max = int(d_max)
@@ -130,18 +143,21 @@ class Trellis:
             raise ValueError("d_max must be at least 1")
         self.n_obs = int(self.y.size)
         self._check_feasible()
+        # prior[i-1]: code-bit weights at position i under the sparse-bit prior
+        self.prior = self.code_weights(np.arange(1, self.n_code + 1), same_flip)
 
         p = params
         self.del_coef = p.p_delete * (1.0 - p.p_insert)
         run = p.max_insert_run
         # coef[l]: probability weight of a +l drift step, split over the
         # two ways it can happen (drop with l+1 insertions, delivery with
-        # l insertions), each gated by the insertion-run cap.
+        # l insertions), each gated by the insertion-run cap.  It is
+        # positive for l = 0 and, when p_insert > 0, for every l <= run.
         ls = np.arange(0, run + 1)
         drop_part = p.p_delete * p.p_insert ** (ls + 1) * (ls + 1 <= run)
         keep_part = (1.0 - p.p_delete) * p.p_insert ** ls
         self.coef = (1.0 - p.p_insert) * (drop_part + keep_part)
-        self.active_l = [int(l) for l in ls if self.coef[l] > 0.0]
+        self.n_ins = run + 1 if p.p_insert > 0.0 else 1
         # head insertions before the first marked IPD completes
         self.init_coef = p.p_insert ** ls * (1.0 - p.p_insert)
 
@@ -155,16 +171,24 @@ class Trellis:
         self.zrun = zrun
 
         # Per-step emission context: step i (into state i) reads its first
-        # observed bit at index i - 2 + drift of the source state.
+        # observed bit at position i - 2 + drift of the source state, so the
+        # tables of step i are the length-D windows at i - 2 of rows over
+        # positions -d_max .. n_code - 1 + d_max.  The rows hold n_code
+        # windows, one more than there are steps, so that they are never
+        # shorter than a window (n_code = 1 has no steps).
         ps = p.p_sub
-        steps = np.arange(2, self.n_code + 1)
-        pos = steps[:, None] - 2 + self.drifts[None, :]
+        pos = np.arange(-self.d_max, self.n_code + self.d_max)
         valid = (pos >= 0) & (pos < self.n_obs)
         obs = self.y[np.clip(pos, 0, max(self.n_obs - 1, 0))] if self.n_obs else np.zeros_like(pos)
-        self.e_match = [
-            np.where(valid, np.where(obs == b, 1.0 - ps, ps), 0.0) for b in (0, 1)
-        ]
-        self.avail = zrun[np.clip(pos + 1, 0, self.n_obs)]
+        # e_match[i-2][b]: weight of the first observed bit given accumulated bit b
+        match = np.stack([np.where(valid, np.where(obs == b, 1.0 - ps, ps), 0.0) for b in (0, 1)])
+        self.e_match = sliding_window_view(match, self.D, axis=1).transpose(1, 0, 2)
+        # ins_weight[i-2][l]: coef[l], zero where fewer than l observed
+        # zeros follow the first observed bit
+        avail = zrun[np.clip(pos + 1, 0, self.n_obs)]
+        lens = np.arange(self.n_ins)[:, None]
+        ins = self.coef[lens] * (avail >= lens)
+        self.ins_weight = sliding_window_view(ins, self.D, axis=1).transpose(1, 0, 2)
 
     def _check_feasible(self):
         # the last state's drift must fall in [shift - run, shift + 1] for
@@ -180,71 +204,57 @@ class Trellis:
                 required_d_max=need,
             )
 
-    def _w_weights(self, i: int, override=None):
-        """Prior weights of the sparse bit at position i (1-based)."""
-        if override is not None:
-            return ((int(override), 1.0),)
-        if self.wtilde is not None:
-            return ((int(self.wtilde[i - 1]), 1.0),)
-        return ((0, 1.0 - self.density), (1, self.density))
+    def code_weights(self, i, same_flip) -> np.ndarray:
+        """Weights of code bit 0 and 1 at position i, shape (..., 2), from
+        the sparse bit's prior weights (same, flip): the weight of a code
+        bit equal to the key bit (sparse bit 0) and differing from it."""
+        same_flip = np.asarray(same_flip, dtype=np.float64)
+        key = self.key[np.asarray(i) - 1]
+        return np.where(key[..., None] == 1, same_flip[..., ::-1], same_flip)
 
-    def init_vec(self, wbit=None) -> np.ndarray:
-        """Distribution over state 1: head survives, a burst of inserted
-        zeros may precede the first marked IPD."""
-        vec = np.zeros((2, self.D))
-        key = int(self.key[0])
-        for wv, pw in self._w_weights(1, wbit):
-            row = key ^ wv
-            for l in range(min(self.params.max_insert_run, self.d_max) + 1):
-                c = self.init_coef[l]
-                if c <= 0.0:
-                    continue
-                if self.zrun[0] >= l:
-                    vec[row, self.d_max + l] += pw * c
-        return vec
+    def init_vec(self, wx) -> np.ndarray:
+        """Distribution over state 1 given code-bit weights wx (..., 2):
+        head survives, a burst of inserted zeros may precede the first
+        marked IPD."""
+        ls = np.arange(min(self.params.max_insert_run, self.d_max) + 1)
+        head = np.zeros(self.D)
+        head[self.d_max + ls] = np.where(self.zrun[0] >= ls, self.init_coef[ls], 0.0)
+        return np.asarray(wx)[..., None] * head
 
-    def step(self, prev: np.ndarray, i: int, wbit=None) -> np.ndarray:
-        """Advance state i-1 to state i (resolve sent packet i-1)."""
-        nxt = np.zeros_like(prev)
-        key = int(self.key[i - 1])
-        e0, e1 = self.e_match[0][i - 2], self.e_match[1][i - 2]
-        avail = self.avail[i - 2]
-        merged = prev[0] * e0 + prev[1] * e1
-        for wv, pw in self._w_weights(i, wbit):
-            if key ^ wv:
-                del_src = prev[::-1]
-            else:
-                del_src = prev
-            if self.del_coef > 0.0:
-                nxt[:, :-1] += (pw * self.del_coef) * del_src[:, 1:]
-            row = key ^ wv
-            for l in self.active_l:
-                contrib = merged * (avail >= l)
-                if l:
-                    nxt[row, l:] += (pw * self.coef[l]) * contrib[:-l]
-                else:
-                    nxt[row] += (pw * self.coef[l]) * contrib
+    def step(self, prev: np.ndarray, i, wx) -> np.ndarray:
+        """Advance state i-1 to state i (resolve sent packet i-1).
+
+        prev is (..., 2, D); the step index i and the code-bit weights wx,
+        shape (..., 2), broadcast over the leading axes.
+        """
+        k = np.asarray(i) - 2
+        wx = np.asarray(wx)[..., None]
+        merged = (prev * self.e_match[k]).sum(axis=-2)
+        contrib = merged[..., None, :] * self.ins_weight[k]
+        # the l = 0 row of the temporary collects the shifted l > 0 rows
+        ins = contrib[..., 0, :]
+        for l in range(1, self.n_ins):
+            ins[..., l:] += contrib[..., l, :-l]
+        nxt = wx * ins[..., None, :]
+        if self.del_coef > 0.0:
+            nxt[..., :-1] += self.del_coef * (
+                wx[..., :1, :] * prev[..., 1:] + wx[..., 1:, :] * prev[..., ::-1, 1:])
         return nxt
 
-    def step_back(self, nxt: np.ndarray, i: int) -> np.ndarray:
-        """Pull the backward vector across the transition into state i."""
-        prev = np.zeros_like(nxt)
-        key = int(self.key[i - 1])
-        e0, e1 = self.e_match[0][i - 2], self.e_match[1][i - 2]
-        avail = self.avail[i - 2]
-        for wv, pw in self._w_weights(i):
-            row = key ^ wv
-            if self.del_coef > 0.0:
-                src = nxt if (key ^ wv) == 0 else nxt[::-1]
-                prev[:, 1:] += (pw * self.del_coef) * src[:, :-1]
-            acc = np.zeros(self.D)
-            for l in self.active_l:
-                if l:
-                    acc[:-l] += (self.coef[l] * (avail[:-l] >= l)) * nxt[row, l:]
-                else:
-                    acc += (self.coef[l] * (avail >= 0)) * nxt[row]
-            prev[0] += pw * e0 * acc
-            prev[1] += pw * e1 * acc
+    def step_back(self, nxt: np.ndarray, i, wx) -> np.ndarray:
+        """Pull the backward vector across the transition into state i;
+        shapes as in step()."""
+        k = np.asarray(i) - 2
+        wx = np.asarray(wx)[..., None]
+        landed = (wx * nxt).sum(axis=-2)
+        weight = self.ins_weight[k]
+        acc = weight[..., 0, :] * landed
+        for l in range(1, self.n_ins):
+            acc[..., :-l] += weight[..., l, :-l] * landed[..., l:]
+        prev = self.e_match[k] * acc[..., None, :]
+        if self.del_coef > 0.0:
+            prev[..., 1:] += self.del_coef * (
+                wx[..., :1, :] * nxt[..., :-1] + wx[..., 1:, :] * nxt[..., ::-1, :-1])
         return prev
 
     def terminal_vec(self) -> np.ndarray:
@@ -315,8 +325,9 @@ def trellis_tables(y, key, params: IdsParams, density: float, d_max: int,
     t = Trellis(y, key, params, density, d_max, wtilde=wtilde)
     n = t.n_code
     terminal = t.terminal_vec()
-    t.fw = t._sweep(t.init_vec(), t.step, range(1, n + 1))
-    t.bw = t._sweep(terminal.copy(), lambda vec, s: t.step_back(vec, s + 1),
+    t.fw = t._sweep(t.init_vec(t.prior[0]),
+                    lambda vec, s: t.step(vec, s, t.prior[s - 1]), range(1, n + 1))
+    t.bw = t._sweep(terminal.copy(), lambda vec, s: t.step_back(vec, s + 1, t.prior[s]),
                     range(n, 0, -1))
     fvecs, flogw = t.fw
     closing = float(np.sum(fvecs[-1] * terminal)) if math.isfinite(flogw[-1]) else 0.0
@@ -324,47 +335,42 @@ def trellis_tables(y, key, params: IdsParams, density: float, d_max: int,
     return t
 
 
-def block_posterior(j: int, trellis: Trellis, w_hypothesis: int, spread: int) -> float:
-    """log P(y | watermark bit j = w_hypothesis).
+def block_posterior(trellis: Trellis, spread: int) -> np.ndarray:
+    """log P(y | watermark bit j = h) for every block j and hypothesis h,
+    as an (n_blocks, 2) array, n_blocks = n_code // spread.
 
-    Chains the forward table at the block start through the block with the
-    sparse pattern fixed by the hypothesis, then closes with the backward
-    table at the block end.
+    Each (block, hypothesis) chain starts from the forward vector before
+    the block, runs through the block with its sparse pattern fixed by
+    the hypothesis, and closes with the backward vector at the block end.
+    All chains advance in lockstep: spread vectorized steps in total.
     """
-    n_blocks = trellis.n_code // spread
-    if not 1 <= j <= n_blocks:
-        raise ValueError(f"block index {j} outside 1..{n_blocks}")
-
-    fvecs, flogw = trellis.fw
-    bvecs, blogw = trellis.bw
-    start = (j - 1) * spread
-    end = j * spread
-
-    if start == 0:
-        vec = trellis.init_vec(wbit=int(w_hypothesis))
-        lo = 2
-        logw = 0.0
-    else:
-        if not math.isfinite(flogw[start - 1]):
-            return -math.inf
-        vec = fvecs[start - 1].copy()
-        logw = float(flogw[start - 1])
-        lo = start + 1
-    first_pos = start + 1
-    for i in range(lo, end + 1):
-        wbit = int(w_hypothesis) if i == first_pos else 0
-        vec = trellis.step(vec, i, wbit=wbit)
-        scale = float(vec.sum())
-        if scale <= 0.0:
-            return -math.inf
-        vec /= scale
-        logw += math.log(scale)
-    if not math.isfinite(blogw[end - 1]):
-        return -math.inf
-    closing = float(np.sum(vec * bvecs[end - 1]))
-    if closing <= 0.0:
-        return -math.inf
-    return logw + math.log(closing) + float(blogw[end - 1])
+    t = trellis
+    if not 1 <= spread <= t.n_code:
+        raise ValueError(f"spread {spread} outside 1..{t.n_code}")
+    n_blocks = t.n_code // spread
+    (fvecs, flogw), (bvecs, blogw) = t.fw, t.bw
+    # the leading axes are (block, hypothesis); hyp[h] = (same, flip) of
+    # the block-leading sparse bit, the block's other sparse bits are 0
+    hyp = np.eye(2)
+    starts = np.arange(n_blocks)[:, None] * spread
+    vec = np.empty((n_blocks, 2, 2, t.D))
+    logw = np.zeros((n_blocks, 2))
+    vec[0] = t.init_vec(t.code_weights(1, hyp))
+    first = starts[1:] + 1
+    vec[1:] = t.step(fvecs[starts[1:] - 1], first, t.code_weights(first, hyp))
+    logw[1:] = flogw[starts[1:] - 1]
+    for k in range(spread):
+        if k:
+            i = starts + 1 + k
+            vec = t.step(vec, i, t.code_weights(i, hyp[0]))
+        scale = vec.sum(axis=(-2, -1))
+        with np.errstate(divide="ignore"):
+            logw += np.log(scale)
+        vec /= np.where(scale > 0.0, scale, 1.0)[..., None, None]
+    ends = starts + spread - 1
+    closing = (vec * bvecs[ends]).sum(axis=(-2, -1))
+    with np.errstate(divide="ignore"):
+        return logw + np.log(closing) + blogw[ends]
 
 
 def binomial_score_threshold(n: int, alpha: float = 0.01) -> float:
@@ -431,23 +437,15 @@ def decode(y, cfg: WatermarkConfig, params, w_reference,
     key = keystream(cfg.key_seed, n_code)
 
     trellis = trellis_tables(y, key, params, density, d_max)
-    n = cfg.n_bits
-    llr = np.zeros(n)
-    w_hat = np.zeros(n, dtype=np.uint8)
-    for j in range(1, n + 1):
-        lp1 = block_posterior(j, trellis, 1, cfg.spread)
-        lp0 = block_posterior(j, trellis, 0, cfg.spread)
-        if math.isfinite(lp1) or math.isfinite(lp0):
-            llr[j - 1] = lp1 - lp0 if math.isfinite(lp1) and math.isfinite(lp0) else (
-                math.inf if math.isfinite(lp1) else -math.inf
-            )
-        else:
-            llr[j - 1] = 0.0
-        w_hat[j - 1] = 1 if llr[j - 1] > 0.0 else 0
+    lp = block_posterior(trellis, cfg.spread)
+    # a block that neither hypothesis can explain carries no evidence
+    with np.errstate(invalid="ignore"):
+        llr = np.where(np.isfinite(lp).any(axis=1), lp[:, 1] - lp[:, 0], 0.0)
+    w_hat = (llr > 0.0).astype(np.uint8)
 
     score = float(np.mean(w_hat == w_ref))
     if threshold is None:
-        threshold = binomial_score_threshold(n, alpha=0.01)
+        threshold = binomial_score_threshold(cfg.n_bits, alpha=0.01)
     return DetectionReport(
         w_hat=w_hat,
         llr=llr,
@@ -455,4 +453,5 @@ def decode(y, cfg: WatermarkConfig, params, w_reference,
         threshold=float(threshold),
         detected=bool(score >= threshold),
         log_evidence=trellis.log_evidence,
+        status="ok" if math.isfinite(trellis.log_evidence) else "zero-evidence",
     )

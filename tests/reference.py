@@ -1,7 +1,8 @@
 """Scalar references that verify the vectorized code in src/.
 
 Each is written independently of the code it checks: a per-transition
-law, an exhaustive channel-path enumeration, and the inverse of sparsify.
+law, an exhaustive channel-path enumeration, a scalar per-block
+posterior over dense per-step tables, and the inverse of sparsify.
 """
 
 from __future__ import annotations
@@ -126,6 +127,140 @@ def enumeration_oracle(x, params: IdsParams, y) -> float:
             continue
         resolve(1, m0, ins_w[m0], 0)
     return total
+
+
+class DenseSteps:
+    """The scalar trellis step, one pass per sparse-bit hypothesis, over
+    dense (N-1, D) per-step tables built from y, key and params alone."""
+
+    def __init__(self, y, key, params: IdsParams, density: float, d_max: int):
+        self.y = as_bits(y)
+        self.key = as_bits(key)
+        self.n_code = int(self.key.size)
+        self.params = params
+        self.density = density
+        self.d_max = int(d_max)
+        self.n_obs = int(self.y.size)
+
+        p = params
+        self.del_coef = p.p_delete * (1.0 - p.p_insert)
+        run = p.max_insert_run
+        ls = np.arange(0, run + 1)
+        drop_part = p.p_delete * p.p_insert ** (ls + 1) * (ls + 1 <= run)
+        keep_part = (1.0 - p.p_delete) * p.p_insert ** ls
+        self.coef = (1.0 - p.p_insert) * (drop_part + keep_part)
+        self.active_l = [int(l) for l in ls if self.coef[l] > 0.0]
+        self.init_coef = p.p_insert ** ls * (1.0 - p.p_insert)
+
+        self.D = 2 * self.d_max + 1
+        self.drifts = np.arange(-self.d_max, self.d_max + 1)
+
+        zrun = np.zeros(self.n_obs + 1, dtype=np.int64)
+        for j in range(self.n_obs - 1, -1, -1):
+            zrun[j] = 0 if self.y[j] else zrun[j + 1] + 1
+        self.zrun = zrun
+
+        # step i (into state i) reads its first observed bit at index
+        # i - 2 + drift of the source state
+        ps = p.p_sub
+        steps = np.arange(2, self.n_code + 1)
+        pos = steps[:, None] - 2 + self.drifts[None, :]
+        valid = (pos >= 0) & (pos < self.n_obs)
+        obs = self.y[np.clip(pos, 0, max(self.n_obs - 1, 0))] if self.n_obs else np.zeros_like(pos)
+        self.e_match = [
+            np.where(valid, np.where(obs == b, 1.0 - ps, ps), 0.0) for b in (0, 1)
+        ]
+        self.avail = zrun[np.clip(pos + 1, 0, self.n_obs)]
+
+    def _w_weights(self, i: int, override=None):
+        """Prior weights of the sparse bit at position i (1-based)."""
+        if override is not None:
+            return ((int(override), 1.0),)
+        return ((0, 1.0 - self.density), (1, self.density))
+
+    def init_vec(self, wbit=None) -> np.ndarray:
+        """Distribution over state 1: head survives, a burst of inserted
+        zeros may precede the first marked IPD."""
+        vec = np.zeros((2, self.D))
+        key = int(self.key[0])
+        for wv, pw in self._w_weights(1, wbit):
+            row = key ^ wv
+            for l in range(min(self.params.max_insert_run, self.d_max) + 1):
+                c = self.init_coef[l]
+                if c <= 0.0:
+                    continue
+                if self.zrun[0] >= l:
+                    vec[row, self.d_max + l] += pw * c
+        return vec
+
+    def step(self, prev: np.ndarray, i: int, wbit=None) -> np.ndarray:
+        """Advance state i-1 to state i (resolve sent packet i-1)."""
+        nxt = np.zeros_like(prev)
+        key = int(self.key[i - 1])
+        e0, e1 = self.e_match[0][i - 2], self.e_match[1][i - 2]
+        avail = self.avail[i - 2]
+        merged = prev[0] * e0 + prev[1] * e1
+        for wv, pw in self._w_weights(i, wbit):
+            if key ^ wv:
+                del_src = prev[::-1]
+            else:
+                del_src = prev
+            if self.del_coef > 0.0:
+                nxt[:, :-1] += (pw * self.del_coef) * del_src[:, 1:]
+            row = key ^ wv
+            for l in self.active_l:
+                contrib = merged * (avail >= l)
+                if l:
+                    nxt[row, l:] += (pw * self.coef[l]) * contrib[:-l]
+                else:
+                    nxt[row] += (pw * self.coef[l]) * contrib
+        return nxt
+
+
+def scalar_block_posterior(j: int, trellis, w_hypothesis: int, spread: int) -> float:
+    """log P(y | watermark bit j = w_hypothesis), one block at a time.
+
+    Chains the forward table at the block start through the block with the
+    sparse pattern fixed by the hypothesis, then closes with the backward
+    table at the block end.  Only the sweeps (trellis.fw, trellis.bw) come
+    from the trellis; the steps are DenseSteps'.
+    """
+    steps = DenseSteps(trellis.y, trellis.key, trellis.params, trellis.density,
+                       trellis.d_max)
+    n_blocks = trellis.n_code // spread
+    if not 1 <= j <= n_blocks:
+        raise ValueError(f"block index {j} outside 1..{n_blocks}")
+
+    fvecs, flogw = trellis.fw
+    bvecs, blogw = trellis.bw
+    start = (j - 1) * spread
+    end = j * spread
+
+    if start == 0:
+        vec = steps.init_vec(wbit=int(w_hypothesis))
+        lo = 2
+        logw = 0.0
+    else:
+        if not math.isfinite(flogw[start - 1]):
+            return -math.inf
+        vec = fvecs[start - 1].copy()
+        logw = float(flogw[start - 1])
+        lo = start + 1
+    first_pos = start + 1
+    for i in range(lo, end + 1):
+        wbit = int(w_hypothesis) if i == first_pos else 0
+        vec = steps.step(vec, i, wbit=wbit)
+        scale = float(vec.sum())
+        if scale <= 0.0:
+            return -math.inf
+        vec /= scale
+        logw += math.log(scale)
+    if not math.isfinite(blogw[end - 1]):
+        return -math.inf
+    closing = float(np.sum(vec * bvecs[end - 1]))
+    if closing <= 0.0:
+        return -math.inf
+    return logw + math.log(closing) + float(blogw[end - 1])
 
 
 def unsparsify(wt, spread: int) -> np.ndarray:

@@ -39,12 +39,22 @@ def test_gen_and_pipeline(tmp_path, capsys):
                            "--delta-ms", "100")
     assert code == 0
 
-    code, out, _ = run_cli(capsys, "decode", str(recv), "--sidecar", str(side),
-                           "--log", str(log), "--sigma-ms", "10", "--p-d", "0.1")
+    code, out, err = run_cli(capsys, "decode", str(recv), "--sidecar", str(side),
+                             "--log", str(log), "--sigma-ms", "10", "--p-d", "0.1")
     assert code == 0
     report = json.loads(out)
     assert report["score"] >= 0.8
     assert report["detected"] is True
+    assert report["status"] == "ok" and err == ""
+
+    # the whole received stream runs past the watermarked segment; without
+    # insertions the extra bits are impossible, which is reported, not hidden
+    code, out, err = run_cli(capsys, "decode", str(recv), "--sidecar", str(side),
+                             "--sigma-ms", "10", "--p-d", "0.1")
+    assert code == 0
+    assert json.loads(out)["status"] == "zero-evidence"
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["warning"] == "zero-evidence"
 
 
 def test_embed_then_decode_clean_roundtrip(tmp_path, capsys):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import sample_ids_channel
-from flowmark.channel import ChannelParams
+from flowmark.channel import ChannelParams, transmit
 from flowmark.decoder import (
     DecodeInfeasibleError,
     IdsParams,
+    Trellis,
     binomial_score_threshold,
     block_posterior,
     calibrate_threshold,
@@ -16,7 +17,15 @@ from flowmark.decoder import (
     trellis_tables,
 )
 from flowmark.idscode import WatermarkConfig, encode, keystream, sparsify, watermark_bits
-from reference import TrellisState, enumeration_oracle, transition_log_prob
+from flowmark.qim import embed_flow, qim_extract
+from flowmark.traffic import poisson_flow, to_ipds
+from reference import (
+    DenseSteps,
+    TrellisState,
+    enumeration_oracle,
+    scalar_block_posterior,
+    transition_log_prob,
+)
 
 
 def logsumexp(a):
@@ -187,9 +196,10 @@ def test_block_posterior_noiseless_recovers_bits(rng):
     p = IdsParams()
     key = keystream(5, cfg.code_len)
     tab = trellis_tables(code, key, p, cfg.density, 3)
+    lp = block_posterior(tab, s)
     for j in range(1, n + 1):
-        lp1 = block_posterior(j, tab, 1, s)
-        lp0 = block_posterior(j, tab, 0, s)
+        lp1 = lp[j - 1, 1]
+        lp0 = lp[j - 1, 0]
         assert (lp1 > lp0) == bool(w[j - 1])
 
 
@@ -206,8 +216,9 @@ def test_block_posterior_matches_conditioned_oracle(rng):
         key = rng.integers(0, 2, n_code, dtype=np.uint8)
         y = sample_ids_channel(key, p, rng)
         tab = trellis_tables(y, key, p, f, n_code + 3)
+        lp = block_posterior(tab, s)
         for j, hyp in ((1, 0), (1, 1), (2, 0), (2, 1)):
-            got_lp = block_posterior(j, tab, hyp, s)
+            got_lp = lp[j - 1, hyp]
             total = 0.0
             for wt_bits in itertools.product([0, 1], repeat=n_code):
                 wt = np.array(wt_bits, dtype=np.uint8)
@@ -233,7 +244,96 @@ def test_block_posterior_symmetric_llr_zero():
     p = IdsParams(p_sub=0.5)
     key = np.array([0], dtype=np.uint8)
     tab = trellis_tables([1], key, p, 0.3, 2)
-    assert block_posterior(1, tab, 0, 1) == pytest.approx(block_posterior(1, tab, 1, 1))
+    lp = block_posterior(tab, 1)
+    assert lp[0, 0] == pytest.approx(lp[0, 1])
+
+
+def test_block_posterior_matches_scalar_reference(rng):
+    # every (block, hypothesis) against the one-block-at-a-time reference
+    # on mid-size channels; the cases cycle through noisy channels with and
+    # without insertions, a noiseless channel (the wrong hypothesis is
+    # impossible), a deletion-only stream read past its end (no evidence)
+    # and an undeletable stream cut short (the forward sweep dies)
+    n_inf = n_finite = 0
+    for case in range(32):
+        spread = int(rng.integers(1, 7))
+        n_code = spread * int(rng.integers(-(-40 // spread), 120 // spread + 1))
+        kind = case % 5
+        if kind == 0:
+            p = IdsParams(p_sub=0.05, p_delete=0.1)
+        elif kind == 1:
+            p = IdsParams(p_sub=0.05, p_delete=0.1, p_insert=0.1,
+                          max_insert_run=int(rng.integers(1, 6)))
+        elif kind == 2:
+            p = IdsParams(p_delete=float(rng.choice([0.0, 0.1])))
+        elif kind == 3:
+            p = IdsParams(p_sub=0.05, p_delete=0.1)
+        else:
+            p = IdsParams(p_sub=0.05, p_insert=0.1, max_insert_run=3)
+        key = rng.integers(0, 2, n_code, dtype=np.uint8)
+        wt = np.zeros(n_code, dtype=np.uint8)
+        wt[::spread] = rng.integers(0, 2, n_code // spread, dtype=np.uint8)
+        y = sample_ids_channel(np.bitwise_xor(wt, key), p, rng)
+        if kind == 3:
+            y = np.concatenate([y, rng.integers(0, 2, 30, dtype=np.uint8)])
+        elif kind == 4:
+            y = y[: n_code // 2]
+        d_max = max(default_drift_window(n_code, p), abs(y.size - n_code) + 2)
+        tab = trellis_tables(y, key, p, 1 / (2 * spread), d_max)
+        got = block_posterior(tab, spread)
+        assert got.shape == (n_code // spread, 2)
+        for j in range(n_code // spread):
+            for h in (0, 1):
+                want = scalar_block_posterior(j + 1, tab, h, spread)
+                if math.isinf(want):
+                    assert got[j, h] == want
+                    n_inf += 1
+                else:
+                    assert abs(got[j, h] - want) <= 1e-9 * abs(want)
+                    n_finite += 1
+    assert n_inf >= 100 and n_finite >= 400
+
+
+def test_step_batch_equals_single_rows(rng):
+    # a stacked batch with per-row step indices and weights is B single-row
+    # steps bit for bit, and the window tables are the dense per-step
+    # tables; n_code = 1 has no steps and a row shorter than a bare window
+    cases = (
+        (1, IdsParams(p_sub=0.1, p_delete=0.1, p_insert=0.2, max_insert_run=3)),
+        (2, IdsParams(p_sub=0.1, p_delete=0.1)),
+        (37, IdsParams(p_sub=0.05, p_delete=0.1, p_insert=0.1, max_insert_run=4)),
+        (60, IdsParams(p_sub=0.05, p_delete=0.2)),
+    )
+    for n_code, p in cases:
+        key = rng.integers(0, 2, n_code, dtype=np.uint8)
+        y = sample_ids_channel(key, p, rng)
+        d_max = max(default_drift_window(n_code, p), abs(y.size - n_code) + 2)
+        t = Trellis(y, key, p, 0.1, d_max)
+        dense = DenseSteps(y, key, p, 0.1, d_max)
+        for b in (0, 1):
+            assert np.array_equal(t.e_match[: n_code - 1, b], dense.e_match[b])
+        for l in range(p.max_insert_run + 1):
+            if l < t.n_ins:
+                assert np.array_equal(t.ins_weight[: n_code - 1, l],
+                                      dense.coef[l] * (dense.avail >= l))
+            else:
+                assert dense.coef[l] == 0.0
+        if n_code < 2:
+            continue
+        B = 7
+        prev = rng.random((B, 2, t.D))
+        i = rng.integers(2, n_code + 1, B)
+        wx = rng.random((B, 2))
+        for advance in (t.step, t.step_back):
+            batch = advance(prev, i, wx)
+            for b in range(B):
+                assert np.array_equal(batch[b], advance(prev[b], int(i[b]), wx[b]))
+        # block layout: one step index per block, one weight pair per hypothesis
+        wx2 = rng.random((B, 2, 2))
+        batch = t.step(prev[:, None], i[:, None], wx2)
+        for b in range(B):
+            for h in (0, 1):
+                assert np.array_equal(batch[b, h], t.step(prev[b], int(i[b]), wx2[b, h]))
 
 
 # ----------------------------------------------------------------- decode
@@ -278,6 +378,23 @@ def test_decode_key_xor_invariance(rng):
         a = trellis_tables(y, key, p, 0.1, n_code + 3, wtilde=wt)
         b = trellis_tables(y, key2, p, 0.1, n_code + 3, wtilde=wt2)
         assert a.log_evidence == pytest.approx(b.log_evidence, rel=1e-12, abs=1e-12)
+
+
+def test_decode_status_flags_zero_evidence():
+    # a deletion-only stream read past its watermarked segment cannot close
+    # the chain (no insertions explain the extra bits): P(y) = 0
+    w = watermark_bits(3, 50)
+    cfg = WatermarkConfig(watermark=w, spread=10, delta=0.1, key_seed=4)
+    flow, _ = embed_flow(poisson_flow(3.3, 2000, seed=5), encode(w, cfg), 0.1)
+    chan = ChannelParams(sigma=0.01, p_delete=0.1, jitter="quantizer", delta=0.1, seed=6)
+    recv, log = transmit(flow, chan)
+    y = qim_extract(to_ipds(recv), 0.1)
+    seg = decode(y[: log.segment_bits(cfg.code_len)], cfg, chan, w)
+    assert seg.status == "ok" and seg.to_dict()["status"] == "ok"
+    assert math.isfinite(seg.log_evidence) and seg.detected
+    pre = decode(y[:600], cfg, chan, w)
+    assert pre.status == "zero-evidence" and pre.to_dict()["status"] == "zero-evidence"
+    assert pre.log_evidence == -math.inf and not np.any(pre.llr)
 
 
 def test_decode_control_scores_near_half(rng):
