@@ -18,6 +18,7 @@ from flowmark.decoder import (
     block_posterior,
     calibrate_threshold,
     decode,
+    decode_batch,
     trellis_tables,
 )
 from flowmark.analysis import KsResult, MfaResult, delta_rtt_overlay, ks_distance, mfa_aggregate
@@ -50,6 +51,7 @@ __all__ = [
     "block_posterior",
     "calibrate_threshold",
     "decode",
+    "decode_batch",
     "trellis_tables",
     "KsResult",
     "MfaResult",

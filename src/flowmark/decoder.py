@@ -12,7 +12,9 @@ or delivered/replaced-by-insertions (the accumulated bit is observed,
 possibly substituted, followed by a burst of inserted zeros).  Forward and
 backward sweeps over this chain give the evidence and, re-run over one
 watermark block with the sparse bit fixed to a hypothesis, the per-bit
-posterior likelihoods for maximum-likelihood decoding.
+posterior likelihoods for maximum-likelihood decoding.  Received
+sequences decoded under one key and one channel law sweep together, on a
+leading flow axis of every state array.
 
 Everything is kept in log domain via per-step renormalization; code
 lengths in the hundreds underflow otherwise.
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from flowmark.channel import ChannelParams, substitution_prob
 from flowmark.idscode import WatermarkConfig, as_bits, keystream
@@ -105,23 +107,31 @@ def default_drift_window(n_code: int, params: IdsParams) -> int:
 
 
 class Trellis:
-    """Vectorized trellis sweeps for one received sequence.
+    """Vectorized trellis sweeps for B received sequences that share one
+    key and one channel law, swept in lockstep.
 
-    State arrays have shape (..., 2, D): rows are the accumulated bit,
-    columns the drift in [-d_max, d_max], and leading axes a batch of
-    independent chains.  Linear-domain vectors are renormalized each step
-    and the log scale is carried separately.  trellis_tables() fills fw
-    and bw, the (vectors, log scales) of states 1..N from each sweep, and
-    log_evidence, log P(y).
+    State arrays have shape (..., B, 2, D): the flow axis, rows for the
+    accumulated bit, and columns for the drift in [-d_max, d_max], where
+    d_max is the widest flow's half-width; further leading axes are a
+    batch of independent chains.  A flow with a narrower window keeps
+    zeros outside it, since every step zeroes those columns, so each
+    flow's numbers are those of a trellis over its own window.
+    Linear-domain vectors are renormalized each step and the log scale is
+    carried separately.  trellis_tables() fills fw and bw, the (vectors,
+    log scales) of the block-boundary states spread, 2·spread, ... from
+    each sweep, and log_evidence, log P(y) per flow.
 
     The sparse bit enters a step only through one pair of weights per
     chain, the weights of code bit 0 and 1 (see code_weights), so both of
     its values share one pass over the insertion lengths.
     """
 
-    def __init__(self, y, key, params: IdsParams, density: float, d_max: int,
+    def __init__(self, ys, key, params: IdsParams, density: float, d_max,
                  wtilde=None):
-        self.y = as_bits(y)
+        self.ys = [as_bits(y) for y in ys]
+        n_flows = len(self.ys)
+        if n_flows < 1:
+            raise ValueError("need at least one received sequence")
         self.key = as_bits(key)
         self.n_code = int(self.key.size)
         if self.n_code < 1:
@@ -138,10 +148,11 @@ class Trellis:
             same_flip = np.stack([1 - wtilde, wtilde], axis=1).astype(np.float64)
         self.params = params
         self.density = density
-        self.d_max = int(d_max)
-        if self.d_max < 1:
+        # flow_d_max: each flow's own half-width; d_max: the padded one
+        self.flow_d_max = np.broadcast_to(np.asarray(d_max, dtype=np.int64), (n_flows,))
+        if self.flow_d_max.min() < 1:
             raise ValueError("d_max must be at least 1")
-        self.n_obs = int(self.y.size)
+        self.n_obs = np.array([y.size for y in self.ys])
         self._check_feasible()
         # prior[i-1]: code-bit weights at position i under the sparse-bit prior
         self.prior = self.code_weights(np.arange(1, self.n_code + 1), same_flip)
@@ -161,14 +172,25 @@ class Trellis:
         # head insertions before the first marked IPD completes
         self.init_coef = p.p_insert ** ls * (1.0 - p.p_insert)
 
+        self.d_max = int(self.flow_d_max.max())
         self.D = 2 * self.d_max + 1
         self.drifts = np.arange(-self.d_max, self.d_max + 1)
+        # window: 1 on each flow's own drift columns, None when all flows
+        # span the whole width
+        inside = np.abs(self.drifts) <= self.flow_d_max[:, None]
+        self.window = None if inside.all() else inside[:, None, :].astype(np.float64)
 
-        # zrun[j]: observed zeros starting at position j
-        zrun = np.zeros(self.n_obs + 1, dtype=np.int64)
-        for j in range(self.n_obs - 1, -1, -1):
-            zrun[j] = 0 if self.y[j] else zrun[j + 1] + 1
-        self.zrun = zrun
+        # bits: the received sequences padded with ones, so that zrun
+        # reads 0 from each flow's end on; zrun[b, j]: observed zeros
+        # starting at position j of flow b
+        width = int(self.n_obs.max()) + 1
+        self.bits = np.ones((n_flows, width), dtype=np.uint8)
+        for b, y in enumerate(self.ys):
+            self.bits[b, : y.size] = y
+        at = np.arange(width)
+        next_one = np.minimum.accumulate(
+            np.where(self.bits == 1, at, width)[:, ::-1], axis=1)[:, ::-1]
+        self.zrun = next_one - at
 
         # Per-step emission context: step i (into state i) reads its first
         # observed bit at position i - 2 + drift of the source state, so the
@@ -178,29 +200,34 @@ class Trellis:
         # shorter than a window (n_code = 1 has no steps).
         ps = p.p_sub
         pos = np.arange(-self.d_max, self.n_code + self.d_max)
-        valid = (pos >= 0) & (pos < self.n_obs)
-        obs = self.y[np.clip(pos, 0, max(self.n_obs - 1, 0))] if self.n_obs else np.zeros_like(pos)
-        # e_match[i-2][b]: weight of the first observed bit given accumulated bit b
-        match = np.stack([np.where(valid, np.where(obs == b, 1.0 - ps, ps), 0.0) for b in (0, 1)])
-        self.e_match = sliding_window_view(match, self.D, axis=1).transpose(1, 0, 2)
-        # ins_weight[i-2][l]: coef[l], zero where fewer than l observed
+        valid = (pos >= 0) & (pos < self.n_obs[:, None])
+        obs = self.bits[:, np.clip(pos, 0, width - 1)]
+        # e_match[i-2, b, a]: weight of the first observed bit of flow b
+        # given accumulated bit a
+        match = np.stack([np.where(valid, np.where(obs == a, 1.0 - ps, ps), 0.0)
+                          for a in (0, 1)], axis=1)
+        self.e_match = sliding_window_view(match, self.D, axis=2).transpose(2, 0, 1, 3)
+        # ins_weight[i-2, b, l]: coef[l], zero where fewer than l observed
         # zeros follow the first observed bit
-        avail = zrun[np.clip(pos + 1, 0, self.n_obs)]
+        avail = self.zrun[:, np.clip(pos + 1, 0, width - 1)]
         lens = np.arange(self.n_ins)[:, None]
-        ins = self.coef[lens] * (avail >= lens)
-        self.ins_weight = sliding_window_view(ins, self.D, axis=1).transpose(1, 0, 2)
+        ins = self.coef[lens] * (avail[:, None, :] >= lens)
+        self.ins_weight = sliding_window_view(ins, self.D, axis=2).transpose(2, 0, 1, 3)
+        self._run_rows = {}
 
     def _check_feasible(self):
         # the last state's drift must fall in [shift - run, shift + 1] for
-        # the observed tail to close; the window has to reach that band
+        # the observed tail to close; each flow's window has to reach that band
         shift = self.n_obs - self.n_code
         run = self.params.max_insert_run
-        lo, hi = shift - run, shift + 1
-        if hi < -self.d_max or lo > self.d_max:
-            need = lo if lo > self.d_max else -hi
+        lo, hi, d = shift - run, shift + 1, self.flow_d_max
+        bad = (hi < -d) | (lo > d)
+        if bad.any():
+            b = int(np.argmax(bad))
+            need = int(lo[b] if lo[b] > d[b] else -hi[b])
             raise DecodeInfeasibleError(
-                f"observed length {self.n_obs} vs code length {self.n_code} "
-                f"needs a drift window of at least {need} (d_max={self.d_max})",
+                f"observed length {self.n_obs[b]} vs code length {self.n_code} "
+                f"needs a drift window of at least {need} (d_max={d[b]})",
                 required_d_max=need,
             )
 
@@ -215,50 +242,82 @@ class Trellis:
     def init_vec(self, wx) -> np.ndarray:
         """Distribution over state 1 given code-bit weights wx (..., 2):
         head survives, a burst of inserted zeros may precede the first
-        marked IPD."""
+        marked IPD.  Shape (..., B, 2, D)."""
         ls = np.arange(min(self.params.max_insert_run, self.d_max) + 1)
-        head = np.zeros(self.D)
-        head[self.d_max + ls] = np.where(self.zrun[0] >= ls, self.init_coef[ls], 0.0)
-        return np.asarray(wx)[..., None] * head
+        head = np.zeros((len(self.ys), 1, self.D))
+        head[:, 0, self.d_max + ls] = np.where(self.zrun[:, :1] >= ls, self.init_coef[ls], 0.0)
+        if self.window is not None:
+            head *= self.window
+        return np.asarray(wx)[..., None, :, None] * head
 
     def step(self, prev: np.ndarray, i, wx) -> np.ndarray:
         """Advance state i-1 to state i (resolve sent packet i-1).
 
-        prev is (..., 2, D); the step index i and the code-bit weights wx,
-        shape (..., 2), broadcast over the leading axes.
+        prev is (..., B, 2, D); the step index i, of shape (...), and the
+        code-bit weights wx, of shape (..., 2), broadcast over the leading
+        axes and are shared by the flows.
         """
         k = np.asarray(i) - 2
-        wx = np.asarray(wx)[..., None]
+        wx = np.asarray(wx)[..., None, :, None]
         merged = (prev * self.e_match[k]).sum(axis=-2)
-        contrib = merged[..., None, :] * self.ins_weight[k]
-        # the l = 0 row of the temporary collects the shifted l > 0 rows
-        ins = contrib[..., 0, :]
-        for l in range(1, self.n_ins):
-            ins[..., l:] += contrib[..., l, :-l]
+        if self.n_ins == 1:
+            ins = merged * self.ins_weight[k][..., 0, :]
+        else:
+            # a run of l inserted zeros moves the drift up by l: row l of
+            # the shifted view is row l of contrib, l columns to the right
+            contrib, shifted = self._runs(merged.shape[:-1], backward=False)
+            np.multiply(merged[..., None, :], self.ins_weight[k], out=contrib)
+            ins = shifted.sum(axis=-2)
         nxt = wx * ins[..., None, :]
         if self.del_coef > 0.0:
             nxt[..., :-1] += self.del_coef * (
                 wx[..., :1, :] * prev[..., 1:] + wx[..., 1:, :] * prev[..., ::-1, 1:])
+        if self.window is not None:
+            nxt *= self.window
         return nxt
 
     def step_back(self, nxt: np.ndarray, i, wx) -> np.ndarray:
         """Pull the backward vector across the transition into state i;
         shapes as in step()."""
         k = np.asarray(i) - 2
-        wx = np.asarray(wx)[..., None]
+        wx = np.asarray(wx)[..., None, :, None]
         landed = (wx * nxt).sum(axis=-2)
-        weight = self.ins_weight[k]
-        acc = weight[..., 0, :] * landed
-        for l in range(1, self.n_ins):
-            acc[..., :-l] += weight[..., l, :-l] * landed[..., l:]
+        if self.n_ins == 1:
+            acc = self.ins_weight[k][..., 0, :] * landed
+        else:
+            # row l of the shifted view is landed, l columns to the left
+            buf, shifted = self._runs(landed.shape[:-1], backward=True)
+            buf[...] = landed
+            acc = (self.ins_weight[k] * shifted).sum(axis=-2)
         prev = self.e_match[k] * acc[..., None, :]
         if self.del_coef > 0.0:
             prev[..., 1:] += self.del_coef * (
                 wx[..., :1, :] * nxt[..., :-1] + wx[..., 1:, :] * nxt[..., ::-1, :-1])
+        if self.window is not None:
+            prev *= self.window
         return prev
 
+    def _runs(self, lead: tuple, backward: bool):
+        """Reusable rows for the insertion-run sums of states with leading
+        shape lead, and a view of them with one row per run length l
+        shifted by l columns.  The rows carry n_ins - 1 zero columns past
+        the window, which the shifted view reads beyond its edge.
+        Forward: (n_ins, D) rows to fill and the view shifted right;
+        backward: one (D,) row to fill and the view shifted left."""
+        if (lead, backward) not in self._run_rows:
+            n, D = self.n_ins, self.D
+            if backward:
+                buf = np.zeros((*lead, D + n - 1))
+                strides = (*buf.strides[:-1], buf.itemsize, buf.itemsize)
+            else:
+                buf = np.zeros((*lead, n, D + n - 1))
+                strides = (*buf.strides[:-2], buf.strides[-2] - buf.itemsize, buf.itemsize)
+            shifted = as_strided(buf, (*lead, n, D), strides, writeable=False)
+            self._run_rows[lead, backward] = (buf[..., :D], shifted)
+        return self._run_rows[lead, backward]
+
     def terminal_vec(self) -> np.ndarray:
-        """Closure of the chain against the observed tail.
+        """Closure of the chain against the observed tail, shape (B, 2, D).
 
         The last sent packet either vanishes (its merged bit is never
         observed), or its accumulated bit arrives followed by inserted
@@ -266,111 +325,136 @@ class Trellis:
         """
         p = self.params
         run = p.max_insert_run
-        vec = np.zeros((2, self.D))
-        for di, d in enumerate(self.drifts):
-            tail = self.n_obs - self.n_code + 1 - d
-            if tail < 0:
-                continue
-            if tail == 0:
-                vec[:, di] = p.p_delete * (1.0 - p.p_insert)
-                continue
-            first = self.n_code - 1 + d
-            if first < 0 or first >= self.n_obs:
-                continue
-            if self.zrun[first + 1] < tail - 1:
-                continue
-            weight = (1.0 - p.p_insert) * (
-                (1.0 - p.p_delete) * (p.p_insert ** (tail - 1) if tail - 1 <= run else 0.0)
-                + p.p_delete * (p.p_insert ** tail if tail <= run else 0.0)
-            )
-            if weight <= 0.0:
-                continue
-            obs = int(self.y[first])
-            vec[obs, di] += weight * (1.0 - p.p_sub)
-            vec[obs ^ 1, di] += weight * p.p_sub
+        width = self.bits.shape[1]
+        # tail: observed bits left for the last packet at each drift
+        tail = (self.n_obs[:, None] - self.n_code + 1) - self.drifts
+        first = self.n_code - 1 + self.drifts
+        closes = ((tail > 0) & (first >= 0) & (first < self.n_obs[:, None])
+                  & (self.zrun[:, np.clip(first + 1, 0, width - 1)] >= tail - 1))
+        # p_insert ** m for m <= run, and 0 for longer runs
+        powers = np.array([p.p_insert ** m for m in range(run + 1)] + [0.0])
+        keep = powers[np.clip(tail - 1, 0, run + 1)]
+        drop = powers[np.clip(tail, 0, run + 1)]
+        weight = np.where(closes, (1.0 - p.p_insert) * (
+            (1.0 - p.p_delete) * keep + p.p_delete * drop), 0.0)
+        obs = self.bits[:, np.clip(first, 0, width - 1)]
+        vec = np.stack([np.where(obs == a, weight * (1.0 - p.p_sub), weight * p.p_sub)
+                        for a in (0, 1)], axis=1)
+        vec = np.where((tail == 0)[:, None, :], p.p_delete * (1.0 - p.p_insert), vec)
+        if self.window is not None:
+            vec *= self.window
         return vec
 
-    def _sweep(self, vec, advance, states):
+    def _sweep(self, vec, advance, states, spread):
         """Renormalize-and-accumulate over states in sweep order: vec is
         the unnormalized vector of states[0], advance(vec, s) carries it
-        to state s.  Returns the normalized vectors of states 1..N and
-        their log scales; states past a zero-mass step keep zeros/-inf."""
-        vecs = np.zeros((self.n_code, 2, self.D))
-        logw = np.full(self.n_code, -math.inf)
-        w = 0.0
-        for k, s in enumerate(states):
-            if k:
-                vec = advance(vec, s)
-            scale = float(vec.sum())
-            if scale <= 0.0:
-                break
-            vec /= scale
-            w += math.log(scale)
-            vecs[s - 1] = vec
-            logw[s - 1] = w
-        return vecs, logw
+        to state s.  Returns the normalized vectors and log scales of the
+        states that are multiples of spread, in state order, and those of
+        the last state swept.  Flows past a zero-mass step keep zeros and
+        -inf."""
+        states = np.asarray(states)
+        kept = np.zeros((self.n_code // spread, *vec.shape))
+        scales = []
+        # a flow whose mass hits zero divides 0 by 0 from there on; its
+        # NaNs stay in its own row and are cleared after the loop
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, s in enumerate(states.tolist()):
+                if k:
+                    vec = advance(vec, s)
+                scale = np.add.reduce(vec, axis=(1, 2), keepdims=True)
+                scales.append(scale)
+                vec /= scale
+                if s % spread == 0:
+                    kept[s // spread - 1] = vec
+            logw = np.cumsum(np.log(np.stack(scales)[:, :, 0, 0]), axis=0)
+        logw[np.isnan(logw)] = -math.inf
+        kept[np.isnan(kept)] = 0.0
+        vec[np.isnan(vec)] = 0.0
+        at = np.flatnonzero(states % spread == 0)
+        kept_logw = np.empty((kept.shape[0], vec.shape[0]))
+        kept_logw[states[at] // spread - 1] = logw[at]
+        return (kept, kept_logw), (vec, logw[-1])
 
-    def state_log_joint(self, i: int) -> np.ndarray:
-        """log F_i + log B_i over states; its logsumexp is log P(y) for
-        every i (the forward/backward consistency identity)."""
-        (fvecs, flogw), (bvecs, blogw) = self.fw, self.bw
-        with np.errstate(divide="ignore"):
-            return (np.log(fvecs[i - 1]) + flogw[i - 1]) + (np.log(bvecs[i - 1]) + blogw[i - 1])
+
+# state entries per block-chain array in block_posterior (128 KiB): larger
+# arrays spill out of the core's cache and step several times slower, and
+# their temporaries raise peak memory
+_GROUP_STATES = 1 << 14
 
 
-def trellis_tables(y, key, params: IdsParams, density: float, d_max: int,
+def trellis_tables(ys, key, params: IdsParams, density: float, d_max, spread: int = 1,
                    wtilde=None) -> Trellis:
-    """Forward and backward sweeps over one engine, ready for per-bit
-    posteriors; log_evidence is exact via the carried normalizers."""
-    t = Trellis(y, key, params, density, d_max, wtilde=wtilde)
+    """Forward and backward sweeps over one engine for the received
+    sequences ys, ready for per-block posteriors: the sweeps keep the
+    vectors at every spread-th state, the block boundaries
+    block_posterior reads.  d_max is one half-width for all flows or one
+    per flow.  log_evidence is exact via the carried normalizers."""
+    t = Trellis(ys, key, params, density, d_max, wtilde=wtilde)
     n = t.n_code
+    if not 1 <= spread <= n:
+        raise ValueError(f"spread {spread} outside 1..{n}")
+    t.spread = spread
     terminal = t.terminal_vec()
-    t.fw = t._sweep(t.init_vec(t.prior[0]),
-                    lambda vec, s: t.step(vec, s, t.prior[s - 1]), range(1, n + 1))
-    t.bw = t._sweep(terminal.copy(), lambda vec, s: t.step_back(vec, s + 1, t.prior[s]),
-                    range(n, 0, -1))
-    fvecs, flogw = t.fw
-    closing = float(np.sum(fvecs[-1] * terminal)) if math.isfinite(flogw[-1]) else 0.0
-    t.log_evidence = flogw[-1] + math.log(closing) if closing > 0.0 else -math.inf
+    t.fw, (last, last_logw) = t._sweep(
+        t.init_vec(t.prior[0]), lambda vec, s: t.step(vec, s, t.prior[s - 1]),
+        range(1, n + 1), spread)
+    t.bw, _ = t._sweep(terminal.copy(), lambda vec, s: t.step_back(vec, s + 1, t.prior[s]),
+                       range(n, 0, -1), spread)
+    closing = (last * terminal).sum(axis=(-2, -1))
+    with np.errstate(divide="ignore"):
+        t.log_evidence = np.where(closing > 0.0, last_logw + np.log(closing), -math.inf)
     return t
 
 
-def block_posterior(trellis: Trellis, spread: int) -> np.ndarray:
-    """log P(y | watermark bit j = h) for every block j and hypothesis h,
-    as an (n_blocks, 2) array, n_blocks = n_code // spread.
+def block_posterior(trellis: Trellis) -> np.ndarray:
+    """log P(y | watermark bit j = h) for every flow, block j and
+    hypothesis h, as a (B, n_blocks, 2) array, n_blocks = n_code // spread.
 
-    Each (block, hypothesis) chain starts from the forward vector before
-    the block, runs through the block with its sparse pattern fixed by
-    the hypothesis, and closes with the backward vector at the block end.
-    All chains advance in lockstep: spread vectorized steps in total.
+    The hypothesis fixes the block's sparse bits: the leading one to h,
+    the others to 0.  Only the block's first step depends on h, so one
+    backward chain per block, from the backward vector at the block end
+    through the block's other steps, closes against the first step of
+    each hypothesis from the forward vector before the block.  The
+    chains of a group of blocks advance in lockstep over all flows,
+    spread - 1 vectorized steps per group; groups are sized to keep the
+    chain arrays cache-resident.
     """
     t = trellis
-    if not 1 <= spread <= t.n_code:
-        raise ValueError(f"spread {spread} outside 1..{t.n_code}")
+    spread = t.spread
     n_blocks = t.n_code // spread
+    n_flows = len(t.ys)
     (fvecs, flogw), (bvecs, blogw) = t.fw, t.bw
-    # the leading axes are (block, hypothesis); hyp[h] = (same, flip) of
-    # the block-leading sparse bit, the block's other sparse bits are 0
+    # hyp[h] = (same, flip) of the block-leading sparse bit under h
     hyp = np.eye(2)
-    starts = np.arange(n_blocks)[:, None] * spread
-    vec = np.empty((n_blocks, 2, 2, t.D))
-    logw = np.zeros((n_blocks, 2))
-    vec[0] = t.init_vec(t.code_weights(1, hyp))
-    first = starts[1:] + 1
-    vec[1:] = t.step(fvecs[starts[1:] - 1], first, t.code_weights(first, hyp))
-    logw[1:] = flogw[starts[1:] - 1]
-    for k in range(spread):
-        if k:
+    group = max(1, _GROUP_STATES // (n_flows * 2 * t.D))
+    out = np.empty((n_blocks, 2, n_flows))
+    for lo in range(0, n_blocks, group):
+        j = np.arange(lo, min(lo + group, n_blocks))
+        starts = j * spread
+        vec = bvecs[j]
+        logw = blogw[j]
+        for k in range(spread - 1, 0, -1):
             i = starts + 1 + k
-            vec = t.step(vec, i, t.code_weights(i, hyp[0]))
-        scale = vec.sum(axis=(-2, -1))
+            vec = t.step_back(vec, i, t.code_weights(i, hyp[0]))
+            scale = vec.sum(axis=(-2, -1))
+            with np.errstate(divide="ignore"):
+                logw += np.log(scale)
+            vec /= np.where(scale > 0.0, scale, 1.0)[..., None, None]
+        # the first step under each hypothesis: block 0 starts from the
+        # head, the others from the forward vector at the previous
+        # block's end; axes (block, hypothesis, flow, ...)
+        head = 1 if lo == 0 else 0
+        first = np.empty((j.size, 2, n_flows, 2, t.D))
+        if head:
+            first[0] = t.init_vec(t.code_weights(1, hyp))
+        i = starts[head:, None] + 1
+        first[head:] = t.step(fvecs[j[head:] - 1, None], i, t.code_weights(i, hyp))
+        flog = np.zeros((j.size, 1, n_flows))
+        flog[head:] = flogw[j[head:] - 1, None]
+        closing = (first * vec[:, None]).sum(axis=(-2, -1))
         with np.errstate(divide="ignore"):
-            logw += np.log(scale)
-        vec /= np.where(scale > 0.0, scale, 1.0)[..., None, None]
-    ends = starts + spread - 1
-    closing = (vec * bvecs[ends]).sum(axis=(-2, -1))
-    with np.errstate(divide="ignore"):
-        return logw + np.log(closing) + blogw[ends]
+            out[j] = flog + np.log(closing) + logw[:, None]
+    return out.transpose(2, 0, 1)
 
 
 def binomial_score_threshold(n: int, alpha: float = 0.01) -> float:
@@ -410,6 +494,52 @@ def calibrate_threshold(control_scores, alpha: float) -> float:
     return float(np.sort(scores)[k - 1])
 
 
+def decode_batch(ys, cfg: WatermarkConfig, params, w_reference,
+                 threshold: float | None = None, d_max=None,
+                 density: float | None = None) -> list[DetectionReport]:
+    """decode() for several received sequences of one watermark config,
+    swept together in one trellis; one report per sequence, each equal to
+    its own decode() up to rounding.  d_max is one half-width for all
+    sequences or one per sequence."""
+    if isinstance(params, ChannelParams):
+        params = IdsParams.from_channel(params, cfg.delta)
+    elif not isinstance(params, IdsParams):
+        raise TypeError(f"unsupported channel parameter object: {type(params)!r}")
+    w_ref = as_bits(w_reference)
+    if w_ref.size != cfg.n_bits:
+        raise ValueError("reference watermark length does not match config")
+    ys = [as_bits(y) for y in ys]
+    n_code = cfg.code_len
+    if density is None:
+        density = cfg.density
+    if d_max is None:
+        d_max = [max(default_drift_window(n_code, params), abs(y.size - n_code) + 2)
+                 for y in ys]
+    key = keystream(cfg.key_seed, n_code)
+
+    trellis = trellis_tables(ys, key, params, density, d_max, spread=cfg.spread)
+    lp = block_posterior(trellis)
+    # a block that neither hypothesis can explain carries no evidence
+    with np.errstate(invalid="ignore"):
+        llr = np.where(np.isfinite(lp).any(axis=-1), lp[..., 1] - lp[..., 0], 0.0)
+    w_hat = (llr > 0.0).astype(np.uint8)
+    scores = (w_hat == w_ref).mean(axis=-1)
+    if threshold is None:
+        threshold = binomial_score_threshold(cfg.n_bits, alpha=0.01)
+    return [
+        DetectionReport(
+            w_hat=w_hat[b],
+            llr=llr[b],
+            score=float(scores[b]),
+            threshold=float(threshold),
+            detected=bool(scores[b] >= threshold),
+            log_evidence=float(evidence),
+            status="ok" if math.isfinite(evidence) else "zero-evidence",
+        )
+        for b, evidence in enumerate(trellis.log_evidence)
+    ]
+
+
 def decode(y, cfg: WatermarkConfig, params, w_reference,
            threshold: float | None = None, d_max: int | None = None,
            density: float | None = None) -> DetectionReport:
@@ -419,39 +549,7 @@ def decode(y, cfg: WatermarkConfig, params, w_reference,
     quantization step and jitter level) or IdsParams directly.  The score
     is the fraction of decoded bits agreeing with the reference watermark;
     without an explicit threshold the exact binomial null quantile at 1%
-    is used.
+    is used.  This is decode_batch() on a batch of one.
     """
-    if isinstance(params, ChannelParams):
-        params = IdsParams.from_channel(params, cfg.delta)
-    elif not isinstance(params, IdsParams):
-        raise TypeError(f"unsupported channel parameter object: {type(params)!r}")
-    w_ref = as_bits(w_reference)
-    if w_ref.size != cfg.n_bits:
-        raise ValueError("reference watermark length does not match config")
-    y = as_bits(y)
-    n_code = cfg.code_len
-    if density is None:
-        density = cfg.density
-    if d_max is None:
-        d_max = max(default_drift_window(n_code, params), abs(y.size - n_code) + 2)
-    key = keystream(cfg.key_seed, n_code)
-
-    trellis = trellis_tables(y, key, params, density, d_max)
-    lp = block_posterior(trellis, cfg.spread)
-    # a block that neither hypothesis can explain carries no evidence
-    with np.errstate(invalid="ignore"):
-        llr = np.where(np.isfinite(lp).any(axis=1), lp[:, 1] - lp[:, 0], 0.0)
-    w_hat = (llr > 0.0).astype(np.uint8)
-
-    score = float(np.mean(w_hat == w_ref))
-    if threshold is None:
-        threshold = binomial_score_threshold(cfg.n_bits, alpha=0.01)
-    return DetectionReport(
-        w_hat=w_hat,
-        llr=llr,
-        score=score,
-        threshold=float(threshold),
-        detected=bool(score >= threshold),
-        log_evidence=trellis.log_evidence,
-        status="ok" if math.isfinite(trellis.log_evidence) else "zero-evidence",
-    )
+    return decode_batch([y], cfg, params, w_reference, threshold=threshold,
+                        d_max=d_max, density=density)[0]

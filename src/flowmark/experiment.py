@@ -2,6 +2,7 @@
 
 A config describes one grid of channel/watermark parameter cells.  Each
 cell runs `trials` watermarked and `trials` control flows end to end,
+decoding the cell's received streams together in fixed-size chunks,
 calibrates the detection threshold on the control scores, and reports the
 true-positive rate at that threshold.  Every trial's randomness is derived
 from the master seed, the cell index, the trial index, and the stream
@@ -21,13 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowmark.channel import ChannelParams, substitution_prob, transmit
-from flowmark.decoder import IdsParams, calibrate_threshold, decode
+from flowmark.decoder import IdsParams, calibrate_threshold, decode_batch
 from flowmark.idscode import WatermarkConfig, encode, watermark_bits
 from flowmark.qim import embed_flow, qim_extract
 from flowmark.traffic import PacketFlow, poisson_flow, read_trace, to_ipds
 
 # roles for the per-trial seed fan-out
 _FLOW_W, _CHAN_W, _FLOW_C, _CHAN_C, _FLOW_H, _CHAN_H = range(6)
+
+# a cell's flows are decoded together in chunks of this many: enough to
+# amortize the per-step interpreter cost; wider chunks gain little per
+# flow and pad more flows to the widest drift window
+DECODE_CHUNK = 32
 
 
 def derive_seed(master: int, cell: int, trial: int, role: int) -> int:
@@ -218,8 +224,9 @@ def _load_flow(spec: CellSpec, trial: int, role: int) -> PacketFlow:
     return flow
 
 
-def run_trial(spec: CellSpec, trial: int, watermarked: bool, holdout: bool = False):
-    """One end-to-end trial; returns (score, deleted, inserted, seg_bits)."""
+def simulate_trial(spec: CellSpec, trial: int, watermarked: bool, holdout: bool = False):
+    """Embed, transmit and extract one trial's flow; returns (y, deleted,
+    inserted, seg_bits), y being the received bits cut at the segment."""
     cfg = spec.watermark_config()
     code = encode(cfg.watermark, cfg)
     n_code = cfg.code_len
@@ -236,13 +243,23 @@ def run_trial(spec: CellSpec, trial: int, watermarked: bool, holdout: bool = Fal
     recv, log = transmit(flow, chan)
     n_bits = log.segment_bits(n_code)
     y = qim_extract(to_ipds(recv), spec.delta)[:n_bits]
-    report = decode(y, cfg, spec.decoder_params(), cfg.watermark)
-    return report.score, log.n_deleted, log.n_inserted, n_bits
+    return y, log.n_deleted, log.n_inserted, n_bits
 
 
-def _trial_task(args):
-    spec, trial, watermarked, holdout = args
-    return run_trial(spec, trial, watermarked, holdout)
+def decode_trials(spec: CellSpec, ys) -> list[float]:
+    """Scores of one cell's received streams, decoded in lockstep."""
+    cfg = spec.watermark_config()
+    reports = decode_batch(ys, cfg, spec.decoder_params(), cfg.watermark)
+    return [r.score for r in reports]
+
+
+def _chunk_task(args):
+    """Simulate a chunk of one cell's trials, then decode them together;
+    returns (score, deleted, inserted, seg_bits) per trial."""
+    spec, trials = args
+    sims = [simulate_trial(spec, *trial) for trial in trials]
+    scores = decode_trials(spec, [sim[0] for sim in sims])
+    return [(score, *sim[1:]) for score, sim in zip(scores, sims)]
 
 
 def _make_specs(config: ExperimentConfig) -> list[CellSpec]:
@@ -288,19 +305,23 @@ def _make_specs(config: ExperimentConfig) -> list[CellSpec]:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.time()
     specs = _make_specs(config)
-    tasks = []
+    chunks = []
     for spec in specs:
+        trials = []
         for trial in range(config.trials):
-            tasks.append((spec, trial, True, False))
-            tasks.append((spec, trial, False, False))
+            trials.append((trial, True, False))
+            trials.append((trial, False, False))
             if config.holdout:
-                tasks.append((spec, trial, False, True))
+                trials.append((trial, False, True))
+        chunks += [(spec, trials[i: i + DECODE_CHUNK])
+                   for i in range(0, len(trials), DECODE_CHUNK)]
 
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_trial_task, tasks, chunksize=8))
+            parts = list(pool.map(_chunk_task, chunks))
     else:
-        results = [_trial_task(t) for t in tasks]
+        parts = [_chunk_task(c) for c in chunks]
+    results = [r for part in parts for r in part]
 
     cells = []
     cursor = 0

@@ -2,7 +2,8 @@
 
 Each is written independently of the code it checks: a per-transition
 law, an exhaustive channel-path enumeration, a scalar per-block
-posterior over dense per-step tables, and the inverse of sparsify.
+posterior over dense per-step tables, full per-state sweeps for the
+forward/backward identity, and the inverse of sparsify.
 """
 
 from __future__ import annotations
@@ -217,16 +218,21 @@ class DenseSteps:
         return nxt
 
 
-def scalar_block_posterior(j: int, trellis, w_hypothesis: int, spread: int) -> float:
-    """log P(y | watermark bit j = w_hypothesis), one block at a time.
+def scalar_block_posterior(j: int, trellis, w_hypothesis: int, flow: int = 0) -> float:
+    """log P(y | watermark bit j = w_hypothesis) for one flow of a
+    trellis, one block at a time.
 
-    Chains the forward table at the block start through the block with the
-    sparse pattern fixed by the hypothesis, then closes with the backward
-    table at the block end.  Only the sweeps (trellis.fw, trellis.bw) come
-    from the trellis; the steps are DenseSteps'.
+    Chains the forward vector at the block start through the block with
+    the sparse pattern fixed by the hypothesis, then closes with the
+    backward vector at the block end.  Only the stored sweeps (trellis.fw
+    and trellis.bw, at states spread, 2*spread, ...) come from the
+    trellis, cut to the flow's own drift window; the steps are
+    DenseSteps'.
     """
-    steps = DenseSteps(trellis.y, trellis.key, trellis.params, trellis.density,
-                       trellis.d_max)
+    spread = trellis.spread
+    d_max = int(trellis.flow_d_max[flow])
+    cols = slice(trellis.d_max - d_max, trellis.d_max + d_max + 1)
+    steps = DenseSteps(trellis.ys[flow], trellis.key, trellis.params, trellis.density, d_max)
     n_blocks = trellis.n_code // spread
     if not 1 <= j <= n_blocks:
         raise ValueError(f"block index {j} outside 1..{n_blocks}")
@@ -241,10 +247,10 @@ def scalar_block_posterior(j: int, trellis, w_hypothesis: int, spread: int) -> f
         lo = 2
         logw = 0.0
     else:
-        if not math.isfinite(flogw[start - 1]):
+        if not math.isfinite(flogw[j - 2, flow]):
             return -math.inf
-        vec = fvecs[start - 1].copy()
-        logw = float(flogw[start - 1])
+        vec = fvecs[j - 2, flow, :, cols].copy()
+        logw = float(flogw[j - 2, flow])
         lo = start + 1
     first_pos = start + 1
     for i in range(lo, end + 1):
@@ -255,12 +261,46 @@ def scalar_block_posterior(j: int, trellis, w_hypothesis: int, spread: int) -> f
             return -math.inf
         vec /= scale
         logw += math.log(scale)
-    if not math.isfinite(blogw[end - 1]):
+    if not math.isfinite(blogw[j - 1, flow]):
         return -math.inf
-    closing = float(np.sum(vec * bvecs[end - 1]))
+    closing = float(np.sum(vec * bvecs[j - 1, flow, :, cols]))
     if closing <= 0.0:
         return -math.inf
-    return logw + math.log(closing) + float(blogw[end - 1])
+    return logw + math.log(closing) + float(blogw[j - 1, flow])
+
+
+def log_sweeps(trellis):
+    """Log forward and log backward vectors of every state 1..N, each of
+    shape (N, B, 2, D), swept afresh through the trellis' own init_vec,
+    step, step_back and terminal_vec under the sparse-bit prior.  The
+    production sweeps keep only block-boundary states."""
+    t = trellis
+    fw = np.empty((t.n_code, len(t.ys), 2, t.D))
+    bw = np.empty_like(fw)
+    for out, vec, advance, states in (
+        (fw, t.init_vec(t.prior[0]), lambda v, s: t.step(v, s, t.prior[s - 1]),
+         range(1, t.n_code + 1)),
+        (bw, t.terminal_vec(), lambda v, s: t.step_back(v, s + 1, t.prior[s]),
+         range(t.n_code, 0, -1)),
+    ):
+        logw = np.zeros(len(t.ys))
+        for k, s in enumerate(states):
+            if k:
+                vec = advance(vec, s)
+            scale = vec.sum(axis=(-2, -1))
+            with np.errstate(divide="ignore"):
+                logw = logw + np.log(scale)
+                vec = vec / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+                out[s - 1] = np.log(vec) + logw[:, None, None]
+    return fw, bw
+
+
+def state_log_joint(trellis) -> np.ndarray:
+    """log F_i + log B_i for every state i = 1..N, shape (N, B, 2, D); its
+    logsumexp over one state's entries is log P(y) for every i (the
+    forward/backward consistency identity)."""
+    fw, bw = log_sweeps(trellis)
+    return fw + bw
 
 
 def unsparsify(wt, spread: int) -> np.ndarray:

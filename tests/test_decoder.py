@@ -13,6 +13,7 @@ from flowmark.decoder import (
     block_posterior,
     calibrate_threshold,
     decode,
+    decode_batch,
     default_drift_window,
     trellis_tables,
 )
@@ -23,7 +24,9 @@ from reference import (
     DenseSteps,
     TrellisState,
     enumeration_oracle,
+    log_sweeps,
     scalar_block_posterior,
+    state_log_joint,
     transition_log_prob,
 )
 
@@ -110,24 +113,24 @@ def test_forward_single_bit_hand_sum():
     f, ps = 0.2, 0.07
     p = IdsParams(p_sub=ps)
     key = np.array([1], dtype=np.uint8)
-    tab = trellis_tables([1], key, p, f, 2)
-    assert math.exp(tab.log_evidence) == pytest.approx((1 - f) * (1 - ps) + f * ps)
-    tab = trellis_tables([0], key, p, f, 2)
-    assert math.exp(tab.log_evidence) == pytest.approx((1 - f) * ps + f * (1 - ps))
+    tab = trellis_tables([[1]], key, p, f, 2)
+    assert math.exp(tab.log_evidence[0]) == pytest.approx((1 - f) * (1 - ps) + f * ps)
+    tab = trellis_tables([[0]], key, p, f, 2)
+    assert math.exp(tab.log_evidence[0]) == pytest.approx((1 - f) * ps + f * (1 - ps))
 
 
 def test_forward_short_y_without_deletions_is_impossible():
     p = IdsParams(p_sub=0.05, p_delete=0.0, p_insert=0.0)
     key = keystream(1, 6)
-    tab = trellis_tables(key[:5], key, p, 0.05, 4)
-    assert tab.log_evidence == -math.inf
+    tab = trellis_tables([key[:5]], key, p, 0.05, 4)
+    assert tab.log_evidence[0] == -math.inf
 
 
 def test_forward_infeasible_window():
     p = IdsParams(p_delete=0.5)
     key = keystream(1, 30)
     with pytest.raises(DecodeInfeasibleError) as exc:
-        trellis_tables(np.zeros(5, dtype=np.uint8), key, p, 0.05, 3)
+        trellis_tables([np.zeros(5, dtype=np.uint8)], key, p, 0.05, 3)
     assert exc.value.required_d_max >= 24
 
 
@@ -144,9 +147,10 @@ def test_forward_matches_oracle_random(rng):
         key = rng.integers(0, 2, n, dtype=np.uint8)
         y = sample_ids_channel(x, p, rng)
         want = enumeration_oracle(x, p, y)
-        tab = trellis_tables(y, key, p, 0.2, n + 3,
+        tab = trellis_tables([y], key, p, 0.2, n + 3,
                              wtilde=np.bitwise_xor(x, key))
-        got = math.exp(tab.log_evidence) if math.isfinite(tab.log_evidence) else 0.0
+        ev = tab.log_evidence[0]
+        got = math.exp(ev) if math.isfinite(ev) else 0.0
         if want == 0.0:
             assert got == 0.0
         else:
@@ -163,22 +167,21 @@ def test_forward_backward_identity(rng):
         wt = np.zeros(n, dtype=np.uint8)
         wt[::6] = rng.integers(0, 2, n // 6 + (1 if n % 6 else 0), dtype=np.uint8)
         y = sample_ids_channel(np.bitwise_xor(wt, key), p, rng)
-        tab = trellis_tables(y, key, p, 1 / 12, default_drift_window(n, p))
-        if not math.isfinite(tab.log_evidence):
+        tab = trellis_tables([y], key, p, 1 / 12, default_drift_window(n, p))
+        if not math.isfinite(tab.log_evidence[0]):
             continue
+        joint = state_log_joint(tab)
         for i in range(1, n + 1):
-            tot = logsumexp(tab.state_log_joint(i))
-            assert tot == pytest.approx(tab.log_evidence, rel=1e-10, abs=1e-9)
+            tot = logsumexp(joint[i - 1, 0])
+            assert tot == pytest.approx(tab.log_evidence[0], rel=1e-10, abs=1e-9)
 
 
 def test_backward_terminal_wrong_drift_is_minus_inf():
     p = IdsParams(p_sub=0.02, p_delete=0.1, p_insert=0.0)
     key = keystream(3, 10)
     y = key.copy()  # same length: final drift must be 0 or +1 tail
-    tab = trellis_tables(y, key, p, 0.05, 5)
-    bvecs, blogw = tab.bw
-    with np.errstate(divide="ignore"):
-        lb = np.log(bvecs[-1]) + blogw[-1]  # state N
+    tab = trellis_tables([y], key, p, 0.05, 5)
+    lb = log_sweeps(tab)[1][-1, 0]  # state N
     drifts = np.arange(-5, 6)
     # drifts that would need the tail to have negative length are impossible
     for di, d in enumerate(drifts):
@@ -195,8 +198,8 @@ def test_block_posterior_noiseless_recovers_bits(rng):
     code = encode(w, cfg)
     p = IdsParams()
     key = keystream(5, cfg.code_len)
-    tab = trellis_tables(code, key, p, cfg.density, 3)
-    lp = block_posterior(tab, s)
+    tab = trellis_tables([code], key, p, cfg.density, 3, spread=s)
+    lp = block_posterior(tab)[0]
     for j in range(1, n + 1):
         lp1 = lp[j - 1, 1]
         lp0 = lp[j - 1, 0]
@@ -215,8 +218,8 @@ def test_block_posterior_matches_conditioned_oracle(rng):
         p = IdsParams(p_sub=0.06, p_delete=0.12, p_insert=0.1, max_insert_run=2)
         key = rng.integers(0, 2, n_code, dtype=np.uint8)
         y = sample_ids_channel(key, p, rng)
-        tab = trellis_tables(y, key, p, f, n_code + 3)
-        lp = block_posterior(tab, s)
+        tab = trellis_tables([y], key, p, f, n_code + 3, spread=s)
+        lp = block_posterior(tab)[0]
         for j, hyp in ((1, 0), (1, 1), (2, 0), (2, 1)):
             got_lp = lp[j - 1, hyp]
             total = 0.0
@@ -243,8 +246,8 @@ def test_block_posterior_symmetric_llr_zero():
     # observation equally well
     p = IdsParams(p_sub=0.5)
     key = np.array([0], dtype=np.uint8)
-    tab = trellis_tables([1], key, p, 0.3, 2)
-    lp = block_posterior(tab, 1)
+    tab = trellis_tables([[1]], key, p, 0.3, 2)
+    lp = block_posterior(tab)[0]
     assert lp[0, 0] == pytest.approx(lp[0, 1])
 
 
@@ -279,12 +282,12 @@ def test_block_posterior_matches_scalar_reference(rng):
         elif kind == 4:
             y = y[: n_code // 2]
         d_max = max(default_drift_window(n_code, p), abs(y.size - n_code) + 2)
-        tab = trellis_tables(y, key, p, 1 / (2 * spread), d_max)
-        got = block_posterior(tab, spread)
+        tab = trellis_tables([y], key, p, 1 / (2 * spread), d_max, spread=spread)
+        got = block_posterior(tab)[0]
         assert got.shape == (n_code // spread, 2)
         for j in range(n_code // spread):
             for h in (0, 1):
-                want = scalar_block_posterior(j + 1, tab, h, spread)
+                want = scalar_block_posterior(j + 1, tab, h)
                 if math.isinf(want):
                     assert got[j, h] == want
                     n_inf += 1
@@ -308,20 +311,20 @@ def test_step_batch_equals_single_rows(rng):
         key = rng.integers(0, 2, n_code, dtype=np.uint8)
         y = sample_ids_channel(key, p, rng)
         d_max = max(default_drift_window(n_code, p), abs(y.size - n_code) + 2)
-        t = Trellis(y, key, p, 0.1, d_max)
+        t = Trellis([y], key, p, 0.1, d_max)
         dense = DenseSteps(y, key, p, 0.1, d_max)
         for b in (0, 1):
-            assert np.array_equal(t.e_match[: n_code - 1, b], dense.e_match[b])
+            assert np.array_equal(t.e_match[: n_code - 1, 0, b], dense.e_match[b])
         for l in range(p.max_insert_run + 1):
             if l < t.n_ins:
-                assert np.array_equal(t.ins_weight[: n_code - 1, l],
+                assert np.array_equal(t.ins_weight[: n_code - 1, 0, l],
                                       dense.coef[l] * (dense.avail >= l))
             else:
                 assert dense.coef[l] == 0.0
         if n_code < 2:
             continue
         B = 7
-        prev = rng.random((B, 2, t.D))
+        prev = rng.random((B, 1, 2, t.D))
         i = rng.integers(2, n_code + 1, B)
         wx = rng.random((B, 2))
         for advance in (t.step, t.step_back):
@@ -375,9 +378,9 @@ def test_decode_key_xor_invariance(rng):
         key2, wt2 = key.copy(), wt.copy()
         key2[i] ^= 1
         wt2[i] ^= 1
-        a = trellis_tables(y, key, p, 0.1, n_code + 3, wtilde=wt)
-        b = trellis_tables(y, key2, p, 0.1, n_code + 3, wtilde=wt2)
-        assert a.log_evidence == pytest.approx(b.log_evidence, rel=1e-12, abs=1e-12)
+        a = trellis_tables([y], key, p, 0.1, n_code + 3, wtilde=wt)
+        b = trellis_tables([y], key2, p, 0.1, n_code + 3, wtilde=wt2)
+        assert a.log_evidence[0] == pytest.approx(b.log_evidence[0], rel=1e-12, abs=1e-12)
 
 
 def test_decode_status_flags_zero_evidence():
@@ -395,6 +398,82 @@ def test_decode_status_flags_zero_evidence():
     pre = decode(y[:600], cfg, chan, w)
     assert pre.status == "zero-evidence" and pre.to_dict()["status"] == "zero-evidence"
     assert pre.log_evidence == -math.inf and not np.any(pre.llr)
+
+
+def _received(cfg, n_flows, p_i, seed):
+    # segment-cut streams from the harness pipeline, half of them marked
+    ys = []
+    for s in range(n_flows):
+        flow = poisson_flow(3.3, cfg.code_len * 4, seed=seed + s)
+        if s % 2 == 0:
+            flow, _ = embed_flow(flow, encode(cfg.watermark, cfg), 0.1)
+        chan = ChannelParams(sigma=0.01, p_delete=0.1, p_insert=p_i, jitter="quantizer",
+                             delta=0.1, seed=seed + 100 + s)
+        recv, log = transmit(flow, chan)
+        ys.append(qim_extract(to_ipds(recv), 0.1)[: log.segment_bits(cfg.code_len)])
+    return ys, chan
+
+
+def _assert_same_decode(got, want):
+    assert np.array_equal(got.w_hat, want.w_hat)
+    assert (got.score, got.detected, got.status) == (want.score, want.detected, want.status)
+    assert np.array_equal(np.isinf(got.llr), np.isinf(want.llr))
+    fin = np.isfinite(want.llr)
+    assert np.all(np.abs(got.llr[fin] - want.llr[fin]) <= 1e-9 * np.abs(want.llr[fin]))
+    if math.isfinite(want.log_evidence):
+        assert abs(got.log_evidence - want.log_evidence) <= 1e-12 * abs(want.log_evidence)
+    else:
+        assert got.log_evidence == want.log_evidence
+
+
+def test_decode_batch_matches_per_flow():
+    # one lockstep sweep over windows of very different widths: each flow
+    # decodes as it does alone, with its own window
+    w = watermark_bits(11, 20)
+    cfg = WatermarkConfig(watermark=w, spread=5, delta=0.1, key_seed=12)
+    for p_i in (0.0, 0.1):
+        ys, chan = _received(cfg, 6, p_i, seed=40)
+        ys.append(np.concatenate([ys[1], np.zeros(60, dtype=np.uint8)]))
+        # leading zeros: head insertion bursts reach past a narrow window
+        ys[0] = np.concatenate([np.zeros(3, dtype=np.uint8), ys[0]])
+        p = IdsParams.from_channel(chan, cfg.delta)
+        d_max = [max(default_drift_window(cfg.code_len, p), abs(y.size - cfg.code_len) + 2)
+                 for y in ys]
+        # the first flow gets the narrowest window that can close the chain
+        shift = ys[0].size - cfg.code_len
+        d_max[0] = max(1, -shift - 1, shift - p.max_insert_run)
+        assert max(d_max) >= 4 * d_max[0]
+        got = decode_batch(ys, cfg, chan, w, d_max=d_max)
+        assert len(got) == len(ys)
+        for y, d, rep in zip(ys, d_max, got):
+            _assert_same_decode(rep, decode(y, cfg, chan, w, d_max=d))
+        scores = [rep.score for rep in got]
+        assert min(scores[2:6:2]) > max(scores[1:6:2])
+
+
+def test_decode_batch_zero_evidence_row():
+    # a stream that no deletion-only path explains flags only its own row
+    w = watermark_bits(3, 50)
+    cfg = WatermarkConfig(watermark=w, spread=10, delta=0.1, key_seed=4)
+    ys, chan = _received(cfg, 3, 0.0, seed=70)
+    flow, _ = embed_flow(poisson_flow(3.3, 2000, seed=5), encode(w, cfg), 0.1)
+    recv, _ = transmit(flow, ChannelParams(sigma=0.01, p_delete=0.1, jitter="quantizer",
+                                           delta=0.1, seed=6))
+    prefix = qim_extract(to_ipds(recv), 0.1)[:600]
+    got = decode_batch(ys[:2] + [prefix] + ys[2:], cfg, chan, w)
+    assert [rep.status for rep in got] == ["ok", "ok", "zero-evidence", "ok"]
+    assert got[2].log_evidence == -math.inf and not np.any(got[2].llr)
+    for y, rep in zip(ys, got[:2] + got[3:]):
+        _assert_same_decode(rep, decode(y, cfg, chan, w))
+
+
+def test_decode_batch_infeasible_window():
+    w = watermark_bits(5, 10)
+    cfg = WatermarkConfig(watermark=w, spread=3, delta=0.1, key_seed=6)
+    key = keystream(6, cfg.code_len)
+    with pytest.raises(DecodeInfeasibleError) as exc:
+        decode_batch([key, key[:10]], cfg, IdsParams(p_delete=0.5), w, d_max=[3, 3])
+    assert exc.value.required_d_max >= 12
 
 
 def test_decode_control_scores_near_half(rng):
@@ -426,11 +505,11 @@ def test_drift_window_sufficiency(rng):
         y = sample_ids_channel(np.bitwise_xor(wt, key), p, rng)
         if abs(int(y.size) - n_code) + 2 > d0:
             continue
-        a = trellis_tables(y, key, p, 1 / 16, d0)
-        b = trellis_tables(y, key, p, 1 / 16, 2 * d0)
-        if math.isfinite(a.log_evidence):
+        a = trellis_tables([y], key, p, 1 / 16, d0).log_evidence[0]
+        b = trellis_tables([y], key, p, 1 / 16, 2 * d0).log_evidence[0]
+        if math.isfinite(a):
             checked += 1
-            assert abs(a.log_evidence - b.log_evidence) < 1e-6 * abs(b.log_evidence)
+            assert abs(a - b) < 1e-6 * abs(b)
     assert checked >= 80
 
 

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from flowmark.experiment import ExperimentConfig, derive_seed, run_experiment, run_trial
+from flowmark.experiment import (
+    ExperimentConfig,
+    decode_trials,
+    derive_seed,
+    run_experiment,
+    simulate_trial,
+)
 
 
 def small_config(**kw):
@@ -47,7 +53,9 @@ def cfg_to_spec(cfg):
 def test_run_trial_shapes():
     cfg = small_config()
     spec = cfg_to_spec(cfg)
-    score, deleted, inserted, seg = run_trial(spec, 0, watermarked=True)
+    y, deleted, inserted, seg = simulate_trial(spec, 0, watermarked=True)
+    assert y.size == seg
+    score, = decode_trials(spec, [y])
     assert 0.0 <= score <= 1.0
     assert seg > 0
 
@@ -84,6 +92,27 @@ def test_experiment_jobs_equivalent():
     b = run_experiment(small_config(jobs=2))
     assert a.cells[0].scores_watermarked == b.cells[0].scores_watermarked
     assert a.cells[0].scores_control == b.cells[0].scores_control
+
+
+def _report_text(report):
+    # the report apart from its timing and the echoed worker count
+    d = report.to_dict()
+    d.pop("wall_clock")
+    d["config"].pop("jobs")
+    return json.dumps(d, sort_keys=True)
+
+
+def test_experiment_decode_chunks_equivalent(monkeypatch):
+    # chunks of 3 split each 16-flow cell with a ragged tail; the report
+    # matches one chunk per cell, in one process and across two
+    from flowmark import experiment
+
+    cfg = small_config(p_d=[0.05, 0.1])
+    whole = _report_text(run_experiment(cfg))
+    monkeypatch.setattr(experiment, "DECODE_CHUNK", 3)
+    assert (2 * cfg.trials) % experiment.DECODE_CHUNK
+    assert _report_text(run_experiment(cfg)) == whole
+    assert _report_text(run_experiment(small_config(p_d=[0.05, 0.1], jobs=2))) == whole
 
 
 def test_experiment_clean_channel_perfect():
