@@ -190,6 +190,8 @@ def cmd_decode(args) -> int:
         )
         n_bits = log.segment_bits(cfg.code_len)
     elif args.nbits is not None:
+        if not 0 <= args.nbits <= bits.size:
+            raise ValueError(f"--nbits {args.nbits} is outside [0, {bits.size}] received bits")
         n_bits = args.nbits
     else:
         n_bits = bits.size

@@ -18,6 +18,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from flowmark.decoder import IdsParams, calibrate_threshold, decode_batch
 from flowmark.idscode import WatermarkConfig, encode, watermark_bits
 from flowmark.qim import embed_flow, qim_extract
 from flowmark.traffic import PacketFlow, poisson_flow, read_trace, to_ipds
+
+# the grid axes: list-valued in a config, scalar in a cell
+GRID_FIELDS = ("n", "delta_ms", "sigma_ms", "p_d", "p_i")
 
 # roles for the per-trial seed fan-out
 _FLOW_W, _CHAN_W, _FLOW_C, _CHAN_C, _FLOW_H, _CHAN_H = range(6)
@@ -45,7 +49,8 @@ def derive_seed(master: int, cell: int, trial: int, role: int) -> int:
 @dataclass
 class ExperimentConfig:
     """One experiment grid.  List-valued watermark/channel fields form the
-    cross product of cells."""
+    cross product of cells.  A cell is the config with those fields scalar;
+    its watermark_config/channel/decoder_params convert ms to s."""
 
     n: int | list = 50
     spread: int = 10
@@ -87,64 +92,60 @@ class ExperimentConfig:
             raise ValueError("jitter_mode must be 'laplace' or 'quantizer'")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        for name in GRID_FIELDS:
+            if isinstance(getattr(self, name), (list, tuple)) and not getattr(self, name):
+                raise ValueError(f"{name}: a grid axis needs at least one value")
 
     def cells(self) -> list[dict]:
-        axes = {}
-        for name in ("n", "delta_ms", "sigma_ms", "p_d", "p_i"):
-            v = getattr(self, name)
-            axes[name] = list(v) if isinstance(v, (list, tuple)) else [v]
-        combos = itertools.product(*axes.values())
-        return [dict(zip(axes.keys(), combo)) for combo in combos]
-
-
-@dataclass
-class CellSpec:
-    """Fully resolved parameters of one grid cell."""
-
-    index: int
-    n: int
-    spread: int
-    delta: float
-    key_seed: int
-    density: float | None
-    sigma: float
-    p_d: float
-    p_i: float
-    insert_spacing: float
-    max_insert_run: int
-    protect_first: bool
-    jitter_mode: str
-    source: str
-    rate_pps: float
-    flow_len: int
-    trace_files: tuple = ()
-    dec_sigma: float | None = None
-    dec_p_d: float | None = None
-    dec_p_i: float | None = None
-    master_seed: int = 0
+        axes = [getattr(self, name) for name in GRID_FIELDS]
+        axes = [v if isinstance(v, (list, tuple)) else [v] for v in axes]
+        return [dict(zip(GRID_FIELDS, combo)) for combo in itertools.product(*axes)]
 
     def watermark_config(self) -> WatermarkConfig:
-        w = watermark_bits(self.master_seed + self.key_seed, self.n)
-        return WatermarkConfig(watermark=w, spread=self.spread, delta=self.delta,
+        w = watermark_bits(self.seed + self.key_seed, int(self.n))
+        return WatermarkConfig(watermark=w, spread=self.spread,
+                               delta=self.delta_ms / 1000.0,
                                key_seed=self.key_seed, density=self.density)
 
     def channel(self, seed: int) -> ChannelParams:
         return ChannelParams(
-            sigma=self.sigma, p_delete=self.p_d, p_insert=self.p_i,
-            insert_spacing=self.insert_spacing, max_insert_run=self.max_insert_run,
-            protect_first=self.protect_first, seed=seed,
-            jitter=self.jitter_mode,
-            delta=self.delta if self.jitter_mode == "quantizer" else None,
+            sigma=self.sigma_ms / 1000.0, p_delete=float(self.p_d),
+            p_insert=float(self.p_i), insert_spacing=self.insert_spacing_ms / 1000.0,
+            max_insert_run=self.max_insert_run, protect_first=self.protect_first,
+            seed=seed, jitter=self.jitter_mode,
+            delta=self.delta_ms / 1000.0 if self.jitter_mode == "quantizer" else None,
         )
 
     def decoder_params(self) -> IdsParams:
-        sigma = self.sigma if self.dec_sigma is None else self.dec_sigma
+        sigma_ms = self.sigma_ms if self.dec_sigma_ms is None else self.dec_sigma_ms
         return IdsParams(
-            p_sub=substitution_prob(self.delta, sigma),
-            p_delete=min(self.p_d if self.dec_p_d is None else self.dec_p_d, 1.0 - 1e-12),
-            p_insert=self.p_i if self.dec_p_i is None else self.dec_p_i,
+            p_sub=substitution_prob(self.delta_ms / 1000.0, sigma_ms / 1000.0),
+            p_delete=min(float(self.p_d) if self.dec_p_d is None else self.dec_p_d,
+                         1.0 - 1e-12),
+            p_insert=float(self.p_i) if self.dec_p_i is None else self.dec_p_i,
             max_insert_run=self.max_insert_run,
         )
+
+
+class Cell(NamedTuple):
+    """One grid cell: the config with scalar grid fields, the cell's index
+    in the grid (for the seed fan-out) and the sorted trace files."""
+
+    config: ExperimentConfig
+    index: int
+    trace_files: tuple = ()
+
+
+def grid_cells(config: ExperimentConfig) -> list[Cell]:
+    trace_files = ()
+    if config.source == "trace-dir":
+        trace_files = tuple(sorted(os.path.join(config.trace_dir, f)
+                                   for f in os.listdir(config.trace_dir)
+                                   if not f.startswith(".")))
+        if not trace_files:
+            raise ValueError(f"no trace files in {config.trace_dir!r}")
+    return [Cell(dataclasses.replace(config, **point), index, trace_files)
+            for index, point in enumerate(config.cells())]
 
 
 @dataclass
@@ -175,14 +176,7 @@ class ExperimentReport:
     wall_clock: float
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "cells": [c.to_dict() for c in self.cells],
-            "trials": self.trials,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "wall_clock": self.wall_clock,
-        }
+        return dataclasses.asdict(self)
 
     def to_json(self, path=None) -> str:
         text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -211,156 +205,98 @@ class ExperimentReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def _load_flow(spec: CellSpec, trial: int, role: int) -> PacketFlow:
-    if spec.source == "poisson":
-        return poisson_flow(spec.rate_pps, spec.flow_len,
-                            seed=derive_seed(spec.master_seed, spec.index, trial, role))
-    files = spec.trace_files
+def _load_flow(cell: Cell, trial: int, role: int) -> PacketFlow:
+    config = cell.config
+    if config.source == "poisson":
+        return poisson_flow(config.rate_pps, config.flow_len,
+                            seed=derive_seed(config.seed, cell.index, trial, role))
+    files = cell.trace_files
     offset = 0 if role == _FLOW_W else (len(files) // 2 + 1 if role == _FLOW_C else 2)
     path = files[(trial + offset) % len(files)]
     flow = read_trace(path, clamp=True)
-    if len(flow) > spec.flow_len:
-        flow = PacketFlow(flow.timestamps[: spec.flow_len], label=flow.label)
+    if len(flow) > config.flow_len:
+        flow = PacketFlow(flow.timestamps[: config.flow_len], label=flow.label)
     return flow
 
 
-def simulate_trial(spec: CellSpec, trial: int, watermarked: bool, holdout: bool = False):
+def simulate_trial(cell: Cell, trial: int, watermarked: bool, holdout: bool = False):
     """Embed, transmit and extract one trial's flow; returns (y, deleted,
     inserted, seg_bits), y being the received bits cut at the segment."""
-    cfg = spec.watermark_config()
+    cfg = cell.config.watermark_config()
     code = encode(cfg.watermark, cfg)
     n_code = cfg.code_len
     flow_role = _FLOW_W if watermarked else (_FLOW_H if holdout else _FLOW_C)
     chan_role = _CHAN_W if watermarked else (_CHAN_H if holdout else _CHAN_C)
-    flow = _load_flow(spec, trial, flow_role)
+    flow = _load_flow(cell, trial, flow_role)
     if len(flow) < n_code + 1:
         raise ValueError(
             f"flow of {len(flow)} packets is too short; need at least {n_code + 1}"
         )
     if watermarked:
-        flow, _ = embed_flow(flow, code, spec.delta)
-    chan = spec.channel(derive_seed(spec.master_seed, spec.index, trial, chan_role))
+        flow, _ = embed_flow(flow, code, cfg.delta)
+    chan = cell.config.channel(derive_seed(cell.config.seed, cell.index, trial, chan_role))
     recv, log = transmit(flow, chan)
     n_bits = log.segment_bits(n_code)
-    y = qim_extract(to_ipds(recv), spec.delta)[:n_bits]
+    y = qim_extract(to_ipds(recv), cfg.delta)[:n_bits]
     return y, log.n_deleted, log.n_inserted, n_bits
 
 
-def decode_trials(spec: CellSpec, ys) -> list[float]:
+def decode_trials(cell: Cell, ys) -> list[float]:
     """Scores of one cell's received streams, decoded in lockstep."""
-    cfg = spec.watermark_config()
-    reports = decode_batch(ys, cfg, spec.decoder_params(), cfg.watermark)
+    cfg = cell.config.watermark_config()
+    reports = decode_batch(ys, cfg, cell.config.decoder_params(), cfg.watermark)
     return [r.score for r in reports]
 
 
 def _chunk_task(args):
     """Simulate a chunk of one cell's trials, then decode them together;
     returns (score, deleted, inserted, seg_bits) per trial."""
-    spec, trials = args
-    sims = [simulate_trial(spec, *trial) for trial in trials]
-    scores = decode_trials(spec, [sim[0] for sim in sims])
+    cell, trials = args
+    sims = [simulate_trial(cell, *trial) for trial in trials]
+    scores = decode_trials(cell, [sim[0] for sim in sims])
     return [(score, *sim[1:]) for score, sim in zip(scores, sims)]
-
-
-def _make_specs(config: ExperimentConfig) -> list[CellSpec]:
-    trace_files = ()
-    if config.source == "trace-dir":
-        trace_files = tuple(
-            sorted(
-                os.path.join(config.trace_dir, f)
-                for f in os.listdir(config.trace_dir)
-                if not f.startswith(".")
-            )
-        )
-        if not trace_files:
-            raise ValueError(f"no trace files in {config.trace_dir!r}")
-    specs = []
-    for idx, cell in enumerate(config.cells()):
-        specs.append(CellSpec(
-            index=idx,
-            n=int(cell["n"]),
-            spread=config.spread,
-            delta=float(cell["delta_ms"]) / 1000.0,
-            key_seed=config.key_seed,
-            density=config.density,
-            sigma=float(cell["sigma_ms"]) / 1000.0,
-            p_d=float(cell["p_d"]),
-            p_i=float(cell["p_i"]),
-            insert_spacing=config.insert_spacing_ms / 1000.0,
-            max_insert_run=config.max_insert_run,
-            protect_first=config.protect_first,
-            jitter_mode=config.jitter_mode,
-            source=config.source,
-            rate_pps=config.rate_pps,
-            flow_len=config.flow_len,
-            trace_files=trace_files,
-            dec_sigma=None if config.dec_sigma_ms is None else config.dec_sigma_ms / 1000.0,
-            dec_p_d=config.dec_p_d,
-            dec_p_i=config.dec_p_i,
-            master_seed=config.seed,
-        ))
-    return specs
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.time()
-    specs = _make_specs(config)
-    chunks = []
-    for spec in specs:
-        trials = []
-        for trial in range(config.trials):
-            trials.append((trial, True, False))
-            trials.append((trial, False, False))
-            if config.holdout:
-                trials.append((trial, False, True))
-        chunks += [(spec, trials[i: i + DECODE_CHUNK])
-                   for i in range(0, len(trials), DECODE_CHUNK)]
+    cells = grid_cells(config)
+    # each trial's streams in role order: watermarked, control, holdout
+    roles = [(True, False), (False, False)] + [(False, True)] * config.holdout
+    trials = [(t, *role) for t in range(config.trials) for role in roles]
+    chunks = [(cell, trials[i: i + DECODE_CHUNK])
+              for cell in cells for i in range(0, len(trials), DECODE_CHUNK)]
 
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             parts = list(pool.map(_chunk_task, chunks))
     else:
         parts = [_chunk_task(c) for c in chunks]
-    results = [r for part in parts for r in part]
+    # (cell, trial, role, [score, deleted, inserted, seg_bits])
+    results = np.array([r for part in parts for r in part], dtype=np.float64)
+    results = results.reshape(len(cells), config.trials, len(roles), 4)
 
-    cells = []
-    cursor = 0
-    per_trial = 3 if config.holdout else 2
-    grid = config.cells()
-    for spec in specs:
-        chunk = results[cursor: cursor + config.trials * per_trial]
-        cursor += config.trials * per_trial
-        scores_w = [chunk[i * per_trial][0] for i in range(config.trials)]
-        scores_c = [chunk[i * per_trial + 1][0] for i in range(config.trials)]
-        scores_h = (
-            [chunk[i * per_trial + 2][0] for i in range(config.trials)]
-            if config.holdout else None
-        )
-        threshold = calibrate_threshold(scores_c, config.alpha)
-        tp = float(np.mean(np.asarray(scores_w) >= threshold))
-        fp = float(np.mean(np.asarray(scores_c) >= threshold))
-        fp_h = float(np.mean(np.asarray(scores_h) >= threshold)) if scores_h else None
-        deleted = [r[1] for r in chunk]
-        inserted = [r[2] for r in chunk]
-        seg = [r[3] for r in chunk]
-        cells.append(CellReport(
-            params=grid[spec.index],
+    reports = []
+    for cell, res in zip(cells, results):
+        scores = res[:, :, 0].T
+        threshold = calibrate_threshold(scores[1], config.alpha)
+        rates = [float(np.mean(s >= threshold)) for s in scores]
+        reports.append(CellReport(
+            params={name: getattr(cell.config, name) for name in GRID_FIELDS},
             threshold=threshold,
-            tp_rate=tp,
-            fp_rate=fp,
-            fp_holdout=fp_h,
-            scores_watermarked=scores_w,
-            scores_control=scores_c,
-            scores_holdout=scores_h,
-            mean_deleted=float(np.mean(deleted)),
-            mean_inserted=float(np.mean(inserted)),
-            mean_segment_bits=float(np.mean(seg)),
+            tp_rate=rates[0],
+            fp_rate=rates[1],
+            fp_holdout=rates[2] if config.holdout else None,
+            scores_watermarked=scores[0].tolist(),
+            scores_control=scores[1].tolist(),
+            scores_holdout=scores[2].tolist() if config.holdout else None,
+            mean_deleted=float(np.mean(res[:, :, 1])),
+            mean_inserted=float(np.mean(res[:, :, 2])),
+            mean_segment_bits=float(np.mean(res[:, :, 3])),
         ))
 
-    cfg_echo = dataclasses.asdict(config)
     return ExperimentReport(
-        config=cfg_echo,
-        cells=cells,
+        config=dataclasses.asdict(config),
+        cells=reports,
         trials=config.trials,
         alpha=config.alpha,
         seed=config.seed,

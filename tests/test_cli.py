@@ -71,6 +71,28 @@ def test_embed_then_decode_clean_roundtrip(tmp_path, capsys):
     assert json.loads(out)["score"] == 1.0
 
 
+def test_decode_nbits_range(tmp_path, capsys):
+    # --nbits takes 0 up to the received bit count; a value past either
+    # end is an error, not a slice that cuts the stream somewhere else
+    flow = tmp_path / "flow.txt"
+    marked = tmp_path / "marked.txt"
+    side = tmp_path / "side.json"
+    run_cli(capsys, "gen", "--rate", "2.0", "--count", "200", "--seed", "1",
+            "--out", str(flow))
+    run_cli(capsys, "embed", str(flow), "--out", str(marked), "--sidecar",
+            str(side), "--n", "12", "--spread", "6", "--delta-ms", "80")
+    decode = ["decode", str(marked), "--sidecar", str(side), "--sigma-ms", "0.0"]
+    for nbits in ("-1300", "100000"):
+        code, out, err = run_cli(capsys, *decode, "--nbits", nbits)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert f"--nbits {nbits}" in payload["message"] and "199" in payload["message"]
+    for nbits in ("0", "199"):
+        code, out, _ = run_cli(capsys, *decode, "--nbits", nbits)
+        assert code == 0 and "score" in json.loads(out)
+
+
 def test_embed_too_short_names_requirement(tmp_path, capsys):
     flow = tmp_path / "flow.txt"
     run_cli(capsys, "gen", "--rate", "2.0", "--count", "50", "--seed", "1",
@@ -162,6 +184,13 @@ def test_experiment_rerun_byte_identical(tmp_path, capsys):
     b = json.loads(paths[1].read_text())
     a.pop("wall_clock"), b.pop("wall_clock")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_experiment_empty_grid_axis(capsys):
+    code, out, err = run_cli(capsys, "experiment", "--set", "p_d=")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError" and "p_d" in payload["message"]
 
 
 # (raw text, parsed value) forms per ExperimentConfig field: comma lists,

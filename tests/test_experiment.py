@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from flowmark.experiment import (
     ExperimentConfig,
     decode_trials,
     derive_seed,
+    grid_cells,
     run_experiment,
     simulate_trial,
 )
@@ -28,6 +30,10 @@ def test_config_validation():
         small_config(source="trace-dir", trace_dir="/definitely/missing")
     with pytest.raises(ValueError):
         small_config(jitter_mode="nope")
+    with pytest.raises(ValueError, match="p_d"):
+        small_config(p_d=[])
+    with pytest.raises(ValueError, match="sigma_ms"):
+        small_config(sigma_ms=())
 
 
 def test_grid_cells():
@@ -36,6 +42,10 @@ def test_grid_cells():
     assert len(cells) == 4
     assert {(c["sigma_ms"], c["p_d"]) for c in cells} == {
         (10.0, 0.0), (10.0, 0.1), (20.0, 0.0), (20.0, 0.1)}
+    # a cell is the config with one grid point's scalars, plus its index
+    for index, (cell, point) in enumerate(zip(grid_cells(cfg), cells)):
+        assert cell.config == dataclasses.replace(cfg, **point)
+        assert cell.index == index and cell.trace_files == ()
 
 
 def test_derive_seed_stable():
@@ -44,18 +54,12 @@ def test_derive_seed_stable():
     assert derive_seed(7, 0, 4, 1) != derive_seed(7, 0, 3, 1)
 
 
-def cfg_to_spec(cfg):
-    from flowmark.experiment import _make_specs
-
-    return _make_specs(cfg)[0]
-
-
 def test_run_trial_shapes():
     cfg = small_config()
-    spec = cfg_to_spec(cfg)
-    y, deleted, inserted, seg = simulate_trial(spec, 0, watermarked=True)
+    cell = grid_cells(cfg)[0]
+    y, deleted, inserted, seg = simulate_trial(cell, 0, watermarked=True)
     assert y.size == seg
-    score, = decode_trials(spec, [y])
+    score, = decode_trials(cell, [y])
     assert 0.0 <= score <= 1.0
     assert seg > 0
 
@@ -113,6 +117,44 @@ def test_experiment_decode_chunks_equivalent(monkeypatch):
     assert (2 * cfg.trials) % experiment.DECODE_CHUNK
     assert _report_text(run_experiment(cfg)) == whole
     assert _report_text(run_experiment(small_config(p_d=[0.05, 0.1], jobs=2))) == whole
+
+
+def test_experiment_regrouping_matches_per_flow_stages(monkeypatch):
+    # every report entry is its own flow run through the two stages alone:
+    # cells in grid order, each trial's streams in role order, whatever
+    # the chunking (3 aligns chunks with trials, 4 does not)
+    from flowmark import experiment
+    from flowmark.decoder import calibrate_threshold
+
+    cfg = small_config(p_d=[0.05, 0.1], trials=5, holdout=True)
+    roles = {"watermarked": (True, False), "control": (False, False),
+             "holdout": (False, True)}
+    expected = []
+    for cell in grid_cells(cfg):
+        scores, sims = {}, []
+        for role, (watermarked, holdout) in roles.items():
+            scores[role] = []
+            for t in range(cfg.trials):
+                sim = simulate_trial(cell, t, watermarked, holdout)
+                scores[role] += decode_trials(cell, [sim[0]])
+                sims.append(sim)
+        threshold = calibrate_threshold(scores["control"], cfg.alpha)
+        rate = {role: float(np.mean(np.asarray(s) >= threshold))
+                for role, s in scores.items()}
+        expected.append(dict(
+            params=cfg.cells()[cell.index], threshold=threshold,
+            tp_rate=rate["watermarked"], fp_rate=rate["control"],
+            fp_holdout=rate["holdout"],
+            scores_watermarked=scores["watermarked"],
+            scores_control=scores["control"], scores_holdout=scores["holdout"],
+            mean_deleted=float(np.mean([s[1] for s in sims])),
+            mean_inserted=float(np.mean([s[2] for s in sims])),
+            mean_segment_bits=float(np.mean([s[3] for s in sims])),
+        ))
+    for chunk in (3, 4):
+        monkeypatch.setattr(experiment, "DECODE_CHUNK", chunk)
+        report = run_experiment(cfg)
+        assert [c.to_dict() for c in report.cells] == expected
 
 
 def test_experiment_clean_channel_perfect():
