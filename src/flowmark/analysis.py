@@ -26,7 +26,6 @@ class KsResult:
 class MfaResult:
     """Blank-interval statistics of an aggregate of flows."""
 
-    interval_length: float
     blank_count: int
     total_intervals: int
     counts: np.ndarray
@@ -75,7 +74,6 @@ def mfa_aggregate(flows, interval: float) -> MfaResult:
         edges[-1] = span  # guard against float round-down on the last edge
     counts, _ = np.histogram(merged, bins=edges)
     return MfaResult(
-        interval_length=interval,
         blank_count=int(np.count_nonzero(counts == 0)),
         total_intervals=nbins,
         counts=counts,

@@ -1,10 +1,11 @@
 """Timestamp-level network channel: jitter, drops, bursty splits.
 
 Effects are applied in order: independent packet deletion, geometric
-bursts of inserted packets after each surviving packet, then i.i.d.
-zero-mean Laplace jitter on the resulting IPDs (clamped so IPDs stay
-nonnegative).  The log records ground truth for decoder tests and for
-locating the watermarked segment in the received flow.
+bursts of inserted packets after each surviving packet, then jitter on
+the resulting IPDs (clamped so IPDs stay nonnegative).  The log records
+the drops, the insertions and each received packet's sent origin, which
+locates the watermarked segment in the received flow; the decoder sees
+jitter only as the bit-flip rate substitution_prob().
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ class ChannelLog:
     deleted_indices: np.ndarray
     origins: np.ndarray
     inserted_mask: np.ndarray
-    jitter: np.ndarray
 
     @property
     def n_deleted(self) -> int:
@@ -159,21 +159,13 @@ def transmit(flow: PacketFlow, params: ChannelParams) -> tuple[PacketFlow, Chann
                 # an IPD too small to move down gets pushed up instead
                 signs = np.where(ipds < half, 1.0, signs)
                 noise = np.where(flips, signs * half, 0.0)
-        else:
-            noise = np.zeros(ipds.size)
-        ipds = np.maximum(ipds + noise, 0.0)
+            ipds = np.maximum(ipds + noise, 0.0)
         final = np.empty_like(out_ts)
         final[0] = out_ts[0]
         np.cumsum(ipds, out=final[1:])
         final[1:] += out_ts[0]
     else:
-        noise = np.zeros(0)
         final = out_ts
 
-    log = ChannelLog(
-        deleted_indices=deleted,
-        origins=origins,
-        inserted_mask=ins_mask,
-        jitter=noise,
-    )
-    return PacketFlow(final, label=flow.label), log
+    log = ChannelLog(deleted_indices=deleted, origins=origins, inserted_mask=ins_mask)
+    return PacketFlow(final), log

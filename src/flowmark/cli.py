@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from flowmark.analysis import delta_rtt_overlay, ks_distance, mfa_aggregate
-from flowmark.channel import ChannelLog, ChannelParams, substitution_prob, transmit
+from flowmark.analysis import KS_VISIBILITY_THRESHOLD, delta_rtt_overlay, ks_distance, mfa_aggregate
+from flowmark.channel import ChannelLog, ChannelParams, transmit
 from flowmark.decoder import IdsParams, calibrate_threshold, decode
 from flowmark.experiment import ExperimentConfig, run_experiment
 from flowmark.idscode import WatermarkConfig, as_bits, encode, watermark_bits
@@ -23,6 +23,8 @@ from flowmark.qim import embed_flow, qim_extract
 from flowmark.traffic import poisson_flow, read_trace, to_ipds, write_trace
 
 _CASTS = {"int": int, "float": float, "str": str}
+# the channel log's JSON fields, as written by transmit --log
+_LOG_FIELDS = {"deleted_indices": np.int64, "origins": np.int64, "inserted_mask": bool}
 
 
 def _parse_value(annotation: str, raw: str):
@@ -148,11 +150,7 @@ def cmd_transmit(args) -> int:
     recv, log = transmit(flow, _channel_from_args(args))
     write_trace(recv, args.out)
     if args.log:
-        payload = {
-            "deleted_indices": [int(i) for i in log.deleted_indices],
-            "origins": [int(i) for i in log.origins],
-            "inserted_mask": [bool(b) for b in log.inserted_mask],
-        }
+        payload = {name: getattr(log, name).tolist() for name in _LOG_FIELDS}
         with open(args.log, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
             fh.write("\n")
@@ -182,12 +180,11 @@ def cmd_decode(args) -> int:
     if args.log:
         with open(args.log, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        log = ChannelLog(
-            deleted_indices=np.asarray(payload["deleted_indices"], dtype=np.int64),
-            origins=np.asarray(payload["origins"], dtype=np.int64),
-            inserted_mask=np.asarray(payload["inserted_mask"], dtype=bool),
-            jitter=np.zeros(0),
-        )
+        log = ChannelLog(**{name: np.asarray(payload[name], dtype=dtype)
+                            for name, dtype in _LOG_FIELDS.items()})
+        if log.origins.size != len(flow):
+            raise ValueError(f"channel log of {log.origins.size} received packets does not "
+                             f"match the trace's {len(flow)}")
         n_bits = log.segment_bits(cfg.code_len)
     elif args.nbits is not None:
         if not 0 <= args.nbits <= bits.size:
@@ -195,12 +192,8 @@ def cmd_decode(args) -> int:
         n_bits = args.nbits
     else:
         n_bits = bits.size
-    params = IdsParams(
-        p_sub=substitution_prob(cfg.delta, args.sigma_ms / 1000.0),
-        p_delete=args.p_d,
-        p_insert=args.p_i,
-        max_insert_run=args.max_insert_run,
-    )
+    params = IdsParams.from_channel(cfg.delta, args.sigma_ms / 1000.0, args.p_d, args.p_i,
+                                    args.max_insert_run)
     report = decode(bits[:n_bits], cfg, params, cfg.watermark,
                     threshold=args.threshold, d_max=args.d_max)
     if report.status != "ok":
@@ -369,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ks", help="KS distance between two traces' IPDs")
     p.add_argument("trace_a")
     p.add_argument("trace_b")
-    p.add_argument("--threshold", type=float, default=0.036)
+    p.add_argument("--threshold", type=float, default=KS_VISIBILITY_THRESHOLD)
     p.add_argument("--out", default=None)
     p.add_argument("--clamp", action="store_true")
     p.set_defaults(func=cmd_ks)

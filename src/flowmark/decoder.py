@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from flowmark.channel import ChannelParams, substitution_prob
+from flowmark.channel import substitution_prob
 from flowmark.idscode import WatermarkConfig, as_bits, keystream
 
 
@@ -62,12 +62,15 @@ class IdsParams:
             raise ValueError("max_insert_run must be at least 1")
 
     @classmethod
-    def from_channel(cls, chan: ChannelParams, delta: float) -> "IdsParams":
+    def from_channel(cls, delta: float, sigma: float, p_delete: float,
+                     p_insert: float, max_insert_run: int = 8) -> "IdsParams":
+        """The bit law of a packet channel, times in seconds; a certain
+        drop is clamped below 1, where the law is defined."""
         return cls(
-            p_sub=substitution_prob(delta, chan.sigma),
-            p_delete=min(chan.p_delete, 1.0 - 1e-12),
-            p_insert=chan.p_insert,
-            max_insert_run=chan.max_insert_run,
+            p_sub=substitution_prob(delta, sigma),
+            p_delete=min(float(p_delete), 1.0 - 1e-12),
+            p_insert=float(p_insert),
+            max_insert_run=max_insert_run,
         )
 
 
@@ -494,30 +497,23 @@ def calibrate_threshold(control_scores, alpha: float) -> float:
     return float(np.sort(scores)[k - 1])
 
 
-def decode_batch(ys, cfg: WatermarkConfig, params, w_reference,
-                 threshold: float | None = None, d_max=None,
-                 density: float | None = None) -> list[DetectionReport]:
+def decode_batch(ys, cfg: WatermarkConfig, params: IdsParams, w_reference,
+                 threshold: float | None = None, d_max=None) -> list[DetectionReport]:
     """decode() for several received sequences of one watermark config,
     swept together in one trellis; one report per sequence, each equal to
     its own decode() up to rounding.  d_max is one half-width for all
     sequences or one per sequence."""
-    if isinstance(params, ChannelParams):
-        params = IdsParams.from_channel(params, cfg.delta)
-    elif not isinstance(params, IdsParams):
-        raise TypeError(f"unsupported channel parameter object: {type(params)!r}")
     w_ref = as_bits(w_reference)
     if w_ref.size != cfg.n_bits:
         raise ValueError("reference watermark length does not match config")
     ys = [as_bits(y) for y in ys]
     n_code = cfg.code_len
-    if density is None:
-        density = cfg.density
     if d_max is None:
         d_max = [max(default_drift_window(n_code, params), abs(y.size - n_code) + 2)
                  for y in ys]
     key = keystream(cfg.key_seed, n_code)
 
-    trellis = trellis_tables(ys, key, params, density, d_max, spread=cfg.spread)
+    trellis = trellis_tables(ys, key, params, cfg.density, d_max, spread=cfg.spread)
     lp = block_posterior(trellis)
     # a block that neither hypothesis can explain carries no evidence
     with np.errstate(invalid="ignore"):
@@ -540,16 +536,15 @@ def decode_batch(ys, cfg: WatermarkConfig, params, w_reference,
     ]
 
 
-def decode(y, cfg: WatermarkConfig, params, w_reference,
-           threshold: float | None = None, d_max: int | None = None,
-           density: float | None = None) -> DetectionReport:
+def decode(y, cfg: WatermarkConfig, params: IdsParams, w_reference,
+           threshold: float | None = None, d_max: int | None = None) -> DetectionReport:
     """Maximum-likelihood per-bit decode plus presence decision.
 
-    params may be ChannelParams (the substitution rate is derived from the
-    quantization step and jitter level) or IdsParams directly.  The score
-    is the fraction of decoded bits agreeing with the reference watermark;
-    without an explicit threshold the exact binomial null quantile at 1%
-    is used.  This is decode_batch() on a batch of one.
+    params is the assumed bit law, from IdsParams.from_channel for a
+    packet channel.  The score is the fraction of decoded bits agreeing
+    with the reference watermark; without an explicit threshold the exact
+    binomial null quantile at 1% is used.  This is decode_batch() on a
+    batch of one.
     """
     return decode_batch([y], cfg, params, w_reference, threshold=threshold,
-                        d_max=d_max, density=density)[0]
+                        d_max=d_max)[0]

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from flowmark.channel import ChannelParams, substitution_prob, transmit
+from flowmark.channel import ChannelParams, transmit
 from flowmark.decoder import IdsParams, calibrate_threshold, decode_batch
 from flowmark.idscode import WatermarkConfig, encode, watermark_bits
 from flowmark.qim import embed_flow, qim_extract
@@ -31,8 +31,9 @@ from flowmark.traffic import PacketFlow, poisson_flow, read_trace, to_ipds
 # the grid axes: list-valued in a config, scalar in a cell
 GRID_FIELDS = ("n", "delta_ms", "sigma_ms", "p_d", "p_i")
 
-# roles for the per-trial seed fan-out
-_FLOW_W, _CHAN_W, _FLOW_C, _CHAN_C, _FLOW_H, _CHAN_H = range(6)
+# a trial's stream roles; role r seeds its flow with 2r and its channel
+# with 2r + 1 in the per-trial seed fan-out
+WATERMARKED, CONTROL, HOLDOUT = range(3)
 
 # a cell's flows are decoded together in chunks of this many: enough to
 # amortize the per-step interpreter cost; wider chunks gain little per
@@ -117,14 +118,12 @@ class ExperimentConfig:
         )
 
     def decoder_params(self) -> IdsParams:
-        sigma_ms = self.sigma_ms if self.dec_sigma_ms is None else self.dec_sigma_ms
-        return IdsParams(
-            p_sub=substitution_prob(self.delta_ms / 1000.0, sigma_ms / 1000.0),
-            p_delete=min(float(self.p_d) if self.dec_p_d is None else self.dec_p_d,
-                         1.0 - 1e-12),
-            p_insert=float(self.p_i) if self.dec_p_i is None else self.dec_p_i,
-            max_insert_run=self.max_insert_run,
-        )
+        def dec(name):  # the dec_* override, else the channel's own value
+            override = getattr(self, "dec_" + name)
+            return getattr(self, name) if override is None else override
+
+        return IdsParams.from_channel(self.delta_ms / 1000.0, dec("sigma_ms") / 1000.0,
+                                      dec("p_d"), dec("p_i"), self.max_insert_run)
 
 
 class Cell(NamedTuple):
@@ -209,32 +208,33 @@ def _load_flow(cell: Cell, trial: int, role: int) -> PacketFlow:
     config = cell.config
     if config.source == "poisson":
         return poisson_flow(config.rate_pps, config.flow_len,
-                            seed=derive_seed(config.seed, cell.index, trial, role))
+                            seed=derive_seed(config.seed, cell.index, trial, 2 * role))
     files = cell.trace_files
-    offset = 0 if role == _FLOW_W else (len(files) // 2 + 1 if role == _FLOW_C else 2)
+    offset = (0, len(files) // 2 + 1, 2)[role]
     path = files[(trial + offset) % len(files)]
     flow = read_trace(path, clamp=True)
     if len(flow) > config.flow_len:
-        flow = PacketFlow(flow.timestamps[: config.flow_len], label=flow.label)
+        flow = PacketFlow(flow.timestamps[: config.flow_len])
     return flow
 
 
-def simulate_trial(cell: Cell, trial: int, watermarked: bool, holdout: bool = False):
-    """Embed, transmit and extract one trial's flow; returns (y, deleted,
-    inserted, seg_bits), y being the received bits cut at the segment."""
+def simulate_trial(cell: Cell, trial: int, role: int):
+    """Embed (for the WATERMARKED role), transmit and extract one trial's
+    flow of one role; returns (y, deleted, inserted, seg_bits), y being the
+    received bits cut at the segment."""
+    if role not in (WATERMARKED, CONTROL, HOLDOUT):
+        raise ValueError(f"unknown stream role {role!r}")
     cfg = cell.config.watermark_config()
     code = encode(cfg.watermark, cfg)
     n_code = cfg.code_len
-    flow_role = _FLOW_W if watermarked else (_FLOW_H if holdout else _FLOW_C)
-    chan_role = _CHAN_W if watermarked else (_CHAN_H if holdout else _CHAN_C)
-    flow = _load_flow(cell, trial, flow_role)
+    flow = _load_flow(cell, trial, role)
     if len(flow) < n_code + 1:
         raise ValueError(
             f"flow of {len(flow)} packets is too short; need at least {n_code + 1}"
         )
-    if watermarked:
+    if role == WATERMARKED:
         flow, _ = embed_flow(flow, code, cfg.delta)
-    chan = cell.config.channel(derive_seed(cell.config.seed, cell.index, trial, chan_role))
+    chan = cell.config.channel(derive_seed(cell.config.seed, cell.index, trial, 2 * role + 1))
     recv, log = transmit(flow, chan)
     n_bits = log.segment_bits(n_code)
     y = qim_extract(to_ipds(recv), cfg.delta)[:n_bits]
@@ -260,9 +260,9 @@ def _chunk_task(args):
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.time()
     cells = grid_cells(config)
-    # each trial's streams in role order: watermarked, control, holdout
-    roles = [(True, False), (False, False)] + [(False, True)] * config.holdout
-    trials = [(t, *role) for t in range(config.trials) for role in roles]
+    # each trial's streams in role order
+    roles = [WATERMARKED, CONTROL] + [HOLDOUT] * config.holdout
+    trials = [(t, role) for t in range(config.trials) for role in roles]
     chunks = [(cell, trials[i: i + DECODE_CHUNK])
               for cell in cells for i in range(0, len(trials), DECODE_CHUNK)]
 

@@ -86,6 +86,6 @@ def embed_flow(flow: PacketFlow, code: np.ndarray, delta: float) -> tuple[Packet
     """
     ipds = to_ipds(flow)
     marked = qim_embed(ipds, code, delta)
-    out = to_flow(marked, start=float(flow.timestamps[0]), label=flow.label)
+    out = to_flow(marked, start=float(flow.timestamps[0]))
     delays = out.timestamps - flow.timestamps
     return out, delays

@@ -17,7 +17,6 @@ class PacketFlow:
     """Arrival timestamps of one packet flow, seconds, nondecreasing."""
 
     timestamps: np.ndarray
-    label: str | None = None
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=np.float64)
@@ -55,7 +54,7 @@ def poisson_flow(rate: float, count: int, seed: int) -> PacketFlow:
     rng = np.random.Generator(np.random.PCG64(seed))
     ipds = rng.exponential(1.0 / rate, size=count - 1)
     ts = np.concatenate(([0.0], np.cumsum(ipds)))
-    return PacketFlow(ts, label=f"poisson-{rate}pps-{seed}")
+    return PacketFlow(ts)
 
 
 def to_ipds(flow: PacketFlow) -> np.ndarray:
@@ -65,7 +64,7 @@ def to_ipds(flow: PacketFlow) -> np.ndarray:
     return np.diff(flow.timestamps)
 
 
-def to_flow(ipds: np.ndarray, start: float = 0.0, label: str | None = None) -> PacketFlow:
+def to_flow(ipds: np.ndarray, start: float = 0.0) -> PacketFlow:
     """Rebuild a flow from IPDs and the first arrival time."""
     ipds = np.asarray(ipds, dtype=np.float64)
     if np.any(ipds < 0.0):
@@ -74,10 +73,10 @@ def to_flow(ipds: np.ndarray, start: float = 0.0, label: str | None = None) -> P
     ts[0] = start
     np.cumsum(ipds, out=ts[1:])
     ts[1:] += start
-    return PacketFlow(ts, label=label)
+    return PacketFlow(ts)
 
 
-def read_trace(path, clamp: bool = False, label: str | None = None) -> PacketFlow:
+def read_trace(path, clamp: bool = False) -> PacketFlow:
     """Read a timestamp trace: one decimal seconds value per line.
 
     Blank lines and `#` comments are ignored.  Decreasing timestamps are an
@@ -106,7 +105,7 @@ def read_trace(path, clamp: bool = False, label: str | None = None) -> PacketFlo
                 f"{path}: timestamps decrease at entry {bad[0] + 2} "
                 "(pass clamp to clamp negative gaps to zero)"
             )
-    return PacketFlow(arr, label=label or str(path))
+    return PacketFlow(arr)
 
 
 def write_trace(flow: PacketFlow, path) -> None:

@@ -57,6 +57,70 @@ def test_gen_and_pipeline(tmp_path, capsys):
     assert json.loads(err)["warning"] == "zero-evidence"
 
 
+def _marked_and_received(tmp_path, capsys, seeds):
+    # the README pipeline on a short flow, one reception per channel seed;
+    # returns the sidecar and one (trace, log) pair per seed
+    flow, marked, side = tmp_path / "flow.txt", tmp_path / "marked.txt", tmp_path / "side.json"
+    run_cli(capsys, "gen", "--rate", "3.3", "--count", "400", "--seed", "3", "--out", str(flow))
+    run_cli(capsys, "embed", str(flow), "--out", str(marked), "--sidecar", str(side),
+            "--n", "10", "--spread", "5", "--delta-ms", "100", "--key-seed", "5",
+            "--wm-seed", "2")
+    received = []
+    for seed in seeds:
+        recv, log = tmp_path / f"recv{seed}.txt", tmp_path / f"log{seed}.json"
+        code, _, _ = run_cli(capsys, "transmit", str(marked), "--out", str(recv),
+                             "--log", str(log), "--sigma-ms", "10", "--p-d", "0.1",
+                             "--seed", str(seed), "--jitter", "quantizer",
+                             "--delta-ms", "100")
+        assert code == 0
+        received.append((recv, log))
+    return side, received
+
+
+def _library_decode(side, recv, log, **law):
+    # what `flowmark decode --log` should report: the segment-cut bits
+    # decoded under the harness's law for the same numbers
+    from flowmark.cli import _sidecar_config
+    from flowmark.decoder import decode
+    from flowmark.qim import qim_extract
+    from flowmark.traffic import read_trace, to_ipds
+
+    cfg = _sidecar_config(json.loads(side.read_text()))
+    origins = np.asarray(json.loads(log.read_text())["origins"])
+    y = qim_extract(to_ipds(read_trace(recv)), cfg.delta)
+    y = y[: int(np.count_nonzero(origins[1:] <= cfg.code_len))]
+    params = ExperimentConfig(delta_ms=cfg.delta * 1000.0, **law).decoder_params()
+    return decode(y, cfg, params, cfg.watermark).to_dict()
+
+
+def test_decode_law_matches_harness(tmp_path, capsys):
+    side, [(recv, log)] = _marked_and_received(tmp_path, capsys, [9])
+    decode = ["decode", str(recv), "--sidecar", str(side), "--log", str(log)]
+    code, out, _ = run_cli(capsys, *decode, "--sigma-ms", "20", "--p-d", "0.05",
+                           "--p-i", "0.02")
+    assert code == 0
+    assert json.loads(out) == _library_decode(side, recv, log, sigma_ms=20.0,
+                                              p_d=0.05, p_i=0.02)
+    # a certain drop decodes at the clamp below 1, as the harness does
+    code, out, _ = run_cli(capsys, *decode, "--sigma-ms", "10", "--p-d", "1")
+    assert code == 0
+    assert json.loads(out) == _library_decode(side, recv, log, sigma_ms=10.0, p_d=1.0)
+
+
+def test_decode_rejects_other_transmissions_log(tmp_path, capsys):
+    # a log describes one reception; applied to another it would cut the
+    # bits at the wrong place
+    side, [(recv_a, _), (recv_b, log_b)] = _marked_and_received(tmp_path, capsys, [9, 10])
+    n_a, n_b = (len(p.read_text().splitlines()) for p in (recv_a, recv_b))
+    assert n_a != n_b
+    code, out, err = run_cli(capsys, "decode", str(recv_a), "--sidecar", str(side),
+                             "--log", str(log_b), "--sigma-ms", "10", "--p-d", "0.1")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert str(n_a) in payload["message"] and str(n_b) in payload["message"]
+
+
 def test_embed_then_decode_clean_roundtrip(tmp_path, capsys):
     flow = tmp_path / "flow.txt"
     marked = tmp_path / "marked.txt"

@@ -358,11 +358,11 @@ def test_decode_zero_noise_exact(rng):
         assert rep.detected
 
 
-def test_decode_channel_params_accepted(rng):
+def test_decode_from_channel_params(rng):
     w, cfg = _clean_roundtrip_cfg(rng)
     code = encode(w, cfg)
-    chan = ChannelParams(sigma=0.005, p_delete=0.05)
-    rep = decode(code, cfg, chan, w)
+    params = IdsParams.from_channel(cfg.delta, 0.005, 0.05, 0.0)
+    rep = decode(code, cfg, params, w)
     assert rep.score == 1.0
 
 
@@ -390,18 +390,20 @@ def test_decode_status_flags_zero_evidence():
     cfg = WatermarkConfig(watermark=w, spread=10, delta=0.1, key_seed=4)
     flow, _ = embed_flow(poisson_flow(3.3, 2000, seed=5), encode(w, cfg), 0.1)
     chan = ChannelParams(sigma=0.01, p_delete=0.1, jitter="quantizer", delta=0.1, seed=6)
+    params = IdsParams.from_channel(cfg.delta, chan.sigma, chan.p_delete, chan.p_insert)
     recv, log = transmit(flow, chan)
     y = qim_extract(to_ipds(recv), 0.1)
-    seg = decode(y[: log.segment_bits(cfg.code_len)], cfg, chan, w)
+    seg = decode(y[: log.segment_bits(cfg.code_len)], cfg, params, w)
     assert seg.status == "ok" and seg.to_dict()["status"] == "ok"
     assert math.isfinite(seg.log_evidence) and seg.detected
-    pre = decode(y[:600], cfg, chan, w)
+    pre = decode(y[:600], cfg, params, w)
     assert pre.status == "zero-evidence" and pre.to_dict()["status"] == "zero-evidence"
     assert pre.log_evidence == -math.inf and not np.any(pre.llr)
 
 
 def _received(cfg, n_flows, p_i, seed):
-    # segment-cut streams from the harness pipeline, half of them marked
+    # segment-cut streams from the harness pipeline, half of them marked,
+    # and the channel's bit law
     ys = []
     for s in range(n_flows):
         flow = poisson_flow(3.3, cfg.code_len * 4, seed=seed + s)
@@ -411,7 +413,7 @@ def _received(cfg, n_flows, p_i, seed):
                              delta=0.1, seed=seed + 100 + s)
         recv, log = transmit(flow, chan)
         ys.append(qim_extract(to_ipds(recv), 0.1)[: log.segment_bits(cfg.code_len)])
-    return ys, chan
+    return ys, IdsParams.from_channel(0.1, 0.01, 0.1, p_i)
 
 
 def _assert_same_decode(got, want):
@@ -432,21 +434,20 @@ def test_decode_batch_matches_per_flow():
     w = watermark_bits(11, 20)
     cfg = WatermarkConfig(watermark=w, spread=5, delta=0.1, key_seed=12)
     for p_i in (0.0, 0.1):
-        ys, chan = _received(cfg, 6, p_i, seed=40)
+        ys, p = _received(cfg, 6, p_i, seed=40)
         ys.append(np.concatenate([ys[1], np.zeros(60, dtype=np.uint8)]))
         # leading zeros: head insertion bursts reach past a narrow window
         ys[0] = np.concatenate([np.zeros(3, dtype=np.uint8), ys[0]])
-        p = IdsParams.from_channel(chan, cfg.delta)
         d_max = [max(default_drift_window(cfg.code_len, p), abs(y.size - cfg.code_len) + 2)
                  for y in ys]
         # the first flow gets the narrowest window that can close the chain
         shift = ys[0].size - cfg.code_len
         d_max[0] = max(1, -shift - 1, shift - p.max_insert_run)
         assert max(d_max) >= 4 * d_max[0]
-        got = decode_batch(ys, cfg, chan, w, d_max=d_max)
+        got = decode_batch(ys, cfg, p, w, d_max=d_max)
         assert len(got) == len(ys)
         for y, d, rep in zip(ys, d_max, got):
-            _assert_same_decode(rep, decode(y, cfg, chan, w, d_max=d))
+            _assert_same_decode(rep, decode(y, cfg, p, w, d_max=d))
         scores = [rep.score for rep in got]
         assert min(scores[2:6:2]) > max(scores[1:6:2])
 
@@ -455,16 +456,16 @@ def test_decode_batch_zero_evidence_row():
     # a stream that no deletion-only path explains flags only its own row
     w = watermark_bits(3, 50)
     cfg = WatermarkConfig(watermark=w, spread=10, delta=0.1, key_seed=4)
-    ys, chan = _received(cfg, 3, 0.0, seed=70)
+    ys, p = _received(cfg, 3, 0.0, seed=70)
     flow, _ = embed_flow(poisson_flow(3.3, 2000, seed=5), encode(w, cfg), 0.1)
     recv, _ = transmit(flow, ChannelParams(sigma=0.01, p_delete=0.1, jitter="quantizer",
                                            delta=0.1, seed=6))
     prefix = qim_extract(to_ipds(recv), 0.1)[:600]
-    got = decode_batch(ys[:2] + [prefix] + ys[2:], cfg, chan, w)
+    got = decode_batch(ys[:2] + [prefix] + ys[2:], cfg, p, w)
     assert [rep.status for rep in got] == ["ok", "ok", "zero-evidence", "ok"]
     assert got[2].log_evidence == -math.inf and not np.any(got[2].llr)
     for y, rep in zip(ys, got[:2] + got[3:]):
-        _assert_same_decode(rep, decode(y, cfg, chan, w))
+        _assert_same_decode(rep, decode(y, cfg, p, w))
 
 
 def test_decode_batch_infeasible_window():

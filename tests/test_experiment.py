@@ -4,7 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from flowmark.channel import substitution_prob
+from flowmark.decoder import IdsParams
 from flowmark.experiment import (
+    CONTROL,
+    HOLDOUT,
+    WATERMARKED,
     ExperimentConfig,
     decode_trials,
     derive_seed,
@@ -48,6 +53,22 @@ def test_grid_cells():
         assert cell.index == index and cell.trace_files == ()
 
 
+def test_decoder_params_law():
+    # the decoder's bit law: dec_* overrides replace the channel's own
+    # values, p_d is clamped below 1 and plain ints come out as floats
+    cases = [
+        ({}, IdsParams(substitution_prob(0.1, 0.01), 0.0, 0.0, 8)),
+        (dict(dec_sigma_ms=15, dec_p_d=0.08, dec_p_i=0.02),
+         IdsParams(substitution_prob(0.1, 0.015), 0.08, 0.02, 8)),
+        (dict(p_d=0.1, dec_p_d=0), IdsParams(substitution_prob(0.1, 0.01), 0.0, 0.0, 8)),
+        (dict(p_d=1), IdsParams(substitution_prob(0.1, 0.01), 1.0 - 1e-12, 0.0, 8)),
+    ]
+    for kw, want in cases:
+        got = ExperimentConfig(**kw).decoder_params()
+        assert got == want
+        assert type(got.p_delete) is float and type(got.p_insert) is float
+
+
 def test_derive_seed_stable():
     assert derive_seed(7, 0, 3, 1) == derive_seed(7, 0, 3, 1)
     assert derive_seed(7, 0, 3, 1) != derive_seed(7, 0, 3, 2)
@@ -57,11 +78,13 @@ def test_derive_seed_stable():
 def test_run_trial_shapes():
     cfg = small_config()
     cell = grid_cells(cfg)[0]
-    y, deleted, inserted, seg = simulate_trial(cell, 0, watermarked=True)
+    y, deleted, inserted, seg = simulate_trial(cell, 0, WATERMARKED)
     assert y.size == seg
     score, = decode_trials(cell, [y])
     assert 0.0 <= score <= 1.0
     assert seg > 0
+    with pytest.raises(ValueError, match="role"):
+        simulate_trial(cell, 0, HOLDOUT + 1)
 
 
 def test_experiment_report_roundtrip(tmp_path):
@@ -127,15 +150,14 @@ def test_experiment_regrouping_matches_per_flow_stages(monkeypatch):
     from flowmark.decoder import calibrate_threshold
 
     cfg = small_config(p_d=[0.05, 0.1], trials=5, holdout=True)
-    roles = {"watermarked": (True, False), "control": (False, False),
-             "holdout": (False, True)}
+    roles = {"watermarked": WATERMARKED, "control": CONTROL, "holdout": HOLDOUT}
     expected = []
     for cell in grid_cells(cfg):
         scores, sims = {}, []
-        for role, (watermarked, holdout) in roles.items():
+        for role, index in roles.items():
             scores[role] = []
             for t in range(cfg.trials):
-                sim = simulate_trial(cell, t, watermarked, holdout)
+                sim = simulate_trial(cell, t, index)
                 scores[role] += decode_trials(cell, [sim[0]])
                 sims.append(sim)
         threshold = calibrate_threshold(scores["control"], cfg.alpha)
