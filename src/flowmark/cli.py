@@ -173,6 +173,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if args.log and args.nbits is not None:
+        raise ValueError("--log and --nbits both set the segment length; give one")
     side = _load_sidecar(args.sidecar)
     cfg = _sidecar_config(side)
     flow = read_trace(args.trace, clamp=args.clamp)
@@ -346,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-i", type=float, default=0.0)
     p.add_argument("--max-insert-run", type=int, default=8)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--d-max", type=int, default=None)
+    p.add_argument("--d-max", type=int, default=None,
+                   help="cap on the drift's magnitude (default: from the channel and n_obs)")
     p.add_argument("--out", default=None)
     p.add_argument("--clamp", action="store_true")
     p.set_defaults(func=cmd_decode)

@@ -33,7 +33,7 @@ from flowmark.idscode import WatermarkConfig, as_bits, keystream
 
 
 class DecodeInfeasibleError(RuntimeError):
-    """The observed length cannot be reached inside the drift window."""
+    """The observed length cannot be reached inside the drift cap."""
 
     def __init__(self, message: str, required_d_max: int):
         super().__init__(message)
@@ -103,7 +103,7 @@ class DetectionReport:
 
 
 def default_drift_window(n_code: int, params: IdsParams) -> int:
-    """Default half-width of the drift window: three standard deviations of
+    """Default cap on the drift's magnitude: three standard deviations of
     the net drift plus one full insertion burst."""
     spread = 3.0 * math.sqrt(n_code * max(params.p_delete, params.p_insert))
     return max(1, int(math.ceil(spread + params.max_insert_run)))
@@ -114,11 +114,12 @@ class Trellis:
     key and one channel law, swept in lockstep.
 
     State arrays have shape (..., B, 2, D): the flow axis, rows for the
-    accumulated bit, and columns for the drift in [-d_max, d_max], where
-    d_max is the widest flow's half-width; further leading axes are a
-    batch of independent chains.  A flow with a narrower window keeps
-    zeros outside it, since every step zeroes those columns, so each
-    flow's numbers are those of a trellis over its own window.
+    accumulated bit, and columns for the drifts lo .. hi, the union of the
+    flows' bands; further leading axes are a batch of independent chains.
+    A flow's band is the part of its cap [-d_max, d_max] that its chain
+    can both reach and close from.  A flow keeps zeros outside its band,
+    since every step zeroes those columns, so each flow's evidence and
+    posteriors are those of a trellis over its own cap, up to rounding.
     Linear-domain vectors are renormalized each step and the log scale is
     carried separately.  trellis_tables() fills fw and bw, the (vectors,
     log scales) of the block-boundary states spread, 2·spread, ... from
@@ -151,7 +152,7 @@ class Trellis:
             same_flip = np.stack([1 - wtilde, wtilde], axis=1).astype(np.float64)
         self.params = params
         self.density = density
-        # flow_d_max: each flow's own half-width; d_max: the padded one
+        # flow_d_max: each flow's cap on the drift's magnitude
         self.flow_d_max = np.broadcast_to(np.asarray(d_max, dtype=np.int64), (n_flows,))
         if self.flow_d_max.min() < 1:
             raise ValueError("d_max must be at least 1")
@@ -175,12 +176,27 @@ class Trellis:
         # head insertions before the first marked IPD completes
         self.init_coef = p.p_insert ** ls * (1.0 - p.p_insert)
 
-        self.d_max = int(self.flow_d_max.max())
-        self.D = 2 * self.d_max + 1
-        self.drifts = np.arange(-self.d_max, self.d_max + 1)
-        # window: 1 on each flow's own drift columns, None when all flows
-        # span the whole width
-        inside = np.abs(self.drifts) <= self.flow_d_max[:, None]
+        # band[b] = (lo, hi): the drifts in flow b's cap that some state i
+        # can both reach from state 1, a step moving the drift by -down ..
+        # +up, and still close from, at a final drift in [shift - up,
+        # shift + 1]; lo > hi when no state can.  Every other column holds
+        # zero forward or zero backward mass, so dropping it is exact.
+        # The columns span the bands' union and drift 0.
+        up, down, n = self.n_ins - 1, int(self.del_coef > 0.0), self.n_code
+        i, shift = np.arange(1, n + 1), (self.n_obs - n)[:, None]
+        cap = self.flow_d_max[:, None]
+        lo = np.maximum(np.maximum(-(i - 1) * down, shift - up * (n - i + 1)), -cap)
+        hi = np.minimum(np.minimum(up * i, shift + 1 + (n - i) * down), cap)
+        beyond = int(cap.max()) + 1
+        self.band = np.stack([lo.min(axis=1, where=lo <= hi, initial=beyond),
+                              hi.max(axis=1, where=lo <= hi, initial=-beyond)], axis=1)
+        self.lo = min(int(self.band[:, 0].min()), 0)
+        self.hi = max(int(self.band[:, 1].max()), 0)
+        self.D = self.hi - self.lo + 1
+        self.drifts = np.arange(self.lo, self.hi + 1)
+        # window: 1 on each flow's own band, None when all flows span the
+        # whole width
+        inside = (self.drifts >= self.band[:, :1]) & (self.drifts <= self.band[:, 1:])
         self.window = None if inside.all() else inside[:, None, :].astype(np.float64)
 
         # bits: the received sequences padded with ones, so that zrun
@@ -198,11 +214,11 @@ class Trellis:
         # Per-step emission context: step i (into state i) reads its first
         # observed bit at position i - 2 + drift of the source state, so the
         # tables of step i are the length-D windows at i - 2 of rows over
-        # positions -d_max .. n_code - 1 + d_max.  The rows hold n_code
+        # positions lo .. n_code - 1 + hi.  The rows hold n_code
         # windows, one more than there are steps, so that they are never
         # shorter than a window (n_code = 1 has no steps).
         ps = p.p_sub
-        pos = np.arange(-self.d_max, self.n_code + self.d_max)
+        pos = np.arange(self.lo, self.n_code + self.hi)
         valid = (pos >= 0) & (pos < self.n_obs[:, None])
         obs = self.bits[:, np.clip(pos, 0, width - 1)]
         # e_match[i-2, b, a]: weight of the first observed bit of flow b
@@ -220,7 +236,7 @@ class Trellis:
 
     def _check_feasible(self):
         # the last state's drift must fall in [shift - run, shift + 1] for
-        # the observed tail to close; each flow's window has to reach that band
+        # the observed tail to close; each flow's cap has to reach that range
         shift = self.n_obs - self.n_code
         run = self.params.max_insert_run
         lo, hi, d = shift - run, shift + 1, self.flow_d_max
@@ -246,9 +262,9 @@ class Trellis:
         """Distribution over state 1 given code-bit weights wx (..., 2):
         head survives, a burst of inserted zeros may precede the first
         marked IPD.  Shape (..., B, 2, D)."""
-        ls = np.arange(min(self.params.max_insert_run, self.d_max) + 1)
+        ls = np.arange(min(self.params.max_insert_run, self.hi) + 1)
         head = np.zeros((len(self.ys), 1, self.D))
-        head[:, 0, self.d_max + ls] = np.where(self.zrun[:, :1] >= ls, self.init_coef[ls], 0.0)
+        head[:, 0, ls - self.lo] = np.where(self.zrun[:, :1] >= ls, self.init_coef[ls], 0.0)
         if self.window is not None:
             head *= self.window
         return np.asarray(wx)[..., None, :, None] * head

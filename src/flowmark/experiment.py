@@ -37,7 +37,7 @@ WATERMARKED, CONTROL, HOLDOUT = range(3)
 
 # a cell's flows are decoded together in chunks of this many: enough to
 # amortize the per-step interpreter cost; wider chunks gain little per
-# flow and pad more flows to the widest drift window
+# flow and pad more flows to the union of their drift bands
 DECODE_CHUNK = 32
 
 

@@ -3,7 +3,8 @@
 Each is written independently of the code it checks: a per-transition
 law, an exhaustive channel-path enumeration, a scalar per-block
 posterior over dense per-step tables, full per-state sweeps for the
-forward/backward identity, and the inverse of sparsify.
+forward/backward identity, dense sweeps over the whole drift cap for the
+band's exactness, and the inverse of sparsify.
 """
 
 from __future__ import annotations
@@ -217,6 +218,55 @@ class DenseSteps:
                     nxt[row] += (pw * self.coef[l]) * contrib
         return nxt
 
+    def terminal_vec(self) -> np.ndarray:
+        """Closure against the observed tail: the last packet vanishes with
+        nothing inserted, or its accumulated bit arrives as bit `first`
+        of y and inserted zeros finish y."""
+        p = self.params
+        vec = np.zeros((2, self.D))
+        for col, d in enumerate(self.drifts):
+            first = self.n_code - 1 + int(d)
+            tail = self.n_obs - first
+            if tail == 0:
+                vec[:, col] = p.p_delete * (1.0 - p.p_insert)
+            elif tail > 0 and first >= 0 and not np.any(self.y[first + 1:]):
+                m = tail - 1
+                run = p.max_insert_run
+                keep = (1.0 - p.p_delete) * p.p_insert ** m if m <= run else 0.0
+                drop = p.p_delete * p.p_insert ** (m + 1) if m + 1 <= run else 0.0
+                for a in (0, 1):
+                    match = 1.0 - p.p_sub if int(self.y[first]) == a else p.p_sub
+                    vec[a, col] = (1.0 - p.p_insert) * (keep + drop) * match
+        return vec
+
+    def sweeps(self):
+        """Forward and backward vectors of every state 1..N over the whole
+        window, each (N, 2, D) and scaled to sum 1 where nonzero, and log
+        P(y).  The backward step is the transpose of step(), built column
+        by column from unit vectors."""
+        n, size = self.n_code, 2 * self.D
+        fw = np.zeros((n, 2, self.D))
+        bw = np.zeros_like(fw)
+        log_scale = 0.0
+        for i in range(1, n + 1):
+            vec = self.init_vec() if i == 1 else self.step(fw[i - 2], i)
+            total = float(vec.sum())
+            if total <= 0.0:
+                log_scale = -math.inf
+                break
+            log_scale += math.log(total)
+            fw[i - 1] = vec / total
+        bw[n - 1] = self.terminal_vec()
+        closing = float(np.sum(fw[n - 1] * bw[n - 1]))
+        evidence = log_scale + math.log(closing) if closing > 0.0 else -math.inf
+        for i in range(n, 1, -1):
+            m = np.stack([self.step(e.reshape(2, self.D), i).ravel()
+                          for e in np.eye(size)], axis=1)
+            bw[i - 2] = (m.T @ bw[i - 1].ravel()).reshape(2, self.D)
+        total = bw.sum(axis=(1, 2), keepdims=True)
+        bw /= np.where(total > 0.0, total, 1.0)
+        return fw, bw, evidence
+
 
 def scalar_block_posterior(j: int, trellis, w_hypothesis: int, flow: int = 0) -> float:
     """log P(y | watermark bit j = w_hypothesis) for one flow of a
@@ -226,13 +276,19 @@ def scalar_block_posterior(j: int, trellis, w_hypothesis: int, flow: int = 0) ->
     the sparse pattern fixed by the hypothesis, then closes with the
     backward vector at the block end.  Only the stored sweeps (trellis.fw
     and trellis.bw, at states spread, 2*spread, ...) come from the
-    trellis, cut to the flow's own drift window; the steps are
-    DenseSteps'.
+    trellis, laid out on the flow's whole cap -d_max .. d_max; the steps
+    are DenseSteps'.
     """
     spread = trellis.spread
     d_max = int(trellis.flow_d_max[flow])
-    cols = slice(trellis.d_max - d_max, trellis.d_max + d_max + 1)
     steps = DenseSteps(trellis.ys[flow], trellis.key, trellis.params, trellis.density, d_max)
+    keep = np.abs(trellis.drifts) <= d_max
+
+    def on_cap(vec):
+        out = np.zeros((2, steps.D))
+        out[:, trellis.drifts[keep] + d_max] = vec[:, keep]
+        return out
+
     n_blocks = trellis.n_code // spread
     if not 1 <= j <= n_blocks:
         raise ValueError(f"block index {j} outside 1..{n_blocks}")
@@ -249,7 +305,7 @@ def scalar_block_posterior(j: int, trellis, w_hypothesis: int, flow: int = 0) ->
     else:
         if not math.isfinite(flogw[j - 2, flow]):
             return -math.inf
-        vec = fvecs[j - 2, flow, :, cols].copy()
+        vec = on_cap(fvecs[j - 2, flow])
         logw = float(flogw[j - 2, flow])
         lo = start + 1
     first_pos = start + 1
@@ -263,7 +319,7 @@ def scalar_block_posterior(j: int, trellis, w_hypothesis: int, flow: int = 0) ->
         logw += math.log(scale)
     if not math.isfinite(blogw[j - 1, flow]):
         return -math.inf
-    closing = float(np.sum(vec * bvecs[j - 1, flow, :, cols]))
+    closing = float(np.sum(vec * on_cap(bvecs[j - 1, flow])))
     if closing <= 0.0:
         return -math.inf
     return logw + math.log(closing) + float(blogw[j - 1, flow])

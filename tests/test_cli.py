@@ -121,6 +121,17 @@ def test_decode_rejects_other_transmissions_log(tmp_path, capsys):
     assert str(n_a) in payload["message"] and str(n_b) in payload["message"]
 
 
+def test_decode_rejects_log_with_nbits(tmp_path, capsys):
+    # both set the segment length; one of them would be silently dropped
+    side, [(recv, log)] = _marked_and_received(tmp_path, capsys, [9])
+    code, out, err = run_cli(capsys, "decode", str(recv), "--sidecar", str(side),
+                             "--log", str(log), "--nbits", "10", "--p-d", "0.1")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "--log" in payload["message"] and "--nbits" in payload["message"]
+
+
 def test_embed_then_decode_clean_roundtrip(tmp_path, capsys):
     flow = tmp_path / "flow.txt"
     marked = tmp_path / "marked.txt"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -182,11 +183,10 @@ def test_backward_terminal_wrong_drift_is_minus_inf():
     y = key.copy()  # same length: final drift must be 0 or +1 tail
     tab = trellis_tables([y], key, p, 0.05, 5)
     lb = log_sweeps(tab)[1][-1, 0]  # state N
-    drifts = np.arange(-5, 6)
     # drifts that would need the tail to have negative length are impossible
-    for di, d in enumerate(drifts):
+    for d, col in zip(tab.drifts, lb.T):
         if d > 1:
-            assert lb[0, di] == -math.inf and lb[1, di] == -math.inf
+            assert np.all(col == -math.inf)
 
 
 # ------------------------------------------------------------ block posterior
@@ -209,8 +209,6 @@ def test_block_posterior_noiseless_recovers_bits(rng):
 def test_block_posterior_matches_conditioned_oracle(rng):
     # P(y | block hypothesis) equals the oracle averaged over the other
     # blocks' sparse-bit priors
-    import itertools
-
     for _ in range(25):
         blocks, s = 2, 2
         n_code = blocks * s
@@ -300,7 +298,8 @@ def test_block_posterior_matches_scalar_reference(rng):
 def test_step_batch_equals_single_rows(rng):
     # a stacked batch with per-row step indices and weights is B single-row
     # steps bit for bit, and the window tables are the dense per-step
-    # tables; n_code = 1 has no steps and a row shorter than a bare window
+    # tables at the band's drifts; n_code = 1 has no steps and a row
+    # shorter than a bare window
     cases = (
         (1, IdsParams(p_sub=0.1, p_delete=0.1, p_insert=0.2, max_insert_run=3)),
         (2, IdsParams(p_sub=0.1, p_delete=0.1)),
@@ -313,12 +312,13 @@ def test_step_batch_equals_single_rows(rng):
         d_max = max(default_drift_window(n_code, p), abs(y.size - n_code) + 2)
         t = Trellis([y], key, p, 0.1, d_max)
         dense = DenseSteps(y, key, p, 0.1, d_max)
+        cols = t.drifts + d_max
         for b in (0, 1):
-            assert np.array_equal(t.e_match[: n_code - 1, 0, b], dense.e_match[b])
+            assert np.array_equal(t.e_match[: n_code - 1, 0, b], dense.e_match[b][:, cols])
         for l in range(p.max_insert_run + 1):
             if l < t.n_ins:
                 assert np.array_equal(t.ins_weight[: n_code - 1, 0, l],
-                                      dense.coef[l] * (dense.avail >= l))
+                                      dense.coef[l] * (dense.avail[:, cols] >= l))
             else:
                 assert dense.coef[l] == 0.0
         if n_code < 2:
@@ -337,6 +337,66 @@ def test_step_batch_equals_single_rows(rng):
         for b in range(B):
             for h in (0, 1):
                 assert np.array_equal(batch[b, h], t.step(prev[b], int(i[b]), wx2[b, h]))
+
+
+# ----------------------------------------------------------------- band
+
+def test_band_is_exact(rng):
+    # full-window sweeps over the whole cap hold forward mass only where
+    # the chain can reach, backward mass only where it can still close,
+    # and their product only inside the band; the banded trellis gives
+    # the same evidence and state and block posteriors.  Streams are
+    # sampled, cut short and run long; short codes put the band's edges
+    # at the first and last states.
+    run = 3
+    n_empty = 0
+    for p_d in (0.0, 0.1):
+        for p_i in (0.0, 0.1):
+            p = IdsParams(p_sub=0.05, p_delete=p_d, p_insert=p_i, max_insert_run=run)
+            up, down = (run if p_i else 0), (1 if p_d else 0)
+            cases = itertools.product(((40, 4), (3, 1)), (0, -6, 6, 0, -3, 3))
+            for (n_code, spread), extra in cases:
+                key = rng.integers(0, 2, n_code, dtype=np.uint8)
+                y = sample_ids_channel(key, p, rng)
+                y = y[: max(y.size + extra, 0)] if extra < 0 else np.concatenate(
+                    [y, np.zeros(extra, dtype=np.uint8)])
+                shift = y.size - n_code
+                d_max = max(default_drift_window(n_code, p), abs(shift) + 2)
+                t = trellis_tables([y], key, p, 1 / 8, d_max, spread=spread)
+                dense = DenseSteps(y, key, p, 1 / 8, d_max)
+                fw, bw, evidence = dense.sweeps()
+                d, i = dense.drifts, np.arange(1, n_code + 1)[:, None, None]
+                reach = (d >= -(i - 1) * down) & (d <= up * i)
+                close = ((d >= shift - up * (n_code - i + 1))
+                         & (d <= shift + 1 + (n_code - i) * down))
+                lo, hi = t.band[0]
+                outside = (d < lo) | (d > hi)
+                assert not np.any(fw[~np.broadcast_to(reach, fw.shape)])
+                assert not np.any(bw[~np.broadcast_to(close, bw.shape)])
+                assert not np.any((fw * bw)[:, :, outside])
+                if not math.isfinite(evidence):
+                    assert t.log_evidence[0] == -math.inf
+                    n_empty += lo > hi
+                    continue
+                assert abs(t.log_evidence[0] - evidence) <= 1e-10 * abs(evidence)
+                # state posteriors: the band's columns carry all the mass
+                lf, lb = log_sweeps(t)
+                with np.errstate(divide="ignore"):
+                    want = np.log(fw * bw) - np.log((fw * bw).sum(axis=(1, 2)))[:, None, None]
+                got = lf[:, 0] + lb[:, 0] - t.log_evidence[0]
+                cols = t.drifts + d_max
+                assert np.array_equal(np.isinf(got), np.isinf(want[:, :, cols]))
+                fin = np.isfinite(got)
+                assert np.all(np.abs(np.exp(got[fin]) - np.exp(want[:, :, cols][fin])) <= 1e-9)
+                got_lp = block_posterior(t)[0]
+                for j in range(n_code // spread):
+                    for h in (0, 1):
+                        want_lp = scalar_block_posterior(j + 1, t, h)
+                        if math.isinf(want_lp):
+                            assert got_lp[j, h] == want_lp
+                        else:
+                            assert abs(got_lp[j, h] - want_lp) <= 1e-9 * abs(want_lp)
+    assert n_empty >= 4
 
 
 # ----------------------------------------------------------------- decode
@@ -399,6 +459,24 @@ def test_decode_status_flags_zero_evidence():
     pre = decode(y[:600], cfg, params, w)
     assert pre.status == "zero-evidence" and pre.to_dict()["status"] == "zero-evidence"
     assert pre.log_evidence == -math.inf and not np.any(pre.llr)
+    # no insertions: drift never rises, so no state can close 100 bits
+    # past the code and the band is empty; the trellis keeps one column,
+    # not the 2 * 102 + 1 of the cap
+    t = Trellis([y[:600]], keystream(4, cfg.code_len), params, cfg.density, 102)
+    assert t.band[0, 0] > t.band[0, 1] and t.D == 1
+
+
+def test_band_with_insertions_is_the_cap():
+    # with insertions every drift of the cap is reachable and closable on
+    # harness-length streams: the columns are the whole cap, unmasked
+    w = watermark_bits(8, 50)
+    cfg = WatermarkConfig(watermark=w, spread=10, delta=0.1, key_seed=9)
+    ys, p = _received(cfg, 4, 0.1, seed=80)
+    key = keystream(9, cfg.code_len)
+    for y in ys:
+        d_max = max(default_drift_window(cfg.code_len, p), abs(y.size - cfg.code_len) + 2)
+        t = Trellis([y], key, p, cfg.density, d_max)
+        assert np.array_equal(t.drifts, np.arange(-d_max, d_max + 1)) and t.window is None
 
 
 def _received(cfg, n_flows, p_i, seed):
