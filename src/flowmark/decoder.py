@@ -406,8 +406,8 @@ def trellis_tables(ys, key, params: IdsParams, density: float, d_max, spread: in
     """Forward and backward sweeps over one engine for the received
     sequences ys, ready for per-block posteriors: the sweeps keep the
     vectors at every spread-th state, the block boundaries
-    block_posterior reads.  d_max is one half-width for all flows or one
-    per flow.  log_evidence is exact via the carried normalizers."""
+    block_posterior reads.  d_max is the drift cap, one for all flows or
+    one per flow.  log_evidence is exact via the carried normalizers."""
     t = Trellis(ys, key, params, density, d_max, wtilde=wtilde)
     n = t.n_code
     if not 1 <= spread <= n:
@@ -517,7 +517,7 @@ def decode_batch(ys, cfg: WatermarkConfig, params: IdsParams, w_reference,
                  threshold: float | None = None, d_max=None) -> list[DetectionReport]:
     """decode() for several received sequences of one watermark config,
     swept together in one trellis; one report per sequence, each equal to
-    its own decode() up to rounding.  d_max is one half-width for all
+    its own decode() up to rounding.  d_max is the drift cap, one for all
     sequences or one per sequence."""
     w_ref = as_bits(w_reference)
     if w_ref.size != cfg.n_bits:

@@ -178,15 +178,19 @@ def test_forward_backward_identity(rng):
 
 
 def test_backward_terminal_wrong_drift_is_minus_inf():
-    p = IdsParams(p_sub=0.02, p_delete=0.1, p_insert=0.0)
     key = keystream(3, 10)
     y = key.copy()  # same length: final drift must be 0 or +1 tail
+    # without insertions drift never rises, so the band stops at +1
+    tab = trellis_tables([y], key, IdsParams(p_sub=0.02, p_delete=0.1), 0.05, 5)
+    assert tab.drifts.max() <= 1
+    # with insertions the band is the whole cap; drifts that would need
+    # the tail to have negative length are impossible at state N
+    p = IdsParams(p_sub=0.02, p_delete=0.1, p_insert=0.05, max_insert_run=3)
     tab = trellis_tables([y], key, p, 0.05, 5)
+    assert np.array_equal(tab.drifts, np.arange(-5, 6))
     lb = log_sweeps(tab)[1][-1, 0]  # state N
-    # drifts that would need the tail to have negative length are impossible
-    for d, col in zip(tab.drifts, lb.T):
-        if d > 1:
-            assert np.all(col == -math.inf)
+    assert np.all(lb[:, tab.drifts > 1] == -math.inf)
+    assert np.any(np.isfinite(lb[:, tab.drifts <= 1]))
 
 
 # ------------------------------------------------------------ block posterior
