@@ -24,38 +24,3 @@ from flowmark.decoder import (
 from flowmark.analysis import KsResult, MfaResult, delta_rtt_overlay, ks_distance, mfa_aggregate
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "PacketFlow",
-    "poisson_flow",
-    "to_flow",
-    "to_ipds",
-    "read_trace",
-    "write_trace",
-    "WatermarkConfig",
-    "encode",
-    "keystream",
-    "sparsify",
-    "watermark_bits",
-    "embed_flow",
-    "qim_embed",
-    "qim_extract",
-    "ChannelLog",
-    "ChannelParams",
-    "substitution_prob",
-    "transmit",
-    "DecodeInfeasibleError",
-    "DetectionReport",
-    "IdsParams",
-    "Trellis",
-    "block_posterior",
-    "calibrate_threshold",
-    "decode",
-    "decode_batch",
-    "trellis_tables",
-    "KsResult",
-    "MfaResult",
-    "delta_rtt_overlay",
-    "ks_distance",
-    "mfa_aggregate",
-]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flowmark.traffic import PacketFlow
+from flowmark.traffic import PacketFlow, to_flow
 
 
 @dataclass(frozen=True)
@@ -144,28 +144,20 @@ def transmit(flow: PacketFlow, params: ChannelParams) -> tuple[PacketFlow, Chann
     if params.insert_spacing > 0.0:
         out_ts = out_ts + within * params.insert_spacing
 
-    if out_ts.size > 1:
-        ipds = np.diff(out_ts)
-        # Spacing may step past the next survivor; keep arrival order.
-        ipds = np.maximum(ipds, 0.0)
-        if params.sigma > 0.0:
-            if params.jitter == "laplace":
-                noise = rng.laplace(0.0, params.sigma / math.sqrt(2.0), size=ipds.size)
-            else:
-                half = 0.5 * params.delta
-                p_sub = substitution_prob(params.delta, params.sigma)
-                flips = rng.random(ipds.size) < p_sub
-                signs = np.where(rng.random(ipds.size) < 0.5, -1.0, 1.0)
-                # an IPD too small to move down gets pushed up instead
-                signs = np.where(ipds < half, 1.0, signs)
-                noise = np.where(flips, signs * half, 0.0)
-            ipds = np.maximum(ipds + noise, 0.0)
-        final = np.empty_like(out_ts)
-        final[0] = out_ts[0]
-        np.cumsum(ipds, out=final[1:])
-        final[1:] += out_ts[0]
-    else:
-        final = out_ts
+    # Spacing may step past the next survivor; keep arrival order.
+    ipds = np.maximum(np.diff(out_ts), 0.0)
+    if params.sigma > 0.0:
+        if params.jitter == "laplace":
+            noise = rng.laplace(0.0, params.sigma / math.sqrt(2.0), size=ipds.size)
+        else:
+            half = 0.5 * params.delta
+            p_sub = substitution_prob(params.delta, params.sigma)
+            flips = rng.random(ipds.size) < p_sub
+            signs = np.where(rng.random(ipds.size) < 0.5, -1.0, 1.0)
+            # an IPD too small to move down gets pushed up instead
+            signs = np.where(ipds < half, 1.0, signs)
+            noise = np.where(flips, signs * half, 0.0)
+        ipds = np.maximum(ipds + noise, 0.0)
 
     log = ChannelLog(deleted_indices=deleted, origins=origins, inserted_mask=ins_mask)
-    return PacketFlow(final), log
+    return to_flow(ipds, start=out_ts[0]), log

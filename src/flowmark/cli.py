@@ -101,11 +101,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    if args.wm_bits and (args.n is not None or args.wm_seed is not None):
+        raise ValueError("--wm-bits sets the watermark; --n and --wm-seed derive one; give one")
     flow = read_trace(args.trace, clamp=args.clamp)
     if args.wm_bits:
         w = as_bits([int(c) for c in args.wm_bits])
     else:
-        w = watermark_bits(args.wm_seed, args.n)
+        w = watermark_bits(0 if args.wm_seed is None else args.wm_seed,
+                           50 if args.n is None else args.n)
     cfg = WatermarkConfig(watermark=w, spread=args.spread,
                           delta=args.delta_ms / 1000.0, key_seed=args.key_seed,
                           density=args.density)
@@ -212,10 +215,12 @@ def cmd_experiment(args) -> int:
     report = run_experiment(config)
     if args.json:
         report.to_json(args.json)
-    else:
-        print(report.to_json())
     if args.csv:
         report.to_csv(args.csv)
+    # one JSON document on stdout: the report, or the summary of a --json one
+    if not args.json:
+        print(report.to_json())
+        return 0
     summary = [
         {"params": cell.params, "tp": cell.tp_rate, "fp": cell.fp_rate,
          "threshold": cell.threshold}
@@ -311,11 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     p.add_argument("--out", required=True)
     p.add_argument("--sidecar", required=True, help="JSON with key, bits, delays")
-    p.add_argument("--n", type=int, default=50, help="watermark bits")
+    p.add_argument("--n", type=int, default=None, help="watermark bits (default 50)")
     p.add_argument("--spread", type=int, default=10)
     p.add_argument("--delta-ms", type=float, default=100.0)
     p.add_argument("--key-seed", type=int, default=1)
-    p.add_argument("--wm-seed", type=int, default=0, help="derive watermark bits from this seed")
+    p.add_argument("--wm-seed", type=int, default=None,
+                   help="derive watermark bits from this seed (default 0)")
     p.add_argument("--wm-bits", default=None, help="explicit bit string, e.g. 0101...")
     p.add_argument("--density", type=float, default=None)
     p.add_argument("--clamp", action="store_true")

@@ -33,7 +33,8 @@ from flowmark.idscode import WatermarkConfig, as_bits, keystream
 
 
 class DecodeInfeasibleError(RuntimeError):
-    """The observed length cannot be reached inside the drift cap."""
+    """The chain closes on the observed length only outside the drift
+    cap; required_d_max is the smallest cap that can close it."""
 
     def __init__(self, message: str, required_d_max: int):
         super().__init__(message)
@@ -130,7 +131,7 @@ class Trellis:
     its values share one pass over the insertion lengths.
     """
 
-    def __init__(self, ys, key, params: IdsParams, density: float, d_max,
+    def __init__(self, ys, key, params: IdsParams, density: float, d_max=None,
                  wtilde=None):
         self.ys = [as_bits(y) for y in ys]
         n_flows = len(self.ys)
@@ -152,12 +153,15 @@ class Trellis:
             same_flip = np.stack([1 - wtilde, wtilde], axis=1).astype(np.float64)
         self.params = params
         self.density = density
-        # flow_d_max: each flow's cap on the drift's magnitude
+        self.n_obs = np.array([y.size for y in self.ys])
+        # flow_d_max: each flow's cap on the drift's magnitude, by default
+        # wide enough for the flow's length mismatch
+        if d_max is None:
+            d_max = np.maximum(default_drift_window(self.n_code, params),
+                               np.abs(self.n_obs - self.n_code) + 2)
         self.flow_d_max = np.broadcast_to(np.asarray(d_max, dtype=np.int64), (n_flows,))
         if self.flow_d_max.min() < 1:
             raise ValueError("d_max must be at least 1")
-        self.n_obs = np.array([y.size for y in self.ys])
-        self._check_feasible()
         # prior[i-1]: code-bit weights at position i under the sparse-bit prior
         self.prior = self.code_weights(np.arange(1, self.n_code + 1), same_flip)
 
@@ -184,9 +188,21 @@ class Trellis:
         # The columns span the bands' union and drift 0.
         up, down, n = self.n_ins - 1, int(self.del_coef > 0.0), self.n_code
         i, shift = np.arange(1, n + 1), (self.n_obs - n)[:, None]
-        cap = self.flow_d_max[:, None]
-        lo = np.maximum(np.maximum(-(i - 1) * down, shift - up * (n - i + 1)), -cap)
-        hi = np.minimum(np.minimum(up * i, shift + 1 + (n - i) * down), cap)
+        lo = np.maximum(-(i - 1) * down, shift - up * (n - i + 1))
+        hi = np.minimum(up * i, shift + 1 + (n - i) * down)
+        # a flow that some cap could close, but not its own, is an error;
+        # one that no cap can close keeps an empty band and zero evidence
+        end_lo, end_hi, cap = lo[:, -1], hi[:, -1], self.flow_d_max
+        bad = (end_lo <= end_hi) & ((end_hi < -cap) | (end_lo > cap))
+        if bad.any():
+            b = int(np.argmax(bad))
+            need = int(max(end_lo[b], -end_hi[b]))
+            raise DecodeInfeasibleError(
+                f"observed length {self.n_obs[b]} vs code length {self.n_code} "
+                f"needs a drift window of at least {need} (d_max={cap[b]})",
+                required_d_max=need,
+            )
+        lo, hi = np.maximum(lo, -cap[:, None]), np.minimum(hi, cap[:, None])
         beyond = int(cap.max()) + 1
         self.band = np.stack([lo.min(axis=1, where=lo <= hi, initial=beyond),
                               hi.max(axis=1, where=lo <= hi, initial=-beyond)], axis=1)
@@ -214,9 +230,8 @@ class Trellis:
         # Per-step emission context: step i (into state i) reads its first
         # observed bit at position i - 2 + drift of the source state, so the
         # tables of step i are the length-D windows at i - 2 of rows over
-        # positions lo .. n_code - 1 + hi.  The rows hold n_code
-        # windows, one more than there are steps, so that they are never
-        # shorter than a window (n_code = 1 has no steps).
+        # positions lo .. n_code - 1 + hi.  The rows hold n_code windows:
+        # the last, k = n_code - 1, is the closing step of terminal_vec.
         ps = p.p_sub
         pos = np.arange(self.lo, self.n_code + self.hi)
         valid = (pos >= 0) & (pos < self.n_obs[:, None])
@@ -233,22 +248,6 @@ class Trellis:
         ins = self.coef[lens] * (avail[:, None, :] >= lens)
         self.ins_weight = sliding_window_view(ins, self.D, axis=2).transpose(2, 0, 1, 3)
         self._run_rows = {}
-
-    def _check_feasible(self):
-        # the last state's drift must fall in [shift - run, shift + 1] for
-        # the observed tail to close; each flow's cap has to reach that range
-        shift = self.n_obs - self.n_code
-        run = self.params.max_insert_run
-        lo, hi, d = shift - run, shift + 1, self.flow_d_max
-        bad = (hi < -d) | (lo > d)
-        if bad.any():
-            b = int(np.argmax(bad))
-            need = int(lo[b] if lo[b] > d[b] else -hi[b])
-            raise DecodeInfeasibleError(
-                f"observed length {self.n_obs[b]} vs code length {self.n_code} "
-                f"needs a drift window of at least {need} (d_max={d[b]})",
-                required_d_max=need,
-            )
 
     def code_weights(self, i, same_flip) -> np.ndarray:
         """Weights of code bit 0 and 1 at position i, shape (..., 2), from
@@ -338,28 +337,18 @@ class Trellis:
     def terminal_vec(self) -> np.ndarray:
         """Closure of the chain against the observed tail, shape (B, 2, D).
 
-        The last sent packet either vanishes (its merged bit is never
-        observed), or its accumulated bit arrives followed by inserted
-        zeros that must finish the observed sequence exactly.
+        The closing step resolves the last sent packet like any other
+        step, read from the step tables' last window: from drift d it
+        must finish the observed sequence exactly, so it delivers its
+        accumulated bit followed by l = n_obs - n_code - d inserted
+        zeros, or, at l = -1, is dropped with nothing inserted.
         """
-        p = self.params
-        run = p.max_insert_run
-        width = self.bits.shape[1]
-        # tail: observed bits left for the last packet at each drift
-        tail = (self.n_obs[:, None] - self.n_code + 1) - self.drifts
-        first = self.n_code - 1 + self.drifts
-        closes = ((tail > 0) & (first >= 0) & (first < self.n_obs[:, None])
-                  & (self.zrun[:, np.clip(first + 1, 0, width - 1)] >= tail - 1))
-        # p_insert ** m for m <= run, and 0 for longer runs
-        powers = np.array([p.p_insert ** m for m in range(run + 1)] + [0.0])
-        keep = powers[np.clip(tail - 1, 0, run + 1)]
-        drop = powers[np.clip(tail, 0, run + 1)]
-        weight = np.where(closes, (1.0 - p.p_insert) * (
-            (1.0 - p.p_delete) * keep + p.p_delete * drop), 0.0)
-        obs = self.bits[:, np.clip(first, 0, width - 1)]
-        vec = np.stack([np.where(obs == a, weight * (1.0 - p.p_sub), weight * p.p_sub)
-                        for a in (0, 1)], axis=1)
-        vec = np.where((tail == 0)[:, None, :], p.p_delete * (1.0 - p.p_insert), vec)
+        k = self.n_code - 1
+        ls = (self.n_obs - self.n_code)[:, None] - self.drifts
+        fits = (ls >= 0) & (ls < self.n_ins)
+        ins = np.take_along_axis(self.ins_weight[k], np.where(fits, ls, 0)[:, None], axis=1)
+        vec = self.e_match[k] * np.where(fits[:, None], ins, 0.0)
+        vec = np.where((ls == -1)[:, None], self.del_coef, vec)
         if self.window is not None:
             vec *= self.window
         return vec
@@ -401,13 +390,15 @@ class Trellis:
 _GROUP_STATES = 1 << 14
 
 
-def trellis_tables(ys, key, params: IdsParams, density: float, d_max, spread: int = 1,
-                   wtilde=None) -> Trellis:
+def trellis_tables(ys, key, params: IdsParams, density: float, d_max=None,
+                   spread: int = 1, wtilde=None) -> Trellis:
     """Forward and backward sweeps over one engine for the received
     sequences ys, ready for per-block posteriors: the sweeps keep the
     vectors at every spread-th state, the block boundaries
-    block_posterior reads.  d_max is the drift cap, one for all flows or
-    one per flow.  log_evidence is exact via the carried normalizers."""
+    block_posterior reads; the backward sweep starts from the closing
+    step, terminal_vec.  d_max is the drift cap, one for all flows or one
+    per flow; None gives each flow max(default_drift_window, |n_obs -
+    n_code| + 2).  log_evidence is exact via the carried normalizers."""
     t = Trellis(ys, key, params, density, d_max, wtilde=wtilde)
     n = t.n_code
     if not 1 <= spread <= n:
@@ -518,16 +509,11 @@ def decode_batch(ys, cfg: WatermarkConfig, params: IdsParams, w_reference,
     """decode() for several received sequences of one watermark config,
     swept together in one trellis; one report per sequence, each equal to
     its own decode() up to rounding.  d_max is the drift cap, one for all
-    sequences or one per sequence."""
+    sequences or one per sequence, as in trellis_tables."""
     w_ref = as_bits(w_reference)
     if w_ref.size != cfg.n_bits:
         raise ValueError("reference watermark length does not match config")
-    ys = [as_bits(y) for y in ys]
-    n_code = cfg.code_len
-    if d_max is None:
-        d_max = [max(default_drift_window(n_code, params), abs(y.size - n_code) + 2)
-                 for y in ys]
-    key = keystream(cfg.key_seed, n_code)
+    key = keystream(cfg.key_seed, cfg.code_len)
 
     trellis = trellis_tables(ys, key, params, cfg.density, d_max, spread=cfg.spread)
     lp = block_posterior(trellis)

@@ -132,6 +132,44 @@ def test_decode_rejects_log_with_nbits(tmp_path, capsys):
     assert "--log" in payload["message"] and "--nbits" in payload["message"]
 
 
+def test_decode_unclosable_stream_at_small_cap(tmp_path, capsys):
+    # without insertions no cap closes the whole received stream, which
+    # runs past the code: a small --d-max reads zero evidence, as the
+    # default cap does, instead of demanding a wider cap
+    side, [(recv, _)] = _marked_and_received(tmp_path, capsys, [9])
+    code, out, err = run_cli(capsys, "decode", str(recv), "--sidecar", str(side),
+                             "--sigma-ms", "10", "--p-d", "0.1", "--d-max", "5")
+    assert code == 0
+    assert json.loads(out)["status"] == "zero-evidence"
+    assert json.loads(err)["warning"] == "zero-evidence"
+
+
+def test_embed_wm_bits_excludes_derived_watermark(tmp_path, capsys):
+    # --wm-bits gives the watermark; --n and --wm-seed would derive another
+    flow = tmp_path / "flow.txt"
+    run_cli(capsys, "gen", "--rate", "2.0", "--count", "200", "--seed", "1",
+            "--out", str(flow))
+    embed = ["embed", str(flow), "--out", str(tmp_path / "m.txt"), "--spread", "2"]
+    for extra in (["--n", "10"], ["--wm-seed", "3"]):
+        side = tmp_path / "s.json"
+        code, out, err = run_cli(capsys, *embed, "--sidecar", str(side),
+                                 "--wm-bits", "0101", *extra)
+        assert code == 1 and out == "" and not side.exists()
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "--wm-bits" in payload["message"] and extra[0] in payload["message"]
+    code, _, _ = run_cli(capsys, *embed, "--sidecar", str(tmp_path / "bits.json"),
+                         "--wm-bits", "0101")
+    assert code == 0
+    assert json.loads((tmp_path / "bits.json").read_text())["watermark"] == [0, 1, 0, 1]
+    # without either, the watermark is the one of --n 50 --wm-seed 0
+    sides = [tmp_path / "default.json", tmp_path / "explicit.json"]
+    for side, extra in zip(sides, ([], ["--n", "50", "--wm-seed", "0"])):
+        code, _, _ = run_cli(capsys, *embed, "--sidecar", str(side), *extra)
+        assert code == 0
+    assert sides[0].read_bytes() == sides[1].read_bytes()
+
+
 def test_embed_then_decode_clean_roundtrip(tmp_path, capsys):
     flow = tmp_path / "flow.txt"
     marked = tmp_path / "marked.txt"
@@ -259,6 +297,23 @@ def test_experiment_rerun_byte_identical(tmp_path, capsys):
     b = json.loads(paths[1].read_text())
     a.pop("wall_clock"), b.pop("wall_clock")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_experiment_stdout_is_one_document(tmp_path, capsys):
+    # stdout is the report, or its summary when the report goes to --json
+    args = ["experiment", "--set", "n=8", "--set", "spread=4", "--set",
+            "flow_len=100", "--set", "trials=4"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    report = json.loads(out)
+    path = tmp_path / "rep.json"
+    code, out, _ = run_cli(capsys, *args, "--json", str(path))
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["json"] == str(path) and len(summary["cells"]) == 1
+    written = json.loads(path.read_text())
+    report.pop("wall_clock"), written.pop("wall_clock")
+    assert written == report
 
 
 def test_experiment_empty_grid_axis(capsys):

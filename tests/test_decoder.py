@@ -193,6 +193,55 @@ def test_backward_terminal_wrong_drift_is_minus_inf():
     assert np.any(np.isfinite(lb[:, tab.drifts <= 1]))
 
 
+def test_terminal_vec_is_the_dense_closure(rng):
+    # the closing step read from the step tables is the scalar closure on
+    # each flow's band and zero off it: streams sampled, cut, and run long
+    # by zeros that an insertion burst can finish, alone and in a batch
+    # whose flows mask each other's columns
+    run, n_nonzero, n_windowed = 3, 0, 0
+    for p_d, p_i in itertools.product((0.0, 0.1), (0.0, 0.1)):
+        p = IdsParams(p_sub=0.05, p_delete=p_d, p_insert=p_i, max_insert_run=run)
+        for n_code in (1, 2, 30):
+            key = rng.integers(0, 2, n_code, dtype=np.uint8)
+            ys = []
+            for extra in (0, -2, -1, 1, 2, 5):
+                y = sample_ids_channel(key, p, rng)
+                ys.append(y[: max(y.size + extra, 0)] if extra < 0 else np.concatenate(
+                    [y, np.zeros(extra, dtype=np.uint8)]))
+            for batch in [[y] for y in ys] + [ys]:
+                t = Trellis(batch, key, p, 0.1, None)
+                n_windowed += t.window is not None
+                got = t.terminal_vec()
+                for b, y in enumerate(batch):
+                    d_max = int(t.flow_d_max[b])
+                    lo, hi = t.band[b]
+                    inside = (t.drifts >= lo) & (t.drifts <= hi)
+                    dense = DenseSteps(y, key, p, 0.1, d_max).terminal_vec()
+                    want = dense[:, t.drifts[inside] + d_max]
+                    assert not np.any(got[b][:, ~inside])
+                    assert np.array_equal(got[b][:, inside] == 0.0, want == 0.0)
+                    nz = want != 0.0
+                    assert np.all(np.abs(got[b][:, inside][nz] - want[nz]) <= 1e-15 * want[nz])
+                    n_nonzero += int(nz.sum())
+    assert n_nonzero >= 400 and n_windowed >= 30
+
+
+def test_unclosable_stream_is_zero_evidence_at_any_cap():
+    # no cap closes a stream longer than the code without insertions, or
+    # a shorter one without deletions: a small cap decodes it with zero
+    # evidence, as a wide one does, instead of asking for a wider cap
+    w = watermark_bits(5, 10)
+    cfg = WatermarkConfig(watermark=w, spread=3, delta=0.1, key_seed=6)
+    key = keystream(6, cfg.code_len)
+    cases = ((np.concatenate([key, np.zeros(12, dtype=np.uint8)]), IdsParams(p_sub=0.05, p_delete=0.1)),
+             (key[:20], IdsParams(p_sub=0.05, p_insert=0.1)))
+    for y, p in cases:
+        for d_max in (3, None):
+            rep = decode(y, cfg, p, w, d_max=d_max)
+            assert rep.status == "zero-evidence" and not np.any(rep.llr)
+            assert rep.log_evidence == -math.inf
+
+
 # ------------------------------------------------------------ block posterior
 
 def test_block_posterior_noiseless_recovers_bits(rng):
@@ -283,8 +332,7 @@ def test_block_posterior_matches_scalar_reference(rng):
             y = np.concatenate([y, rng.integers(0, 2, 30, dtype=np.uint8)])
         elif kind == 4:
             y = y[: n_code // 2]
-        d_max = max(default_drift_window(n_code, p), abs(y.size - n_code) + 2)
-        tab = trellis_tables([y], key, p, 1 / (2 * spread), d_max, spread=spread)
+        tab = trellis_tables([y], key, p, 1 / (2 * spread), None, spread=spread)
         got = block_posterior(tab)[0]
         assert got.shape == (n_code // spread, 2)
         for j in range(n_code // spread):
@@ -313,8 +361,8 @@ def test_step_batch_equals_single_rows(rng):
     for n_code, p in cases:
         key = rng.integers(0, 2, n_code, dtype=np.uint8)
         y = sample_ids_channel(key, p, rng)
-        d_max = max(default_drift_window(n_code, p), abs(y.size - n_code) + 2)
-        t = Trellis([y], key, p, 0.1, d_max)
+        t = Trellis([y], key, p, 0.1, None)
+        d_max = int(t.flow_d_max[0])
         dense = DenseSteps(y, key, p, 0.1, d_max)
         cols = t.drifts + d_max
         for b in (0, 1):
@@ -365,8 +413,8 @@ def test_band_is_exact(rng):
                 y = y[: max(y.size + extra, 0)] if extra < 0 else np.concatenate(
                     [y, np.zeros(extra, dtype=np.uint8)])
                 shift = y.size - n_code
-                d_max = max(default_drift_window(n_code, p), abs(shift) + 2)
-                t = trellis_tables([y], key, p, 1 / 8, d_max, spread=spread)
+                t = trellis_tables([y], key, p, 1 / 8, None, spread=spread)
+                d_max = int(t.flow_d_max[0])
                 dense = DenseSteps(y, key, p, 1 / 8, d_max)
                 fw, bw, evidence = dense.sweeps()
                 d, i = dense.drifts, np.arange(1, n_code + 1)[:, None, None]
@@ -478,8 +526,8 @@ def test_band_with_insertions_is_the_cap():
     ys, p = _received(cfg, 4, 0.1, seed=80)
     key = keystream(9, cfg.code_len)
     for y in ys:
-        d_max = max(default_drift_window(cfg.code_len, p), abs(y.size - cfg.code_len) + 2)
-        t = Trellis([y], key, p, cfg.density, d_max)
+        t = Trellis([y], key, p, cfg.density, None)
+        d_max = int(t.flow_d_max[0])
         assert np.array_equal(t.drifts, np.arange(-d_max, d_max + 1)) and t.window is None
 
 
@@ -520,8 +568,8 @@ def test_decode_batch_matches_per_flow():
         ys.append(np.concatenate([ys[1], np.zeros(60, dtype=np.uint8)]))
         # leading zeros: head insertion bursts reach past a narrow window
         ys[0] = np.concatenate([np.zeros(3, dtype=np.uint8), ys[0]])
-        d_max = [max(default_drift_window(cfg.code_len, p), abs(y.size - cfg.code_len) + 2)
-                 for y in ys]
+        key = keystream(cfg.key_seed, cfg.code_len)
+        d_max = Trellis(ys, key, p, cfg.density, None).flow_d_max.tolist()
         # the first flow gets the narrowest window that can close the chain
         shift = ys[0].size - cfg.code_len
         d_max[0] = max(1, -shift - 1, shift - p.max_insert_run)
