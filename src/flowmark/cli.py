@@ -89,7 +89,6 @@ def _sidecar_config(side: dict) -> WatermarkConfig:
         spread=int(side["spread"]),
         delta=float(side["delta"]),
         key_seed=int(side["key_seed"]),
-        density=side.get("density"),
     )
 
 
@@ -110,8 +109,7 @@ def cmd_embed(args) -> int:
         w = watermark_bits(0 if args.wm_seed is None else args.wm_seed,
                            50 if args.n is None else args.n)
     cfg = WatermarkConfig(watermark=w, spread=args.spread,
-                          delta=args.delta_ms / 1000.0, key_seed=args.key_seed,
-                          density=args.density)
+                          delta=args.delta_ms / 1000.0, key_seed=args.key_seed)
     code = encode(w, cfg)
     marked, delays = embed_flow(flow, code, cfg.delta)
     write_trace(marked, args.out)
@@ -120,7 +118,6 @@ def cmd_embed(args) -> int:
         "spread": cfg.spread,
         "delta": cfg.delta,
         "key_seed": cfg.key_seed,
-        "density": cfg.density,
         "code_len": cfg.code_len,
         "watermark": [int(b) for b in w],
         "delays": [round(float(d), 9) for d in delays],
@@ -323,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wm-seed", type=int, default=None,
                    help="derive watermark bits from this seed (default 0)")
     p.add_argument("--wm-bits", default=None, help="explicit bit string, e.g. 0101...")
-    p.add_argument("--density", type=float, default=None)
     p.add_argument("--clamp", action="store_true")
     p.set_defaults(func=cmd_embed)
 

@@ -10,9 +10,10 @@ One trellis step resolves the fate of the previous sent packet: dropped
 with nothing inserted (no bit observed, the accumulated bit carries),
 or delivered/replaced-by-insertions (the accumulated bit is observed,
 possibly substituted, followed by a burst of inserted zeros).  Forward and
-backward sweeps over this chain give the evidence and, re-run over one
-watermark block with the sparse bit fixed to a hypothesis, the per-bit
-posterior likelihoods for maximum-likelihood decoding.  Received
+backward sweeps over this chain, under the code's own law for the sparse
+bits, give the evidence and, joined across one watermark block's first
+step with its bit fixed to a hypothesis, the exact per-bit likelihoods
+for maximum-likelihood decoding.  Received
 sequences decoded under one key and one channel law sweep together, on a
 leading flow axis of every state array.
 
@@ -123,15 +124,15 @@ class Trellis:
     posteriors are those of a trellis over its own cap, up to rounding.
     Linear-domain vectors are renormalized each step and the log scale is
     carried separately.  trellis_tables() fills fw and bw, the (vectors,
-    log scales) of the block-boundary states spread, 2·spread, ... from
-    each sweep, and log_evidence, log P(y) per flow.
+    log scales) of the states that end and start a block of spread code
+    bits, and log_evidence, log P(y) per flow.
 
     The sparse bit enters a step only through one pair of weights per
     chain, the weights of code bit 0 and 1 (see code_weights), so both of
     its values share one pass over the insertion lengths.
     """
 
-    def __init__(self, ys, key, params: IdsParams, density: float, d_max=None,
+    def __init__(self, ys, key, params: IdsParams, d_max=None, spread: int = 1,
                  wtilde=None):
         self.ys = [as_bits(y) for y in ys]
         n_flows = len(self.ys)
@@ -141,18 +142,19 @@ class Trellis:
         self.n_code = int(self.key.size)
         if self.n_code < 1:
             raise ValueError("key must contain at least one bit")
-        if wtilde is not None:
-            wtilde = as_bits(wtilde)
-            if wtilde.size != self.n_code:
-                raise ValueError("conditioning pattern must match the code length")
-        if not 0.0 < density < 1.0:
-            raise ValueError("density must lie in (0, 1)")
+        if spread < 1 or self.n_code % spread:
+            raise ValueError(f"spread {spread} does not divide the code length {self.n_code}")
+        self.spread = spread
+        # flip[i-1]: the probability that sparse bit i is 1; under the
+        # code's own law a block's first bit is its watermark bit, uniform,
+        # and the others are 0
         if wtilde is None:
-            same_flip = np.array([1.0 - density, density])
+            flip = np.where(np.arange(self.n_code) % spread == 0, 0.5, 0.0)
         else:
-            same_flip = np.stack([1 - wtilde, wtilde], axis=1).astype(np.float64)
+            flip = as_bits(wtilde).astype(np.float64)
+            if flip.size != self.n_code:
+                raise ValueError("conditioning pattern must match the code length")
         self.params = params
-        self.density = density
         self.n_obs = np.array([y.size for y in self.ys])
         # flow_d_max: each flow's cap on the drift's magnitude, by default
         # wide enough for the flow's length mismatch
@@ -162,8 +164,9 @@ class Trellis:
         self.flow_d_max = np.broadcast_to(np.asarray(d_max, dtype=np.int64), (n_flows,))
         if self.flow_d_max.min() < 1:
             raise ValueError("d_max must be at least 1")
-        # prior[i-1]: code-bit weights at position i under the sparse-bit prior
-        self.prior = self.code_weights(np.arange(1, self.n_code + 1), same_flip)
+        # prior[i-1]: code-bit weights at position i
+        self.prior = self.code_weights(np.arange(1, self.n_code + 1),
+                                       np.stack([1.0 - flip, flip], axis=1))
 
         p = params
         self.del_coef = p.p_delete * (1.0 - p.p_insert)
@@ -183,13 +186,13 @@ class Trellis:
         # band[b] = (lo, hi): the drifts in flow b's cap that some state i
         # can both reach from state 1, a step moving the drift by -down ..
         # +up, and still close from, at a final drift in [shift - up,
-        # shift + 1]; lo > hi when no state can.  Every other column holds
+        # shift + down]; lo > hi when no state can.  Every other column holds
         # zero forward or zero backward mass, so dropping it is exact.
         # The columns span the bands' union and drift 0.
         up, down, n = self.n_ins - 1, int(self.del_coef > 0.0), self.n_code
         i, shift = np.arange(1, n + 1), (self.n_obs - n)[:, None]
         lo = np.maximum(-(i - 1) * down, shift - up * (n - i + 1))
-        hi = np.minimum(up * i, shift + 1 + (n - i) * down)
+        hi = np.minimum(up * i, shift + down * (n - i + 1))
         # a flow that some cap could close, but not its own, is an error;
         # one that no cap can close keeps an empty band and zero evidence
         end_lo, end_hi, cap = lo[:, -1], hi[:, -1], self.flow_d_max
@@ -353,15 +356,14 @@ class Trellis:
             vec *= self.window
         return vec
 
-    def _sweep(self, vec, advance, states, spread):
+    def _sweep(self, vec, advance, states, first):
         """Renormalize-and-accumulate over states in sweep order: vec is
         the unnormalized vector of states[0], advance(vec, s) carries it
         to state s.  Returns the normalized vectors and log scales of the
-        states that are multiples of spread, in state order, and those of
-        the last state swept.  Flows past a zero-mass step keep zeros and
-        -inf."""
+        states first, first + spread, ..., one per block, in state order.
+        Flows past a zero-mass step keep zeros and -inf."""
         states = np.asarray(states)
-        kept = np.zeros((self.n_code // spread, *vec.shape))
+        kept = np.zeros((self.n_code // self.spread, *vec.shape))
         scales = []
         # a flow whose mass hits zero divides 0 by 0 from there on; its
         # NaNs stay in its own row and are cleared after the loop
@@ -372,98 +374,68 @@ class Trellis:
                 scale = np.add.reduce(vec, axis=(1, 2), keepdims=True)
                 scales.append(scale)
                 vec /= scale
-                if s % spread == 0:
-                    kept[s // spread - 1] = vec
+                if (s - first) % self.spread == 0:
+                    kept[(s - first) // self.spread] = vec
             logw = np.cumsum(np.log(np.stack(scales)[:, :, 0, 0]), axis=0)
         logw[np.isnan(logw)] = -math.inf
         kept[np.isnan(kept)] = 0.0
-        vec[np.isnan(vec)] = 0.0
-        at = np.flatnonzero(states % spread == 0)
+        at = np.flatnonzero((states - first) % self.spread == 0)
         kept_logw = np.empty((kept.shape[0], vec.shape[0]))
-        kept_logw[states[at] // spread - 1] = logw[at]
-        return (kept, kept_logw), (vec, logw[-1])
+        kept_logw[(states[at] - first) // self.spread] = logw[at]
+        return kept, kept_logw
 
 
-# state entries per block-chain array in block_posterior (128 KiB): larger
-# arrays spill out of the core's cache and step several times slower, and
-# their temporaries raise peak memory
-_GROUP_STATES = 1 << 14
-
-
-def trellis_tables(ys, key, params: IdsParams, density: float, d_max=None,
-                   spread: int = 1, wtilde=None) -> Trellis:
+def trellis_tables(ys, key, params: IdsParams, d_max=None, spread: int = 1,
+                   wtilde=None) -> Trellis:
     """Forward and backward sweeps over one engine for the received
-    sequences ys, ready for per-block posteriors: the sweeps keep the
-    vectors at every spread-th state, the block boundaries
-    block_posterior reads; the backward sweep starts from the closing
-    step, terminal_vec.  d_max is the drift cap, one for all flows or one
-    per flow; None gives each flow max(default_drift_window, |n_obs -
-    n_code| + 2).  log_evidence is exact via the carried normalizers."""
-    t = Trellis(ys, key, params, density, d_max, wtilde=wtilde)
+    sequences ys, under the code's own law for watermark blocks of
+    `spread` bits, or under the sparse pattern wtilde when given.  The
+    forward sweep keeps the vectors of the states that end a block,
+    spread, 2·spread, ..., N; the backward sweep, from the closing step
+    terminal_vec, those of the states that start one, 1, spread + 1, ...;
+    block_posterior reads both.  d_max is the drift cap, one for all
+    flows or one per flow; None gives each flow max(default_drift_window,
+    |n_obs - n_code| + 2).  log_evidence, log P(y) per flow with uniform
+    watermark bits, is exact via the carried normalizers."""
+    t = Trellis(ys, key, params, d_max, spread, wtilde)
     n = t.n_code
-    if not 1 <= spread <= n:
-        raise ValueError(f"spread {spread} outside 1..{n}")
-    t.spread = spread
     terminal = t.terminal_vec()
-    t.fw, (last, last_logw) = t._sweep(
-        t.init_vec(t.prior[0]), lambda vec, s: t.step(vec, s, t.prior[s - 1]),
-        range(1, n + 1), spread)
-    t.bw, _ = t._sweep(terminal.copy(), lambda vec, s: t.step_back(vec, s + 1, t.prior[s]),
-                       range(n, 0, -1), spread)
-    closing = (last * terminal).sum(axis=(-2, -1))
+    t.fw = t._sweep(t.init_vec(t.prior[0]), lambda vec, s: t.step(vec, s, t.prior[s - 1]),
+                    range(1, n + 1), spread)
+    t.bw = t._sweep(terminal.copy(), lambda vec, s: t.step_back(vec, s + 1, t.prior[s]),
+                    range(n, 0, -1), 1)
+    closing = (t.fw[0][-1] * terminal).sum(axis=(-2, -1))
     with np.errstate(divide="ignore"):
-        t.log_evidence = np.where(closing > 0.0, last_logw + np.log(closing), -math.inf)
+        t.log_evidence = np.where(closing > 0.0, t.fw[1][-1] + np.log(closing), -math.inf)
     return t
 
 
 def block_posterior(trellis: Trellis) -> np.ndarray:
     """log P(y | watermark bit j = h) for every flow, block j and
-    hypothesis h, as a (B, n_blocks, 2) array, n_blocks = n_code // spread.
+    hypothesis h, as a (B, n_blocks, 2) array, n_blocks = n_code // spread;
+    the other watermark bits are uniform, as in log_evidence.
 
-    The hypothesis fixes the block's sparse bits: the leading one to h,
-    the others to 0.  Only the block's first step depends on h, so one
-    backward chain per block, from the backward vector at the block end
-    through the block's other steps, closes against the first step of
-    each hypothesis from the forward vector before the block.  The
-    chains of a group of blocks advance in lockstep over all flows,
-    spread - 1 vectorized steps per group; groups are sized to keep the
-    chain arrays cache-resident.
+    The hypothesis enters only the block's first step, so each block is
+    that one step under each hypothesis, from the forward vector at the
+    previous block's end (from the head for block 0), closed against the
+    backward vector at the block's first state.  All blocks and both
+    hypotheses take one batched step.
     """
     t = trellis
-    spread = t.spread
-    n_blocks = t.n_code // spread
-    n_flows = len(t.ys)
     (fvecs, flogw), (bvecs, blogw) = t.fw, t.bw
-    # hyp[h] = (same, flip) of the block-leading sparse bit under h
+    n_blocks = len(bvecs)
+    # hyp[h] = (same, flip) of the block's watermark bit under h; the
+    # first step's axes are (block, hypothesis, flow, ...)
     hyp = np.eye(2)
-    group = max(1, _GROUP_STATES // (n_flows * 2 * t.D))
-    out = np.empty((n_blocks, 2, n_flows))
-    for lo in range(0, n_blocks, group):
-        j = np.arange(lo, min(lo + group, n_blocks))
-        starts = j * spread
-        vec = bvecs[j]
-        logw = blogw[j]
-        for k in range(spread - 1, 0, -1):
-            i = starts + 1 + k
-            vec = t.step_back(vec, i, t.code_weights(i, hyp[0]))
-            scale = vec.sum(axis=(-2, -1))
-            with np.errstate(divide="ignore"):
-                logw += np.log(scale)
-            vec /= np.where(scale > 0.0, scale, 1.0)[..., None, None]
-        # the first step under each hypothesis: block 0 starts from the
-        # head, the others from the forward vector at the previous
-        # block's end; axes (block, hypothesis, flow, ...)
-        head = 1 if lo == 0 else 0
-        first = np.empty((j.size, 2, n_flows, 2, t.D))
-        if head:
-            first[0] = t.init_vec(t.code_weights(1, hyp))
-        i = starts[head:, None] + 1
-        first[head:] = t.step(fvecs[j[head:] - 1, None], i, t.code_weights(i, hyp))
-        flog = np.zeros((j.size, 1, n_flows))
-        flog[head:] = flogw[j[head:] - 1, None]
-        closing = (first * vec[:, None]).sum(axis=(-2, -1))
-        with np.errstate(divide="ignore"):
-            out[j] = flog + np.log(closing) + logw[:, None]
+    first = np.empty((n_blocks, 2, *bvecs.shape[1:]))
+    first[0] = t.init_vec(t.code_weights(1, hyp))
+    i = np.arange(1, n_blocks)[:, None] * t.spread + 1
+    first[1:] = t.step(fvecs[:-1, None], i, t.code_weights(i, hyp))
+    flog = np.zeros((n_blocks, 1, len(t.ys)))
+    flog[1:] = flogw[:-1, None]
+    closing = (first * bvecs[:, None]).sum(axis=(-2, -1))
+    with np.errstate(divide="ignore"):
+        out = flog + np.log(closing) + blogw[:, None]
     return out.transpose(2, 0, 1)
 
 
@@ -515,7 +487,7 @@ def decode_batch(ys, cfg: WatermarkConfig, params: IdsParams, w_reference,
         raise ValueError("reference watermark length does not match config")
     key = keystream(cfg.key_seed, cfg.code_len)
 
-    trellis = trellis_tables(ys, key, params, cfg.density, d_max, spread=cfg.spread)
+    trellis = trellis_tables(ys, key, params, d_max, spread=cfg.spread)
     lp = block_posterior(trellis)
     # a block that neither hypothesis can explain carries no evidence
     with np.errstate(invalid="ignore"):

@@ -57,7 +57,6 @@ class ExperimentConfig:
     spread: int = 10
     delta_ms: float | list = 100.0
     key_seed: int = 1
-    density: float | None = None
     sigma_ms: float | list = 10.0
     p_d: float | list = 0.0
     p_i: float | list = 0.0
@@ -106,7 +105,7 @@ class ExperimentConfig:
         w = watermark_bits(self.seed + self.key_seed, int(self.n))
         return WatermarkConfig(watermark=w, spread=self.spread,
                                delta=self.delta_ms / 1000.0,
-                               key_seed=self.key_seed, density=self.density)
+                               key_seed=self.key_seed)
 
     def channel(self, seed: int) -> ChannelParams:
         return ChannelParams(

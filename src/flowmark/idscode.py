@@ -26,18 +26,12 @@ def as_bits(seq) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WatermarkConfig:
-    """Watermark bits plus the parameters shared by embedder and decoder.
-
-    density is the decoder's model for the rate of 1s in the sparse
-    sequence; it defaults to 1/(2*spread), the expectation under uniform
-    watermark bits, because the decoder cannot observe the realized value.
-    """
+    """Watermark bits plus the parameters shared by embedder and decoder."""
 
     watermark: np.ndarray
     spread: int
     delta: float
     key_seed: int
-    density: float | None = None
 
     def __post_init__(self):
         w = as_bits(self.watermark)
@@ -47,10 +41,6 @@ class WatermarkConfig:
             raise ValueError("spread factor must be a positive integer")
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
-        if self.density is None:
-            object.__setattr__(self, "density", 1.0 / (2.0 * self.spread))
-        if not 0.0 < self.density <= 0.5:
-            raise ValueError("density must lie in (0, 0.5]")
 
     @property
     def n_bits(self) -> int:

@@ -26,23 +26,24 @@ class TrellisState:
 
 def transition_log_prob(prev: TrellisState, nxt: TrellisState, emitted,
                         key_bit: int, params: IdsParams,
-                        density: float | None = None,
+                        flip: float | None = None,
                         wtilde_bit: int | None = None) -> float:
     """Log probability of one trellis transition with its emitted fragment.
 
-    Either density (sparse-bit prior) or wtilde_bit (known sparse bit) must
-    be given.  Inconsistent (drift change, fragment) pairs have probability
-    zero, which is returned as -inf rather than raised.
+    Either flip (the probability that the sparse bit is 1) or wtilde_bit
+    (known sparse bit) must be given.  Inconsistent (drift change,
+    fragment) pairs have probability zero, which is returned as -inf
+    rather than raised.
     """
-    if (density is None) == (wtilde_bit is None):
-        raise ValueError("give exactly one of density or wtilde_bit")
+    if (flip is None) == (wtilde_bit is None):
+        raise ValueError("give exactly one of flip or wtilde_bit")
     emitted = as_bits(emitted)
     p = params
     dd = nxt.drift - prev.drift
     if wtilde_bit is not None:
         weights = ((int(wtilde_bit), 1.0),)
     else:
-        weights = ((0, 1.0 - density), (1, density))
+        weights = ((0, 1.0 - flip), (1, flip))
 
     total = 0.0
     for wv, pw in weights:
@@ -132,15 +133,17 @@ def enumeration_oracle(x, params: IdsParams, y) -> float:
 
 
 class DenseSteps:
-    """The scalar trellis step, one pass per sparse-bit hypothesis, over
-    dense (N-1, D) per-step tables built from y, key and params alone."""
+    """The scalar trellis step, one pass per sparse-bit value, over dense
+    (N-1, D) per-step tables built from y, key and params alone.  The
+    sparse bits follow the code's law for blocks of spread bits: a
+    uniform watermark bit at each block's first position, 0 elsewhere."""
 
-    def __init__(self, y, key, params: IdsParams, density: float, d_max: int):
+    def __init__(self, y, key, params: IdsParams, d_max: int, spread: int = 1):
         self.y = as_bits(y)
         self.key = as_bits(key)
         self.n_code = int(self.key.size)
         self.params = params
-        self.density = density
+        self.spread = spread
         self.d_max = int(d_max)
         self.n_obs = int(self.y.size)
 
@@ -175,10 +178,12 @@ class DenseSteps:
         self.avail = zrun[np.clip(pos + 1, 0, self.n_obs)]
 
     def _w_weights(self, i: int, override=None):
-        """Prior weights of the sparse bit at position i (1-based)."""
+        """(value, weight) pairs of the sparse bit at position i (1-based)."""
         if override is not None:
             return ((int(override), 1.0),)
-        return ((0, 1.0 - self.density), (1, self.density))
+        if (i - 1) % self.spread == 0:
+            return ((0, 0.5), (1, 0.5))
+        return ((0, 1.0),)
 
     def init_vec(self, wbit=None) -> np.ndarray:
         """Distribution over state 1: head survives, a burst of inserted
@@ -272,16 +277,18 @@ def scalar_block_posterior(j: int, trellis, w_hypothesis: int, flow: int = 0) ->
     """log P(y | watermark bit j = w_hypothesis) for one flow of a
     trellis, one block at a time.
 
-    Chains the forward vector at the block start through the block with
-    the sparse pattern fixed by the hypothesis, then closes with the
-    backward vector at the block end.  Only the stored sweeps (trellis.fw
-    and trellis.bw, at states spread, 2*spread, ...) come from the
-    trellis, laid out on the flow's whole cap -d_max .. d_max; the steps
-    are DenseSteps'.
+    Chains the forward vector at the block start through the whole block,
+    its first bit fixed by the hypothesis and the others 0, then one
+    step further under the code's law, and closes with the backward
+    vector at the next block's first state (the closing step after the
+    last block).  Only the stored sweeps (trellis.fw at states spread,
+    2*spread, ..., and trellis.bw at states 1, spread + 1, ...) come from
+    the trellis, laid out on the flow's whole cap -d_max .. d_max; the
+    steps and the closing step are DenseSteps'.
     """
     spread = trellis.spread
     d_max = int(trellis.flow_d_max[flow])
-    steps = DenseSteps(trellis.ys[flow], trellis.key, trellis.params, trellis.density, d_max)
+    steps = DenseSteps(trellis.ys[flow], trellis.key, trellis.params, d_max, spread)
     keep = np.abs(trellis.drifts) <= d_max
 
     def on_cap(vec):
@@ -308,27 +315,30 @@ def scalar_block_posterior(j: int, trellis, w_hypothesis: int, flow: int = 0) ->
         vec = on_cap(fvecs[j - 2, flow])
         logw = float(flogw[j - 2, flow])
         lo = start + 1
-    first_pos = start + 1
-    for i in range(lo, end + 1):
-        wbit = int(w_hypothesis) if i == first_pos else 0
+    for i in range(lo, min(end + 1, trellis.n_code) + 1):
+        wbit = int(w_hypothesis) if i == start + 1 else 0 if i <= end else None
         vec = steps.step(vec, i, wbit=wbit)
         scale = float(vec.sum())
         if scale <= 0.0:
             return -math.inf
         vec /= scale
         logw += math.log(scale)
-    if not math.isfinite(blogw[j - 1, flow]):
+    if j == n_blocks:
+        back, back_logw = steps.terminal_vec(), 0.0
+    else:
+        back, back_logw = on_cap(bvecs[j, flow]), float(blogw[j, flow])
+    if not math.isfinite(back_logw):
         return -math.inf
-    closing = float(np.sum(vec * on_cap(bvecs[j - 1, flow])))
+    closing = float(np.sum(vec * back))
     if closing <= 0.0:
         return -math.inf
-    return logw + math.log(closing) + float(blogw[j - 1, flow])
+    return logw + math.log(closing) + back_logw
 
 
 def log_sweeps(trellis):
     """Log forward and log backward vectors of every state 1..N, each of
     shape (N, B, 2, D), swept afresh through the trellis' own init_vec,
-    step, step_back and terminal_vec under the sparse-bit prior.  The
+    step, step_back and terminal_vec under its sparse-bit law.  The
     production sweeps keep only block-boundary states."""
     t = trellis
     fw = np.empty((t.n_code, len(t.ys), 2, t.D))

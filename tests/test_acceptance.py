@@ -77,7 +77,7 @@ def test_criterion_1_oracle_equivalence():
         key = rng.integers(0, 2, n, dtype=np.uint8)
         y = sample_ids_channel(x, p, rng)
         want = enumeration_oracle(x, p, y)
-        ev = trellis_tables([y], key, p, 0.2, n + 3, wtilde=np.bitwise_xor(x, key)).log_evidence[0]
+        ev = trellis_tables([y], key, p, n + 3, wtilde=np.bitwise_xor(x, key)).log_evidence[0]
         got = math.exp(ev) if math.isfinite(ev) else 0.0
         checked += 1
         if want == 0.0 and got == 0.0:
@@ -102,7 +102,7 @@ def test_criterion_2_forward_backward_identity():
         wt[::10] = rng.integers(0, 2, 20, dtype=np.uint8)
         y = sample_ids_channel(np.bitwise_xor(wt, key), p, rng)
         d_max = max(default_drift_window(n_code, p), abs(int(y.size) - n_code) + 6)
-        tab = trellis_tables([y], key, p, 0.05, d_max)
+        tab = trellis_tables([y], key, p, d_max, spread=10)
         ev = tab.log_evidence[0]
         if not math.isfinite(ev):
             continue
@@ -289,8 +289,8 @@ def test_criterion_9_property_suite():
         key2, wt2 = key.copy(), wt.copy()
         key2[i] ^= 1
         wt2[i] ^= 1
-        a = trellis_tables([y], key, p, 0.1, 14, wtilde=wt).log_evidence[0]
-        b = trellis_tables([y], key2, p, 0.1, 14, wtilde=wt2).log_evidence[0]
+        a = trellis_tables([y], key, p, 14, wtilde=wt).log_evidence[0]
+        b = trellis_tables([y], key2, p, 14, wtilde=wt2).log_evidence[0]
         ok &= (a == b) or abs(a - b) < 1e-10 * abs(a)
     checks["key_xor_symmetry"] = ok
 

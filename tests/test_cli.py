@@ -107,6 +107,37 @@ def test_decode_law_matches_harness(tmp_path, capsys):
     assert json.loads(out) == _library_decode(side, recv, log, sigma_ms=10.0, p_d=1.0)
 
 
+def test_old_sidecar_density_key_is_ignored(tmp_path, capsys):
+    # sidecars written before the decoder took the code's own law carry a
+    # density key; it no longer means anything, and such a sidecar
+    # decodes to the same report as one without it
+    side, [(recv, log)] = _marked_and_received(tmp_path, capsys, [9])
+    sidecar = json.loads(side.read_text())
+    assert "density" not in sidecar
+    old = tmp_path / "old_side.json"
+    old.write_text(json.dumps({**sidecar, "density": 0.05}))
+    reports = []
+    for path in (side, old):
+        code, out, _ = run_cli(capsys, "decode", str(recv), "--sidecar", str(path),
+                               "--log", str(log), "--sigma-ms", "10", "--p-d", "0.1")
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+
+
+def test_density_knob_is_gone(tmp_path, capsys):
+    flow = tmp_path / "flow.txt"
+    run_cli(capsys, "gen", "--rate", "3.3", "--count", "100", "--out", str(flow))
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", str(flow), "--out", str(tmp_path / "m.txt"), "--sidecar",
+              str(tmp_path / "s.json"), "--density", "0.05"])
+    assert exc.value.code == 2
+    assert "--density" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "experiment", "--set", "density=0.05")
+    assert code == 1 and out == ""
+    assert "unknown key 'density'" in json.loads(err)["message"]
+
+
 def test_decode_rejects_other_transmissions_log(tmp_path, capsys):
     # a log describes one reception; applied to another it would cut the
     # bits at the wrong place
@@ -330,7 +361,6 @@ CONFIG_FORMS = {
     "spread": [("5", 5)],
     "delta_ms": [("80,100", [80.0, 100.0]), ("80", 80.0)],
     "key_seed": [("7", 7)],
-    "density": [("0.05", 0.05), ("none", None), ("", None)],
     "sigma_ms": [("10, 20, 30", [10.0, 20.0, 30.0])],
     "p_d": [("0.1", 0.1)],
     "p_i": [("0.1,0.2", [0.1, 0.2])],

@@ -46,13 +46,13 @@ def test_transition_deletion_case():
     p = IdsParams(p_sub=0.0, p_delete=0.1, p_insert=0.0)
     lp = transition_log_prob(
         TrellisState(0, 0), TrellisState(1, -1), [], key_bit=1, params=p,
-        density=0.05,
+        flip=0.05,
     )
     # drop with nothing inserted, sparse bit 0: (1-f) * p_d * (1-p_i)
     assert math.exp(lp) == pytest.approx(0.95 * 0.1)
     lp2 = transition_log_prob(
         TrellisState(0, 0), TrellisState(0, -1), [], key_bit=1, params=p,
-        density=0.05,
+        flip=0.05,
     )
     assert math.exp(lp2) == pytest.approx(0.05 * 0.1)
 
@@ -61,11 +61,11 @@ def test_transition_inconsistent_pairs_are_zero():
     p = IdsParams(p_sub=0.1, p_delete=0.1, p_insert=0.1)
     # emitted fragment length must be drift change + 1
     lp = transition_log_prob(TrellisState(0, 0), TrellisState(1, 2), [1],
-                             key_bit=0, params=p, density=0.05)
+                             key_bit=0, params=p, flip=0.05)
     assert lp == -math.inf
     # inserted bits must be zeros
     lp = transition_log_prob(TrellisState(0, 0), TrellisState(0, 1), [0, 1],
-                             key_bit=0, params=p, density=0.05)
+                             key_bit=0, params=p, flip=0.05)
     assert lp == -math.inf
 
 
@@ -81,7 +81,7 @@ def test_transition_normalization():
                 # deletion branch
                 for nxt_acc in (0, 1):
                     lp = transition_log_prob(prev, TrellisState(nxt_acc, -1), [],
-                                             key_bit, p, density=0.05)
+                                             key_bit, p, flip=0.05)
                     total += math.exp(lp) if math.isfinite(lp) else 0.0
                 # emission branches
                 for l in range(0, 40):
@@ -90,13 +90,13 @@ def test_transition_normalization():
                         for nxt_acc in (0, 1):
                             lp = transition_log_prob(
                                 prev, TrellisState(nxt_acc, l), emitted,
-                                key_bit, p, density=0.05)
+                                key_bit, p, flip=0.05)
                             total += math.exp(lp) if math.isfinite(lp) else 0.0
         assert total / 2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_transition_noiseless_identity():
-    # no drops, no insertions, no substitutions, zero density: y_i = k_i
+    # no drops, no insertions, no substitutions, sparse bit 0: y_i = k_i
     p = IdsParams()
     lp = transition_log_prob(TrellisState(0, 0), TrellisState(1, 0), [0],
                              key_bit=1, params=p, wtilde_bit=0)
@@ -109,21 +109,22 @@ def test_transition_noiseless_identity():
 # ----------------------------------------------------------------- forward
 
 def test_forward_single_bit_hand_sum():
-    # one code bit over a substitution-only channel: the evidence is the
-    # two-branch mixture over the sparse-bit prior
-    f, ps = 0.2, 0.07
+    # one code bit over a substitution-only channel: given the sparse bit
+    # the evidence is one match weight, and under the code's law (a
+    # uniform watermark bit) it is the two-branch mixture
+    ps = 0.07
     p = IdsParams(p_sub=ps)
     key = np.array([1], dtype=np.uint8)
-    tab = trellis_tables([[1]], key, p, f, 2)
-    assert math.exp(tab.log_evidence[0]) == pytest.approx((1 - f) * (1 - ps) + f * ps)
-    tab = trellis_tables([[0]], key, p, f, 2)
-    assert math.exp(tab.log_evidence[0]) == pytest.approx((1 - f) * ps + f * (1 - ps))
+    for y, same, flip in (([1], 1 - ps, ps), ([0], ps, 1 - ps)):
+        ev = [math.exp(trellis_tables([y], key, p, 2, **kw).log_evidence[0])
+              for kw in ({"wtilde": [0]}, {"wtilde": [1]}, {})]
+        assert ev == pytest.approx([same, flip, (same + flip) / 2])
 
 
 def test_forward_short_y_without_deletions_is_impossible():
     p = IdsParams(p_sub=0.05, p_delete=0.0, p_insert=0.0)
     key = keystream(1, 6)
-    tab = trellis_tables([key[:5]], key, p, 0.05, 4)
+    tab = trellis_tables([key[:5]], key, p, 4)
     assert tab.log_evidence[0] == -math.inf
 
 
@@ -131,7 +132,7 @@ def test_forward_infeasible_window():
     p = IdsParams(p_delete=0.5)
     key = keystream(1, 30)
     with pytest.raises(DecodeInfeasibleError) as exc:
-        trellis_tables([np.zeros(5, dtype=np.uint8)], key, p, 0.05, 3)
+        trellis_tables([np.zeros(5, dtype=np.uint8)], key, p, 3)
     assert exc.value.required_d_max >= 24
 
 
@@ -148,8 +149,7 @@ def test_forward_matches_oracle_random(rng):
         key = rng.integers(0, 2, n, dtype=np.uint8)
         y = sample_ids_channel(x, p, rng)
         want = enumeration_oracle(x, p, y)
-        tab = trellis_tables([y], key, p, 0.2, n + 3,
-                             wtilde=np.bitwise_xor(x, key))
+        tab = trellis_tables([y], key, p, n + 3, wtilde=np.bitwise_xor(x, key))
         ev = tab.log_evidence[0]
         got = math.exp(ev) if math.isfinite(ev) else 0.0
         if want == 0.0:
@@ -168,7 +168,7 @@ def test_forward_backward_identity(rng):
         wt = np.zeros(n, dtype=np.uint8)
         wt[::6] = rng.integers(0, 2, n // 6 + (1 if n % 6 else 0), dtype=np.uint8)
         y = sample_ids_channel(np.bitwise_xor(wt, key), p, rng)
-        tab = trellis_tables([y], key, p, 1 / 12, default_drift_window(n, p))
+        tab = trellis_tables([y], key, p, default_drift_window(n, p), spread=6)
         if not math.isfinite(tab.log_evidence[0]):
             continue
         joint = state_log_joint(tab)
@@ -181,12 +181,12 @@ def test_backward_terminal_wrong_drift_is_minus_inf():
     key = keystream(3, 10)
     y = key.copy()  # same length: final drift must be 0 or +1 tail
     # without insertions drift never rises, so the band stops at +1
-    tab = trellis_tables([y], key, IdsParams(p_sub=0.02, p_delete=0.1), 0.05, 5)
+    tab = trellis_tables([y], key, IdsParams(p_sub=0.02, p_delete=0.1), 5)
     assert tab.drifts.max() <= 1
     # with insertions the band is the whole cap; drifts that would need
     # the tail to have negative length are impossible at state N
     p = IdsParams(p_sub=0.02, p_delete=0.1, p_insert=0.05, max_insert_run=3)
-    tab = trellis_tables([y], key, p, 0.05, 5)
+    tab = trellis_tables([y], key, p, 5)
     assert np.array_equal(tab.drifts, np.arange(-5, 6))
     lb = log_sweeps(tab)[1][-1, 0]  # state N
     assert np.all(lb[:, tab.drifts > 1] == -math.inf)
@@ -209,14 +209,14 @@ def test_terminal_vec_is_the_dense_closure(rng):
                 ys.append(y[: max(y.size + extra, 0)] if extra < 0 else np.concatenate(
                     [y, np.zeros(extra, dtype=np.uint8)]))
             for batch in [[y] for y in ys] + [ys]:
-                t = Trellis(batch, key, p, 0.1, None)
+                t = Trellis(batch, key, p)
                 n_windowed += t.window is not None
                 got = t.terminal_vec()
                 for b, y in enumerate(batch):
                     d_max = int(t.flow_d_max[b])
                     lo, hi = t.band[b]
                     inside = (t.drifts >= lo) & (t.drifts <= hi)
-                    dense = DenseSteps(y, key, p, 0.1, d_max).terminal_vec()
+                    dense = DenseSteps(y, key, p, d_max).terminal_vec()
                     want = dense[:, t.drifts[inside] + d_max]
                     assert not np.any(got[b][:, ~inside])
                     assert np.array_equal(got[b][:, inside] == 0.0, want == 0.0)
@@ -224,6 +224,21 @@ def test_terminal_vec_is_the_dense_closure(rng):
                     assert np.all(np.abs(got[b][:, inside][nz] - want[nz]) <= 1e-15 * want[nz])
                     n_nonzero += int(nz.sum())
     assert n_nonzero >= 400 and n_windowed >= 30
+
+
+def test_band_top_closes_without_deletions(rng):
+    # without deletions the drift never falls, so the band ends where the
+    # chain closes with no inserted zeros: its top column holds closing
+    # mass, not the dead column a drop slack would add
+    p = IdsParams(p_sub=0.05, p_insert=0.2, max_insert_run=3)
+    key = rng.integers(0, 2, 40, dtype=np.uint8)
+    ys = [sample_ids_channel(key, p, rng) for _ in range(6)]
+    ys += [np.concatenate([ys[0], np.zeros(2, dtype=np.uint8)]), ys[1][:-1]]
+    for batch in [[y] for y in ys] + [ys]:
+        t = Trellis(batch, key, p)
+        closing = t.terminal_vec()
+        for b in range(len(batch)):
+            assert closing[b][:, t.drifts == t.band[b, 1]].any()
 
 
 def test_unclosable_stream_is_zero_evidence_at_any_cap():
@@ -251,7 +266,7 @@ def test_block_posterior_noiseless_recovers_bits(rng):
     code = encode(w, cfg)
     p = IdsParams()
     key = keystream(5, cfg.code_len)
-    tab = trellis_tables([code], key, p, cfg.density, 3, spread=s)
+    tab = trellis_tables([code], key, p, 3, spread=s)
     lp = block_posterior(tab)[0]
     for j in range(1, n + 1):
         lp1 = lp[j - 1, 1]
@@ -260,36 +275,49 @@ def test_block_posterior_noiseless_recovers_bits(rng):
 
 
 def test_block_posterior_matches_conditioned_oracle(rng):
-    # P(y | block hypothesis) equals the oracle averaged over the other
-    # blocks' sparse-bit priors
-    for _ in range(25):
-        blocks, s = 2, 2
-        n_code = blocks * s
-        f = 0.3
-        p = IdsParams(p_sub=0.06, p_delete=0.12, p_insert=0.1, max_insert_run=2)
-        key = rng.integers(0, 2, n_code, dtype=np.uint8)
-        y = sample_ids_channel(key, p, rng)
-        tab = trellis_tables([y], key, p, f, n_code + 3, spread=s)
+    # the enumeration anchor: with uniform watermark bits, P(y | w_j = h)
+    # is the mean of P(y | w) over the watermarks with w_j = h, and P(y)
+    # the mean over all of them, each P(y | w) a conditioned sweep over
+    # the codeword's sparse pattern; the decode's likelihoods, likelihood
+    # ratios and evidence match within 1e-10 relative; noiseless channels
+    # make the wrong hypothesis impossible
+    n_finite = n_inf = 0
+    for case in range(30):
+        n_bits, spread = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        n_code = n_bits * spread
+        p = IdsParams(p_sub=float(rng.choice([0.0, 0.05])),
+                      p_delete=float(rng.choice([0.0, 0.1, 0.2])),
+                      p_insert=float(rng.choice([0.0, 0.1, 0.2])), max_insert_run=2)
+        w = rng.integers(0, 2, n_bits, dtype=np.uint8)
+        cfg = WatermarkConfig(watermark=w, spread=spread, delta=0.1, key_seed=case)
+        key = keystream(case, n_code)
+        y = sample_ids_channel(encode(w, cfg), p, rng)
+        d_max = n_code + 3
+        ws = np.array(list(itertools.product([0, 1], repeat=n_bits)), dtype=np.uint8)
+        like = np.array([math.exp(trellis_tables([y], key, p, d_max, wtilde=sparsify(v, spread))
+                                  .log_evidence[0]) for v in ws])
+        tab = trellis_tables([y], key, p, d_max, spread=spread)
         lp = block_posterior(tab)[0]
-        for j, hyp in ((1, 0), (1, 1), (2, 0), (2, 1)):
-            got_lp = lp[j - 1, hyp]
-            total = 0.0
-            for wt_bits in itertools.product([0, 1], repeat=n_code):
-                wt = np.array(wt_bits, dtype=np.uint8)
-                blk = wt[(j - 1) * s: j * s]
-                if blk[0] != hyp or np.any(blk[1:] != 0):
-                    continue
-                pw = 1.0
-                for i in range(n_code):
-                    if (j - 1) * s <= i < j * s:
-                        continue
-                    pw *= f if wt[i] else 1 - f
-                total += pw * enumeration_oracle(np.bitwise_xor(wt, key), p, y)
-            got = math.exp(got_lp) if math.isfinite(got_lp) else 0.0
-            if total == 0.0:
-                assert got == 0.0
+        rep = decode(y, cfg, p, w, d_max=d_max)
+        want_ev = like.mean()
+        if want_ev == 0.0:
+            assert tab.log_evidence[0] == -math.inf and rep.status == "zero-evidence"
+            continue
+        assert abs(math.exp(tab.log_evidence[0]) - want_ev) <= 1e-10 * want_ev
+        for j in range(n_bits):
+            want = [like[ws[:, j] == h].mean() for h in (0, 1)]
+            for h in (0, 1):
+                if want[h] == 0.0:
+                    assert lp[j, h] == -math.inf
+                    n_inf += 1
+                else:
+                    assert abs(math.exp(lp[j, h]) - want[h]) <= 1e-10 * want[h]
+                    n_finite += 1
+            if min(want) > 0.0:
+                assert abs(math.expm1(rep.llr[j] - math.log(want[1] / want[0]))) <= 1e-10
             else:
-                assert abs(total - got) / total < 1e-9
+                assert rep.llr[j] == (math.inf if want[1] else -math.inf)
+    assert n_finite >= 150 and n_inf >= 10
 
 
 def test_block_posterior_symmetric_llr_zero():
@@ -297,7 +325,7 @@ def test_block_posterior_symmetric_llr_zero():
     # observation equally well
     p = IdsParams(p_sub=0.5)
     key = np.array([0], dtype=np.uint8)
-    tab = trellis_tables([[1]], key, p, 0.3, 2)
+    tab = trellis_tables([[1]], key, p, 2)
     lp = block_posterior(tab)[0]
     assert lp[0, 0] == pytest.approx(lp[0, 1])
 
@@ -332,7 +360,7 @@ def test_block_posterior_matches_scalar_reference(rng):
             y = np.concatenate([y, rng.integers(0, 2, 30, dtype=np.uint8)])
         elif kind == 4:
             y = y[: n_code // 2]
-        tab = trellis_tables([y], key, p, 1 / (2 * spread), None, spread=spread)
+        tab = trellis_tables([y], key, p, spread=spread)
         got = block_posterior(tab)[0]
         assert got.shape == (n_code // spread, 2)
         for j in range(n_code // spread):
@@ -361,9 +389,9 @@ def test_step_batch_equals_single_rows(rng):
     for n_code, p in cases:
         key = rng.integers(0, 2, n_code, dtype=np.uint8)
         y = sample_ids_channel(key, p, rng)
-        t = Trellis([y], key, p, 0.1, None)
+        t = Trellis([y], key, p)
         d_max = int(t.flow_d_max[0])
-        dense = DenseSteps(y, key, p, 0.1, d_max)
+        dense = DenseSteps(y, key, p, d_max)
         cols = t.drifts + d_max
         for b in (0, 1):
             assert np.array_equal(t.e_match[: n_code - 1, 0, b], dense.e_match[b][:, cols])
@@ -413,14 +441,14 @@ def test_band_is_exact(rng):
                 y = y[: max(y.size + extra, 0)] if extra < 0 else np.concatenate(
                     [y, np.zeros(extra, dtype=np.uint8)])
                 shift = y.size - n_code
-                t = trellis_tables([y], key, p, 1 / 8, None, spread=spread)
+                t = trellis_tables([y], key, p, spread=spread)
                 d_max = int(t.flow_d_max[0])
-                dense = DenseSteps(y, key, p, 1 / 8, d_max)
+                dense = DenseSteps(y, key, p, d_max, spread)
                 fw, bw, evidence = dense.sweeps()
                 d, i = dense.drifts, np.arange(1, n_code + 1)[:, None, None]
                 reach = (d >= -(i - 1) * down) & (d <= up * i)
                 close = ((d >= shift - up * (n_code - i + 1))
-                         & (d <= shift + 1 + (n_code - i) * down))
+                         & (d <= shift + down * (n_code - i + 1)))
                 lo, hi = t.band[0]
                 outside = (d < lo) | (d > hi)
                 assert not np.any(fw[~np.broadcast_to(reach, fw.shape)])
@@ -490,8 +518,8 @@ def test_decode_key_xor_invariance(rng):
         key2, wt2 = key.copy(), wt.copy()
         key2[i] ^= 1
         wt2[i] ^= 1
-        a = trellis_tables([y], key, p, 0.1, n_code + 3, wtilde=wt)
-        b = trellis_tables([y], key2, p, 0.1, n_code + 3, wtilde=wt2)
+        a = trellis_tables([y], key, p, n_code + 3, wtilde=wt)
+        b = trellis_tables([y], key2, p, n_code + 3, wtilde=wt2)
         assert a.log_evidence[0] == pytest.approx(b.log_evidence[0], rel=1e-12, abs=1e-12)
 
 
@@ -514,7 +542,7 @@ def test_decode_status_flags_zero_evidence():
     # no insertions: drift never rises, so no state can close 100 bits
     # past the code and the band is empty; the trellis keeps one column,
     # not the 2 * 102 + 1 of the cap
-    t = Trellis([y[:600]], keystream(4, cfg.code_len), params, cfg.density, 102)
+    t = Trellis([y[:600]], keystream(4, cfg.code_len), params, 102)
     assert t.band[0, 0] > t.band[0, 1] and t.D == 1
 
 
@@ -526,7 +554,7 @@ def test_band_with_insertions_is_the_cap():
     ys, p = _received(cfg, 4, 0.1, seed=80)
     key = keystream(9, cfg.code_len)
     for y in ys:
-        t = Trellis([y], key, p, cfg.density, None)
+        t = Trellis([y], key, p)
         d_max = int(t.flow_d_max[0])
         assert np.array_equal(t.drifts, np.arange(-d_max, d_max + 1)) and t.window is None
 
@@ -569,7 +597,7 @@ def test_decode_batch_matches_per_flow():
         # leading zeros: head insertion bursts reach past a narrow window
         ys[0] = np.concatenate([np.zeros(3, dtype=np.uint8), ys[0]])
         key = keystream(cfg.key_seed, cfg.code_len)
-        d_max = Trellis(ys, key, p, cfg.density, None).flow_d_max.tolist()
+        d_max = Trellis(ys, key, p).flow_d_max.tolist()
         # the first flow gets the narrowest window that can close the chain
         shift = ys[0].size - cfg.code_len
         d_max[0] = max(1, -shift - 1, shift - p.max_insert_run)
@@ -636,8 +664,8 @@ def test_drift_window_sufficiency(rng):
         y = sample_ids_channel(np.bitwise_xor(wt, key), p, rng)
         if abs(int(y.size) - n_code) + 2 > d0:
             continue
-        a = trellis_tables([y], key, p, 1 / 16, d0).log_evidence[0]
-        b = trellis_tables([y], key, p, 1 / 16, 2 * d0).log_evidence[0]
+        a = trellis_tables([y], key, p, d0, spread=8).log_evidence[0]
+        b = trellis_tables([y], key, p, 2 * d0, spread=8).log_evidence[0]
         if math.isfinite(a):
             checked += 1
             assert abs(a - b) < 1e-6 * abs(b)

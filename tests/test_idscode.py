@@ -79,15 +79,6 @@ def test_encode_length_mismatch():
         encode([1, 0, 1], cfg)
 
 
-def test_config_density_default():
-    cfg = WatermarkConfig(watermark=[1, 0], spread=10, delta=0.1, key_seed=1)
-    assert cfg.density == pytest.approx(0.05)
-    assert cfg.code_len == 20
-    explicit = WatermarkConfig(watermark=[1, 0], spread=10, delta=0.1,
-                               key_seed=1, density=0.08)
-    assert explicit.density == 0.08
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         WatermarkConfig(watermark=[1], spread=0, delta=0.1, key_seed=1)
