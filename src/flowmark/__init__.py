@@ -11,7 +11,6 @@ from flowmark.idscode import WatermarkConfig, encode, keystream, sparsify, water
 from flowmark.qim import embed_flow, qim_embed, qim_extract
 from flowmark.channel import ChannelLog, ChannelParams, substitution_prob, transmit
 from flowmark.decoder import (
-    DecodeInfeasibleError,
     DetectionReport,
     IdsParams,
     Trellis,

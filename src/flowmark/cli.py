@@ -122,9 +122,7 @@ def cmd_embed(args) -> int:
         "watermark": [int(b) for b in w],
         "delays": [round(float(d), 9) for d in delays],
     }
-    with open(args.sidecar, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _emit(sidecar, args.sidecar)
     _emit({"packets": len(flow), "out": args.out, "sidecar": args.sidecar,
            "max_delay": float(np.max(delays))}, None)
     return 0
@@ -351,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-insert-run", type=int, default=8)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--d-max", type=int, default=None,
-                   help="cap on the drift's magnitude (default: from the channel and n_obs)")
+                   help="cap on the drift's magnitude, never below the length mismatch "
+                        "plus 2 (default: from the channel and n_obs)")
     p.add_argument("--out", default=None)
     p.add_argument("--clamp", action="store_true")
     p.set_defaults(func=cmd_decode)

@@ -25,21 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from flowmark.channel import substitution_prob
 from flowmark.idscode import WatermarkConfig, as_bits, keystream
-
-
-class DecodeInfeasibleError(RuntimeError):
-    """The chain closes on the observed length only outside the drift
-    cap; required_d_max is the smallest cap that can close it."""
-
-    def __init__(self, message: str, required_d_max: int):
-        super().__init__(message)
-        self.required_d_max = required_d_max
 
 
 @dataclass(frozen=True)
@@ -132,8 +124,8 @@ class Trellis:
     its values share one pass over the insertion lengths.
     """
 
-    def __init__(self, ys, key, params: IdsParams, d_max=None, spread: int = 1,
-                 wtilde=None):
+    def __init__(self, ys, key, params: IdsParams, d_max: int | None = None,
+                 spread: int = 1, wtilde=None):
         self.ys = [as_bits(y) for y in ys]
         n_flows = len(self.ys)
         if n_flows < 1:
@@ -156,14 +148,14 @@ class Trellis:
                 raise ValueError("conditioning pattern must match the code length")
         self.params = params
         self.n_obs = np.array([y.size for y in self.ys])
-        # flow_d_max: each flow's cap on the drift's magnitude, by default
-        # wide enough for the flow's length mismatch
+        # flow_d_max: each flow's cap on the drift's magnitude, never below
+        # its length mismatch plus 2, so any stream that some cap can
+        # close, its own cap closes too
         if d_max is None:
-            d_max = np.maximum(default_drift_window(self.n_code, params),
-                               np.abs(self.n_obs - self.n_code) + 2)
-        self.flow_d_max = np.broadcast_to(np.asarray(d_max, dtype=np.int64), (n_flows,))
-        if self.flow_d_max.min() < 1:
+            d_max = default_drift_window(self.n_code, params)
+        if d_max < 1:
             raise ValueError("d_max must be at least 1")
+        self.flow_d_max = np.maximum(int(d_max), np.abs(self.n_obs - self.n_code) + 2)
         # prior[i-1]: code-bit weights at position i
         self.prior = self.code_weights(np.arange(1, self.n_code + 1),
                                        np.stack([1.0 - flip, flip], axis=1))
@@ -193,19 +185,9 @@ class Trellis:
         i, shift = np.arange(1, n + 1), (self.n_obs - n)[:, None]
         lo = np.maximum(-(i - 1) * down, shift - up * (n - i + 1))
         hi = np.minimum(up * i, shift + down * (n - i + 1))
-        # a flow that some cap could close, but not its own, is an error;
-        # one that no cap can close keeps an empty band and zero evidence
-        end_lo, end_hi, cap = lo[:, -1], hi[:, -1], self.flow_d_max
-        bad = (end_lo <= end_hi) & ((end_hi < -cap) | (end_lo > cap))
-        if bad.any():
-            b = int(np.argmax(bad))
-            need = int(max(end_lo[b], -end_hi[b]))
-            raise DecodeInfeasibleError(
-                f"observed length {self.n_obs[b]} vs code length {self.n_code} "
-                f"needs a drift window of at least {need} (d_max={cap[b]})",
-                required_d_max=need,
-            )
-        lo, hi = np.maximum(lo, -cap[:, None]), np.minimum(hi, cap[:, None])
+        # a flow that no cap can close keeps an empty band and zero evidence
+        cap = self.flow_d_max[:, None]
+        lo, hi = np.maximum(lo, -cap), np.minimum(hi, cap)
         beyond = int(cap.max()) + 1
         self.band = np.stack([lo.min(axis=1, where=lo <= hi, initial=beyond),
                               hi.max(axis=1, where=lo <= hi, initial=-beyond)], axis=1)
@@ -385,17 +367,17 @@ class Trellis:
         return kept, kept_logw
 
 
-def trellis_tables(ys, key, params: IdsParams, d_max=None, spread: int = 1,
-                   wtilde=None) -> Trellis:
+def trellis_tables(ys, key, params: IdsParams, d_max: int | None = None,
+                   spread: int = 1, wtilde=None) -> Trellis:
     """Forward and backward sweeps over one engine for the received
     sequences ys, under the code's own law for watermark blocks of
     `spread` bits, or under the sparse pattern wtilde when given.  The
     forward sweep keeps the vectors of the states that end a block,
     spread, 2·spread, ..., N; the backward sweep, from the closing step
     terminal_vec, those of the states that start one, 1, spread + 1, ...;
-    block_posterior reads both.  d_max is the drift cap, one for all
-    flows or one per flow; None gives each flow max(default_drift_window,
-    |n_obs - n_code| + 2).  log_evidence, log P(y) per flow with uniform
+    block_posterior reads both.  Each flow's drift cap is
+    max(d_max, |n_obs - n_code| + 2), d_max by default
+    default_drift_window.  log_evidence, log P(y) per flow with uniform
     watermark bits, is exact via the carried normalizers."""
     t = Trellis(ys, key, params, d_max, spread, wtilde)
     n = t.n_code
@@ -450,8 +432,6 @@ def binomial_score_threshold(n: int, alpha: float = 0.01) -> float:
         raise ValueError("n must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    from fractions import Fraction
-
     target = (1 - Fraction(alpha)) * 2 ** n
     cum = 0
     for k in range(n + 1):
@@ -472,16 +452,17 @@ def calibrate_threshold(control_scores, alpha: float) -> float:
         raise ValueError("need at least one control score")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    k = math.ceil((1.0 - alpha) * scores.size)
+    k = math.ceil((1 - Fraction(str(alpha))) * scores.size)
     return float(np.sort(scores)[k - 1])
 
 
 def decode_batch(ys, cfg: WatermarkConfig, params: IdsParams, w_reference,
-                 threshold: float | None = None, d_max=None) -> list[DetectionReport]:
+                 threshold: float | None = None,
+                 d_max: int | None = None) -> list[DetectionReport]:
     """decode() for several received sequences of one watermark config,
     swept together in one trellis; one report per sequence, each equal to
-    its own decode() up to rounding.  d_max is the drift cap, one for all
-    sequences or one per sequence, as in trellis_tables."""
+    its own decode() up to rounding.  d_max is the drift cap, floored
+    per sequence as in trellis_tables."""
     w_ref = as_bits(w_reference)
     if w_ref.size != cfg.n_bits:
         raise ValueError("reference watermark length does not match config")

@@ -184,15 +184,12 @@ class ExperimentReport:
         return text
 
     def to_csv(self, path) -> None:
-        cols = ["n", "delta_ms", "sigma_ms", "p_d", "p_i",
-                "trials", "threshold", "tp_rate", "fp_rate", "fp_holdout",
+        cols = [*GRID_FIELDS, "trials", "threshold", "tp_rate", "fp_rate", "fp_holdout",
                 "mean_score_watermarked", "mean_score_control"]
         lines = [",".join(cols)]
         for cell in self.cells:
-            p = cell.params
             row = [
-                str(p["n"]), str(p["delta_ms"]), str(p["sigma_ms"]),
-                str(p["p_d"]), str(p["p_i"]), str(self.trials),
+                *(str(cell.params[name]) for name in GRID_FIELDS), str(self.trials),
                 f"{cell.threshold:.6f}", f"{cell.tp_rate:.6f}", f"{cell.fp_rate:.6f}",
                 "" if cell.fp_holdout is None else f"{cell.fp_holdout:.6f}",
                 f"{float(np.mean(cell.scores_watermarked)):.6f}",

@@ -175,6 +175,29 @@ def test_decode_unclosable_stream_at_small_cap(tmp_path, capsys):
     assert json.loads(err)["warning"] == "zero-evidence"
 
 
+def test_decode_narrow_cap_decodes_at_the_floor(tmp_path, capsys):
+    # the README pipeline: its segment is 40-odd bits short of the code, so
+    # --d-max 3 is floored at the length mismatch plus 2 and decodes as the
+    # default cap does
+    flow, marked, side = tmp_path / "flow.txt", tmp_path / "marked.txt", tmp_path / "side.json"
+    recv, log = tmp_path / "recv.txt", tmp_path / "chan.json"
+    run_cli(capsys, "gen", "--rate", "3.3", "--count", "2000", "--seed", "1", "--out", str(flow))
+    run_cli(capsys, "embed", str(flow), "--out", str(marked), "--sidecar", str(side),
+            "--n", "50", "--spread", "10", "--delta-ms", "100", "--key-seed", "7",
+            "--wm-seed", "3")
+    run_cli(capsys, "transmit", str(marked), "--out", str(recv), "--log", str(log),
+            "--sigma-ms", "10", "--p-d", "0.1", "--seed", "9", "--jitter", "quantizer",
+            "--delta-ms", "100")
+    decode = ["decode", str(recv), "--sidecar", str(side), "--log", str(log),
+              "--sigma-ms", "10", "--p-d", "0.1"]
+    code, default, _ = run_cli(capsys, *decode)
+    assert code == 0
+    code, narrow, err = run_cli(capsys, *decode, "--d-max", "3")
+    assert code == 0 and err == ""
+    assert narrow == default
+    assert json.loads(narrow)["status"] == "ok"
+
+
 def test_embed_wm_bits_excludes_derived_watermark(tmp_path, capsys):
     # --wm-bits gives the watermark; --n and --wm-seed would derive another
     flow = tmp_path / "flow.txt"

@@ -7,7 +7,6 @@ import pytest
 from conftest import sample_ids_channel
 from flowmark.channel import ChannelParams, transmit
 from flowmark.decoder import (
-    DecodeInfeasibleError,
     IdsParams,
     Trellis,
     binomial_score_threshold,
@@ -129,11 +128,40 @@ def test_forward_short_y_without_deletions_is_impossible():
 
 
 def test_forward_infeasible_window():
+    # a cap below the length mismatch is floored at the mismatch plus 2
     p = IdsParams(p_delete=0.5)
     key = keystream(1, 30)
-    with pytest.raises(DecodeInfeasibleError) as exc:
-        trellis_tables([np.zeros(5, dtype=np.uint8)], key, p, 3)
-    assert exc.value.required_d_max >= 24
+    y = np.zeros(5, dtype=np.uint8)
+    narrow = trellis_tables([y], key, p, 3)
+    assert narrow.flow_d_max.tolist() == [27]
+    assert math.isfinite(narrow.log_evidence[0])
+    assert narrow.log_evidence[0] == trellis_tables([y], key, p, 27).log_evidence[0]
+
+
+def test_floored_cap_closes_whenever_a_wider_cap_does(rng):
+    # the floor |n_obs - n_code| + 2 leaves no stream that a wider cap
+    # closes and the narrowest cap does not
+    closed = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        p = IdsParams(p_delete=float(rng.choice([0.0, 0.3])),
+                      p_insert=float(rng.choice([0.0, 0.3])),
+                      max_insert_run=int(rng.integers(1, 4)))
+        key = rng.integers(0, 2, n, dtype=np.uint8)
+        y = rng.integers(0, 2, int(rng.integers(0, 3 * n + 3)), dtype=np.uint8)
+        if rng.random() < 0.5:
+            y[:] = 0
+        narrow = trellis_tables([y], key, p, 1).log_evidence[0]
+        wide = trellis_tables([y], key, p, 4 * n + 10).log_evidence[0]
+        assert math.isfinite(narrow) == math.isfinite(wide)
+        closed += math.isfinite(wide)
+    assert 50 < closed < 250
+
+
+def test_cap_below_one_is_refused():
+    key = keystream(1, 6)
+    with pytest.raises(ValueError, match="d_max must be at least 1"):
+        trellis_tables([key], key, IdsParams(p_delete=0.1), 0)
 
 
 def test_forward_matches_oracle_random(rng):
@@ -587,8 +615,9 @@ def _assert_same_decode(got, want):
 
 
 def test_decode_batch_matches_per_flow():
-    # one lockstep sweep over windows of very different widths: each flow
-    # decodes as it does alone, with its own window
+    # one lockstep sweep over caps of very different widths: under one
+    # narrow cap each flow's cap is its own floor, and each flow decodes
+    # as it does alone
     w = watermark_bits(11, 20)
     cfg = WatermarkConfig(watermark=w, spread=5, delta=0.1, key_seed=12)
     for p_i in (0.0, 0.1):
@@ -597,15 +626,13 @@ def test_decode_batch_matches_per_flow():
         # leading zeros: head insertion bursts reach past a narrow window
         ys[0] = np.concatenate([np.zeros(3, dtype=np.uint8), ys[0]])
         key = keystream(cfg.key_seed, cfg.code_len)
-        d_max = Trellis(ys, key, p).flow_d_max.tolist()
-        # the first flow gets the narrowest window that can close the chain
-        shift = ys[0].size - cfg.code_len
-        d_max[0] = max(1, -shift - 1, shift - p.max_insert_run)
-        assert max(d_max) >= 4 * d_max[0]
-        got = decode_batch(ys, cfg, p, w, d_max=d_max)
+        caps = Trellis(ys, key, p, d_max=1).flow_d_max
+        assert caps.tolist() == [abs(y.size - cfg.code_len) + 2 for y in ys]
+        assert caps.max() >= 4 * caps.min()
+        got = decode_batch(ys, cfg, p, w, d_max=1)
         assert len(got) == len(ys)
-        for y, d, rep in zip(ys, d_max, got):
-            _assert_same_decode(rep, decode(y, cfg, p, w, d_max=d))
+        for y, rep in zip(ys, got):
+            _assert_same_decode(rep, decode(y, cfg, p, w, d_max=1))
         scores = [rep.score for rep in got]
         assert min(scores[2:6:2]) > max(scores[1:6:2])
 
@@ -627,12 +654,16 @@ def test_decode_batch_zero_evidence_row():
 
 
 def test_decode_batch_infeasible_window():
+    # a cap too narrow for one flow's length mismatch floors that flow's
+    # cap alone; the batch still decodes every flow
     w = watermark_bits(5, 10)
     cfg = WatermarkConfig(watermark=w, spread=3, delta=0.1, key_seed=6)
     key = keystream(6, cfg.code_len)
-    with pytest.raises(DecodeInfeasibleError) as exc:
-        decode_batch([key, key[:10]], cfg, IdsParams(p_delete=0.5), w, d_max=[3, 3])
-    assert exc.value.required_d_max >= 12
+    p = IdsParams(p_delete=0.5)
+    got = decode_batch([key, key[:10]], cfg, p, w, d_max=3)
+    assert len(got) == 2 and got[1].status == "ok"
+    for y, rep in zip([key, key[:10]], got):
+        _assert_same_decode(rep, decode(y, cfg, p, w, d_max=3))
 
 
 def test_decode_control_scores_near_half(rng):
@@ -701,6 +732,9 @@ def test_calibrate_quantile_definition(rng):
     scores = rng.random(1000)
     thr = calibrate_threshold(scores, 0.01)
     assert thr == float(np.sort(scores)[989])
+    # the rank is exact: ceil(0.55 * 100) = 55, where the float product
+    # 0.55 * 100 reads 55.000000000000007
+    assert calibrate_threshold(np.arange(100) / 100, 0.45) == 0.54
 
 
 def test_calibrate_all_equal():
