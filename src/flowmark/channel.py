@@ -25,10 +25,10 @@ class ChannelParams:
     sigma is the jitter standard deviation in seconds (the Laplace scale is
     sigma/sqrt(2)).  Each packet is dropped independently with probability
     p_delete; after each surviving packet, L extra packets are inserted
-    with P(L=l) = p_insert**l * (1-p_insert), capped at max_insert_run,
-    each placed insert_spacing seconds after its predecessor.  protect_first
-    exempts packet 0 from deletion, matching the decoder's assumption that
-    the flow head survives.
+    with P(L=l) = p_insert**l * (1-p_insert), capped at max_insert_run.
+    Inserted packets arrive together with the survivor they follow (zero
+    IPDs, which read as bit 0), and packet 0 is never dropped: the decoder
+    assumes both.
 
     jitter selects how sigma perturbs the received IPDs:
 
@@ -46,9 +46,7 @@ class ChannelParams:
     sigma: float = 0.0
     p_delete: float = 0.0
     p_insert: float = 0.0
-    insert_spacing: float = 0.0
     max_insert_run: int = 8
-    protect_first: bool = True
     seed: int = 0
     jitter: str = "laplace"
     delta: float | None = None
@@ -60,8 +58,6 @@ class ChannelParams:
             raise ValueError("p_delete must lie in [0, 1]")
         if not 0.0 <= self.p_insert < 1.0:
             raise ValueError("p_insert must lie in [0, 1)")
-        if self.insert_spacing < 0.0:
-            raise ValueError("insert_spacing must be nonnegative")
         if self.max_insert_run < 1:
             raise ValueError("max_insert_run must be at least 1")
         if self.jitter not in ("laplace", "quantizer"):
@@ -120,10 +116,7 @@ def transmit(flow: PacketFlow, params: ChannelParams) -> tuple[PacketFlow, Chann
     m = ts.size
 
     drop = rng.random(m) < params.p_delete
-    if params.protect_first:
-        drop[0] = False
-    if np.all(drop):
-        raise ValueError("channel deleted every packet; nothing to receive")
+    drop[0] = False
     deleted = np.nonzero(drop)[0]
     surv_idx = np.nonzero(~drop)[0]
     surv_ts = ts[surv_idx]
@@ -138,14 +131,9 @@ def transmit(flow: PacketFlow, params: ChannelParams) -> tuple[PacketFlow, Chann
     counts = runs + 1
     origins = np.repeat(surv_idx, counts)
     out_ts = np.repeat(surv_ts, counts)
-    block_start = np.repeat(np.cumsum(counts) - counts, counts)
-    within = np.arange(origins.size) - block_start
-    ins_mask = within > 0
-    if params.insert_spacing > 0.0:
-        out_ts = out_ts + within * params.insert_spacing
+    ins_mask = np.diff(origins, prepend=-1) == 0
 
-    # Spacing may step past the next survivor; keep arrival order.
-    ipds = np.maximum(np.diff(out_ts), 0.0)
+    ipds = np.diff(out_ts)
     if params.sigma > 0.0:
         if params.jitter == "laplace":
             noise = rng.laplace(0.0, params.sigma / math.sqrt(2.0), size=ipds.size)

@@ -65,7 +65,10 @@ def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
         key, raw = (part.strip() for part in text.split("=", 1))
         if key not in annotations:
             raise ValueError(f"{where}unknown key {key!r}")
-        values[key] = _parse_value(annotations[key], raw)
+        try:
+            values[key] = _parse_value(annotations[key], raw)
+        except ValueError as exc:
+            raise ValueError(f"{where}key {key!r}: {exc}") from None
     return ExperimentConfig(**values)
 
 
@@ -134,9 +137,7 @@ def _channel_from_args(args) -> ChannelParams:
         sigma=args.sigma_ms / 1000.0,
         p_delete=args.p_d,
         p_insert=args.p_i,
-        insert_spacing=args.insert_spacing_ms / 1000.0,
         max_insert_run=args.max_insert_run,
-        protect_first=not args.no_protect_first,
         seed=args.seed,
         jitter=args.jitter,
         delta=delta,
@@ -208,13 +209,11 @@ def cmd_decode(args) -> int:
 def cmd_experiment(args) -> int:
     config = load_config(args.config, args.set)
     report = run_experiment(config)
-    if args.json:
-        report.to_json(args.json)
     if args.csv:
         report.to_csv(args.csv)
     # one JSON document on stdout: the report, or the summary of a --json one
+    _emit(report.to_dict(), args.json)
     if not args.json:
-        print(report.to_json())
         return 0
     summary = [
         {"params": cell.params, "tp": cell.tp_rate, "fp": cell.fp_rate,
@@ -285,10 +284,7 @@ def _add_channel_args(p: argparse.ArgumentParser):
     p.add_argument("--sigma-ms", type=float, default=0.0, help="jitter std dev (ms)")
     p.add_argument("--p-d", type=float, default=0.0, help="per-packet deletion probability")
     p.add_argument("--p-i", type=float, default=0.0, help="geometric insertion parameter")
-    p.add_argument("--insert-spacing-ms", type=float, default=0.0)
     p.add_argument("--max-insert-run", type=int, default=8)
-    p.add_argument("--no-protect-first", action="store_true",
-                   help="allow the first packet to be dropped")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jitter", choices=["laplace", "quantizer"], default="laplace")
     p.add_argument("--delta-ms", type=float, default=None,

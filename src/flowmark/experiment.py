@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -51,7 +50,9 @@ def derive_seed(master: int, cell: int, trial: int, role: int) -> int:
 class ExperimentConfig:
     """One experiment grid.  List-valued watermark/channel fields form the
     cross product of cells.  A cell is the config with those fields scalar;
-    its watermark_config/channel/decoder_params convert ms to s."""
+    its watermark_config/channel/decoder_params convert ms to s.  Flows
+    are read from the files in trace_dir when it is set, else drawn as
+    Poisson flows of rate_pps."""
 
     n: int | list = 50
     spread: int = 10
@@ -60,11 +61,8 @@ class ExperimentConfig:
     sigma_ms: float | list = 10.0
     p_d: float | list = 0.0
     p_i: float | list = 0.0
-    insert_spacing_ms: float = 0.0
     max_insert_run: int = 8
-    protect_first: bool = True
     jitter_mode: str = "quantizer"
-    source: str = "poisson"
     rate_pps: float = 3.3
     flow_len: int = 2000
     trace_dir: str | None = None
@@ -83,11 +81,8 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 0.5)")
-        if self.source not in ("poisson", "trace-dir"):
-            raise ValueError("source must be 'poisson' or 'trace-dir'")
-        if self.source == "trace-dir":
-            if not self.trace_dir or not os.path.isdir(self.trace_dir):
-                raise ValueError(f"trace_dir does not exist: {self.trace_dir!r}")
+        if self.trace_dir is not None and not os.path.isdir(self.trace_dir):
+            raise ValueError(f"trace_dir does not exist: {self.trace_dir!r}")
         if self.jitter_mode not in ("laplace", "quantizer"):
             raise ValueError("jitter_mode must be 'laplace' or 'quantizer'")
         if self.jobs < 1:
@@ -110,8 +105,7 @@ class ExperimentConfig:
     def channel(self, seed: int) -> ChannelParams:
         return ChannelParams(
             sigma=self.sigma_ms / 1000.0, p_delete=float(self.p_d),
-            p_insert=float(self.p_i), insert_spacing=self.insert_spacing_ms / 1000.0,
-            max_insert_run=self.max_insert_run, protect_first=self.protect_first,
+            p_insert=float(self.p_i), max_insert_run=self.max_insert_run,
             seed=seed, jitter=self.jitter_mode,
             delta=self.delta_ms / 1000.0 if self.jitter_mode == "quantizer" else None,
         )
@@ -136,7 +130,7 @@ class Cell(NamedTuple):
 
 def grid_cells(config: ExperimentConfig) -> list[Cell]:
     trace_files = ()
-    if config.source == "trace-dir":
+    if config.trace_dir is not None:
         trace_files = tuple(sorted(os.path.join(config.trace_dir, f)
                                    for f in os.listdir(config.trace_dir)
                                    if not f.startswith(".")))
@@ -176,13 +170,6 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        return text
-
     def to_csv(self, path) -> None:
         cols = [*GRID_FIELDS, "trials", "threshold", "tp_rate", "fp_rate", "fp_holdout",
                 "mean_score_watermarked", "mean_score_control"]
@@ -202,7 +189,7 @@ class ExperimentReport:
 
 def _load_flow(cell: Cell, trial: int, role: int) -> PacketFlow:
     config = cell.config
-    if config.source == "poisson":
+    if not cell.trace_files:
         return poisson_flow(config.rate_pps, config.flow_len,
                             seed=derive_seed(config.seed, cell.index, trial, 2 * role))
     files = cell.trace_files

@@ -329,13 +329,12 @@ def test_criterion_10_trace_harness_and_rtt_overlay(tmp_path):
 
     paper = {10.0: 1.000, 20.0: 0.989, 30.0: 0.770, 40.0: 0.232}
     rep = run_experiment(_table_cell_config(
-        trials=200, sigma_ms=[10.0, 20.0, 30.0, 40.0],
-        source="trace-dir", trace_dir=str(tdir)))
+        trials=200, sigma_ms=[10.0, 20.0, 30.0, 40.0], trace_dir=str(tdir)))
     cells = {c.params["sigma_ms"]: c for c in rep.cells}
     checks = [floor_check(f"sigma={s:.0f}ms", cells[s], paper[s], 0.10)
               for s in (10.0, 20.0, 30.0, 40.0)]
     rep_b = run_experiment(_table_cell_config(
-        trials=200, p_d=0.1, p_i=0.1, source="trace-dir", trace_dir=str(tdir)))
+        trials=200, p_d=0.1, p_i=0.1, trace_dir=str(tdir)))
     ok_b, detail_b = floor_check("both 0.1", rep_b.cells[0], 0.764, 0.10)
 
     # RTT-difference overlay on synthetic ping noise

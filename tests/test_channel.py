@@ -18,7 +18,7 @@ def test_identity_channel():
 
 def test_delete_everything_but_head():
     flow = poisson_flow(3.3, 50, seed=1)
-    out, log = transmit(flow, ChannelParams(p_delete=1.0, protect_first=True, seed=0))
+    out, log = transmit(flow, ChannelParams(p_delete=1.0, seed=0))
     assert len(out) == 1
     assert out.timestamps[0] == flow.timestamps[0]
     assert log.n_deleted == 49
@@ -52,9 +52,14 @@ def test_zero_spacing_insertions_extract_as_zero():
     ipds = to_ipds(flow)
     code = np.ones(ipds.size, dtype=np.uint8)  # all-one bits embedded
     marked = to_flow(qim_embed(ipds, code, 0.1), start=0.0)
-    out, log = transmit(marked, ChannelParams(p_insert=0.3, insert_spacing=0.0, seed=3))
+    out, log = transmit(marked, ChannelParams(p_insert=0.3, seed=3))
     bits = qim_extract(to_ipds(out), 0.1)
     inserted_at = np.nonzero(log.inserted_mask)[0]
+    assert inserted_at.size > 0 and inserted_at[0] > 0
+    # an inserted packet arrives with the packet before it, its survivor's
+    # copy, and descends from the same sent packet
+    assert np.array_equal(out.timestamps[inserted_at], out.timestamps[inserted_at - 1])
+    assert np.array_equal(log.origins[inserted_at], log.origins[inserted_at - 1])
     # the bit ending at an inserted packet is its zero-length IPD
     assert np.all(bits[inserted_at - 1] == 0)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -133,9 +134,19 @@ def test_density_knob_is_gone(tmp_path, capsys):
               str(tmp_path / "s.json"), "--density", "0.05"])
     assert exc.value.code == 2
     assert "--density" in capsys.readouterr().err
-    code, out, err = run_cli(capsys, "experiment", "--set", "density=0.05")
-    assert code == 1 and out == ""
-    assert "unknown key 'density'" in json.loads(err)["message"]
+    # so are three more deleted settings: the head always
+    # survives, inserted packets arrive with their survivor, and trace_dir
+    # alone selects trace traffic
+    for key in ("density=0.05", "protect_first=off", "insert_spacing_ms=2",
+                "source=poisson"):
+        code, out, err = run_cli(capsys, "experiment", "--set", key)
+        assert code == 1 and out == ""
+        assert f"unknown key {key.split('=')[0]!r}" in json.loads(err)["message"]
+    for flag in (["--no-protect-first"], ["--insert-spacing-ms", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["transmit", str(flow), "--out", str(tmp_path / "r.txt"), *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 def test_decode_rejects_other_transmissions_log(tmp_path, capsys):
@@ -378,7 +389,8 @@ def test_experiment_empty_grid_axis(capsys):
 
 
 # (raw text, parsed value) forms per ExperimentConfig field: comma lists,
-# empty/none for optional fields, and the boolean spellings
+# empty/none for optional fields, and the boolean spellings; a trace_dir
+# must exist, and the test runs where traces/a does
 CONFIG_FORMS = {
     "n": [("40, 60", [40, 60]), ("40", 40)],
     "spread": [("5", 5)],
@@ -387,11 +399,8 @@ CONFIG_FORMS = {
     "sigma_ms": [("10, 20, 30", [10.0, 20.0, 30.0])],
     "p_d": [("0.1", 0.1)],
     "p_i": [("0.1,0.2", [0.1, 0.2])],
-    "insert_spacing_ms": [("2.5", 2.5)],
     "max_insert_run": [("4", 4)],
-    "protect_first": [("off", False), ("True", True)],
     "jitter_mode": [("laplace", "laplace")],
-    "source": [("poisson", "poisson")],
     "rate_pps": [("2", 2.0)],
     "flow_len": [("1500", 1500)],
     "trace_dir": [("traces/a", "traces/a"), ("", None), ("None", None)],
@@ -407,7 +416,9 @@ CONFIG_FORMS = {
 
 
 @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)])
-def test_config_value_forms(tmp_path, key):
+def test_config_value_forms(tmp_path, monkeypatch, key):
+    (tmp_path / "traces" / "a").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "exp.cfg"
     for raw, want in CONFIG_FORMS[key]:
         cfg.write_text(f"{key} = {raw}\n")
@@ -423,6 +434,14 @@ def test_unknown_config_key(tmp_path):
     cfg.write_text("nonsense = 4\n")
     with pytest.raises(ValueError, match="unknown key"):
         load_config(str(cfg), [])
+    # a value that does not parse names its key, and its line or override
+    cfg.write_text("seed = 3\ntrials = ten\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(cfg))}: line 2: key 'trials': "):
+        load_config(str(cfg), [])
+    for item in ("trials=x", "holdout=maybe"):
+        with pytest.raises(ValueError,
+                           match=rf"^override '{item}': key '{item.split('=')[0]}': "):
+            load_config(None, [item])
 
 
 def test_error_json_on_stderr(tmp_path, capsys):

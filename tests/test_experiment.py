@@ -32,7 +32,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(alpha=0.7)
     with pytest.raises(ValueError):
-        small_config(source="trace-dir", trace_dir="/definitely/missing")
+        small_config(trace_dir="/definitely/missing")
     with pytest.raises(ValueError):
         small_config(jitter_mode="nope")
     with pytest.raises(ValueError, match="p_d"):
@@ -95,11 +95,9 @@ def test_experiment_report_roundtrip(tmp_path):
     assert len(cell.scores_watermarked) == cfg.trials
     assert len(cell.scores_control) == cfg.trials
     assert 0.0 <= cell.tp_rate <= 1.0
-    json_path = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
-    report.to_json(json_path)
     report.to_csv(csv_path)
-    loaded = json.loads(json_path.read_text())
+    loaded = json.loads(json.dumps(report.to_dict()))
     assert loaded["trials"] == cfg.trials
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 2 and lines[0].startswith("n,")
@@ -208,10 +206,31 @@ def test_experiment_trace_dir(tmp_path):
     tdir.mkdir()
     for i in range(6):
         write_trace(poisson_flow(2.0, 150, seed=50 + i), tdir / f"t{i}.txt")
-    cfg = small_config(source="trace-dir", trace_dir=str(tdir), trials=5,
-                       flow_len=150)
+    cfg = small_config(trace_dir=str(tdir), trials=5, flow_len=150)
     report = run_experiment(cfg)
     assert len(report.cells[0].scores_watermarked) == 5
+    assert len(grid_cells(cfg)[0].trace_files) == 6
+
+
+def test_trace_dir_selects_trace_traffic(tmp_path):
+    # setting trace_dir alone runs on its traces: the Poisson rate then
+    # plays no part, so two rates give one report
+    from flowmark.traffic import poisson_flow, write_trace
+
+    tdir = tmp_path / "traces"
+    tdir.mkdir()
+    for i in range(4):
+        write_trace(poisson_flow(2.0, 150, seed=70 + i), tdir / f"t{i}.txt")
+    reports = [run_experiment(small_config(trace_dir=str(tdir), trials=4, flow_len=150,
+                                           rate_pps=rate)).to_dict()
+               for rate in (2.0, 5.0)]
+    for report in reports:
+        report.pop("wall_clock"), report["config"].pop("rate_pps")
+    assert reports[0] == reports[1]
+    # without trace_dir the rate shapes the Poisson flows and the scores
+    poisson = [run_experiment(small_config(trials=4, flow_len=150, rate_pps=rate)).cells
+               for rate in (2.0, 5.0)]
+    assert poisson[0] != poisson[1]
 
 
 def test_experiment_flow_too_short():
