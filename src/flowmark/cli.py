@@ -72,13 +72,17 @@ def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _emit(obj, path: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+def _write(text: str, path: str | None):
+    """Write text and a newline to path, or print it when there is no path."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(obj, path: str | None):
+    _write(json.dumps(obj, indent=2, sort_keys=True), path)
 
 
 def _load_sidecar(path: str) -> dict:
@@ -131,28 +135,17 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _channel_from_args(args) -> ChannelParams:
-    delta = args.delta_ms / 1000.0 if args.delta_ms is not None else None
-    return ChannelParams(
-        sigma=args.sigma_ms / 1000.0,
-        p_delete=args.p_d,
-        p_insert=args.p_i,
-        max_insert_run=args.max_insert_run,
-        seed=args.seed,
-        jitter=args.jitter,
-        delta=delta,
-    )
-
-
 def cmd_transmit(args) -> int:
     flow = read_trace(args.trace, clamp=args.clamp)
-    recv, log = transmit(flow, _channel_from_args(args))
+    chan = ChannelParams(
+        sigma=args.sigma_ms / 1000.0, p_delete=args.p_d, p_insert=args.p_i,
+        max_insert_run=args.max_insert_run, seed=args.seed, jitter=args.jitter,
+        delta=args.delta_ms / 1000.0 if args.delta_ms is not None else None)
+    recv, log = transmit(flow, chan)
     write_trace(recv, args.out)
     if args.log:
         payload = {name: getattr(log, name).tolist() for name in _LOG_FIELDS}
-        with open(args.log, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        _write(json.dumps(payload, sort_keys=True), args.log)
     _emit({"in_packets": len(flow), "out_packets": len(recv),
            "deleted": log.n_deleted, "inserted": log.n_inserted,
            "out": args.out}, None)
@@ -162,12 +155,7 @@ def cmd_transmit(args) -> int:
 def cmd_extract(args) -> int:
     flow = read_trace(args.trace, clamp=args.clamp)
     bits = qim_extract(to_ipds(flow), args.delta_ms / 1000.0)
-    text = "".join(str(int(b)) for b in bits)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("".join(str(int(b)) for b in bits), args.out)
     return 0
 
 
@@ -280,21 +268,26 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _add_channel_args(p: argparse.ArgumentParser):
-    p.add_argument("--sigma-ms", type=float, default=0.0, help="jitter std dev (ms)")
+def _add_law_args(p: argparse.ArgumentParser, sigma_ms: float):
+    """The channel law's flags: the law transmit simulates, or the one
+    decode assumes."""
+    p.add_argument("--sigma-ms", type=float, default=sigma_ms,
+                   help=f"jitter std dev in ms (default {sigma_ms:g})")
     p.add_argument("--p-d", type=float, default=0.0, help="per-packet deletion probability")
     p.add_argument("--p-i", type=float, default=0.0, help="geometric insertion parameter")
-    p.add_argument("--max-insert-run", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jitter", choices=["laplace", "quantizer"], default="laplace")
-    p.add_argument("--delta-ms", type=float, default=None,
-                   help="quantization step; required for --jitter quantizer")
+    p.add_argument("--max-insert-run", type=int, default=8,
+                   help="cap on the packets inserted after one survivor")
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="flowmark",
                                   description="Flow watermarking toolkit")
     sub = top.add_subparsers(dest="command", required=True)
+    clamp = argparse.ArgumentParser(add_help=False)
+    clamp.add_argument("--clamp", action="store_true",
+                       help="clamp decreasing timestamps in input traces instead of failing")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write the result here (default: stdout)")
 
     p = sub.add_parser("gen", help="generate a Poisson trace")
     p.add_argument("--rate", type=float, required=True, help="packets per second")
@@ -303,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("embed", help="embed a watermark into a trace")
+    p = sub.add_parser("embed", parents=[clamp], help="embed a watermark into a trace")
     p.add_argument("trace")
     p.add_argument("--out", required=True)
     p.add_argument("--sidecar", required=True, help="JSON with key, bits, delays")
@@ -314,41 +307,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wm-seed", type=int, default=None,
                    help="derive watermark bits from this seed (default 0)")
     p.add_argument("--wm-bits", default=None, help="explicit bit string, e.g. 0101...")
-    p.add_argument("--clamp", action="store_true")
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("transmit", help="run a trace through the channel")
+    p = sub.add_parser("transmit", parents=[clamp], help="run a trace through the channel")
     p.add_argument("trace")
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="write ground-truth channel log JSON")
-    p.add_argument("--clamp", action="store_true")
-    _add_channel_args(p)
+    _add_law_args(p, sigma_ms=0.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jitter", choices=["laplace", "quantizer"], default="laplace")
+    p.add_argument("--delta-ms", type=float, default=None,
+                   help="quantization step; required for --jitter quantizer")
     p.set_defaults(func=cmd_transmit)
 
-    p = sub.add_parser("extract", help="extract raw bits from a trace")
+    p = sub.add_parser("extract", parents=[clamp, out], help="extract raw bits from a trace")
     p.add_argument("trace")
     p.add_argument("--delta-ms", type=float, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--clamp", action="store_true")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("decode", help="decode a received trace against a sidecar")
+    p = sub.add_parser("decode", parents=[clamp, out],
+                       help="decode a received trace against a sidecar")
     p.add_argument("trace")
     p.add_argument("--sidecar", required=True)
     p.add_argument("--log", default=None,
                    help="channel log JSON to locate the watermarked segment")
     p.add_argument("--nbits", type=int, default=None,
                    help="explicit number of received bits in the segment")
-    p.add_argument("--sigma-ms", type=float, default=10.0)
-    p.add_argument("--p-d", type=float, default=0.0)
-    p.add_argument("--p-i", type=float, default=0.0)
-    p.add_argument("--max-insert-run", type=int, default=8)
+    _add_law_args(p, sigma_ms=10.0)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--d-max", type=int, default=None,
                    help="cap on the drift's magnitude, never below the length mismatch "
                         "plus 2 (default: from the channel and n_obs)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--clamp", action="store_true")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("experiment", help="run a batch experiment grid")
@@ -359,33 +348,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="write per-cell CSV here")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("ks", help="KS distance between two traces' IPDs")
+    p = sub.add_parser("ks", parents=[clamp, out], help="KS distance between two traces' IPDs")
     p.add_argument("trace_a")
     p.add_argument("trace_b")
     p.add_argument("--threshold", type=float, default=KS_VISIBILITY_THRESHOLD)
-    p.add_argument("--out", default=None)
-    p.add_argument("--clamp", action="store_true")
     p.set_defaults(func=cmd_ks)
 
-    p = sub.add_parser("mfa", help="blank-interval statistics of aggregated flows")
+    p = sub.add_parser("mfa", parents=[clamp, out],
+                       help="blank-interval statistics of aggregated flows")
     p.add_argument("traces", nargs="+")
     p.add_argument("--interval-ms", type=float, default=70.0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--clamp", action="store_true")
     p.set_defaults(func=cmd_mfa)
 
-    p = sub.add_parser("drtt", help="overlay watermark delays on a ping RTT file")
+    p = sub.add_parser("drtt", parents=[out], help="overlay watermark delays on a ping RTT file")
     p.add_argument("--rtt-file", required=True, help="one RTT (seconds) per line")
     p.add_argument("--sidecar", default=None, help="embed sidecar with per-packet delays")
     p.add_argument("--csv", default=None, help="write CDF points here")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_drtt)
 
-    p = sub.add_parser("calibrate", help="threshold from control scores")
+    p = sub.add_parser("calibrate", parents=[out], help="threshold from control scores")
     p.add_argument("--scores", required=True,
                    help="file with a JSON array or whitespace-separated scores")
     p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_calibrate)
 
     return top

@@ -338,33 +338,30 @@ class Trellis:
             vec *= self.window
         return vec
 
-    def _sweep(self, vec, advance, states, first):
-        """Renormalize-and-accumulate over states in sweep order: vec is
-        the unnormalized vector of states[0], advance(vec, s) carries it
-        to state s.  Returns the normalized vectors and log scales of the
-        states first, first + spread, ..., one per block, in state order.
-        Flows past a zero-mass step keep zeros and -inf."""
-        states = np.asarray(states)
+    def _sweep(self, vec, advance):
+        """Renormalize-and-accumulate over the n_code states in sweep
+        order: vec is the unnormalized vector of sweep state 0, and
+        advance(vec, k) carries that of sweep state k - 1 to state k.
+        Returns the normalized vectors and log scales of every spread-th
+        state, the spread-th first, in sweep order.  Flows past a
+        zero-mass step keep zeros and -inf."""
         kept = np.zeros((self.n_code // self.spread, *vec.shape))
         scales = []
         # a flow whose mass hits zero divides 0 by 0 from there on; its
         # NaNs stay in its own row and are cleared after the loop
         with np.errstate(divide="ignore", invalid="ignore"):
-            for k, s in enumerate(states.tolist()):
+            for k in range(self.n_code):
                 if k:
-                    vec = advance(vec, s)
+                    vec = advance(vec, k)
                 scale = np.add.reduce(vec, axis=(1, 2), keepdims=True)
                 scales.append(scale)
                 vec /= scale
-                if (s - first) % self.spread == 0:
-                    kept[(s - first) // self.spread] = vec
+                if (k + 1) % self.spread == 0:
+                    kept[k // self.spread] = vec
             logw = np.cumsum(np.log(np.stack(scales)[:, :, 0, 0]), axis=0)
         logw[np.isnan(logw)] = -math.inf
         kept[np.isnan(kept)] = 0.0
-        at = np.flatnonzero((states - first) % self.spread == 0)
-        kept_logw = np.empty((kept.shape[0], vec.shape[0]))
-        kept_logw[(states[at] - first) // self.spread] = logw[at]
-        return kept, kept_logw
+        return kept, logw[self.spread - 1 :: self.spread]
 
 
 def trellis_tables(ys, key, params: IdsParams, d_max: int | None = None,
@@ -382,10 +379,12 @@ def trellis_tables(ys, key, params: IdsParams, d_max: int | None = None,
     t = Trellis(ys, key, params, d_max, spread, wtilde)
     n = t.n_code
     terminal = t.terminal_vec()
-    t.fw = t._sweep(t.init_vec(t.prior[0]), lambda vec, s: t.step(vec, s, t.prior[s - 1]),
-                    range(1, n + 1), spread)
-    t.bw = t._sweep(terminal.copy(), lambda vec, s: t.step_back(vec, s + 1, t.prior[s]),
-                    range(n, 0, -1), 1)
+    t.fw = t._sweep(t.init_vec(t.prior[0]), lambda vec, k: t.step(vec, k + 1, t.prior[k]))
+    # the backward sweep keeps states n - spread + 1, ..., 1; reversed
+    # into state order
+    bvecs, blogw = t._sweep(terminal.copy(),
+                            lambda vec, k: t.step_back(vec, n - k + 1, t.prior[n - k]))
+    t.bw = bvecs[::-1], blogw[::-1]
     closing = (t.fw[0][-1] * terminal).sum(axis=(-2, -1))
     with np.errstate(divide="ignore"):
         t.log_evidence = np.where(closing > 0.0, t.fw[1][-1] + np.log(closing), -math.inf)

@@ -51,8 +51,8 @@ class ExperimentConfig:
     """One experiment grid.  List-valued watermark/channel fields form the
     cross product of cells.  A cell is the config with those fields scalar;
     its watermark_config/channel/decoder_params convert ms to s.  Flows
-    are read from the files in trace_dir when it is set, else drawn as
-    Poisson flows of rate_pps."""
+    are read from the regular files in trace_dir when it is set, else
+    drawn as Poisson flows of rate_pps."""
 
     n: int | list = 50
     spread: int = 10
@@ -131,9 +131,9 @@ class Cell(NamedTuple):
 def grid_cells(config: ExperimentConfig) -> list[Cell]:
     trace_files = ()
     if config.trace_dir is not None:
-        trace_files = tuple(sorted(os.path.join(config.trace_dir, f)
-                                   for f in os.listdir(config.trace_dir)
-                                   if not f.startswith(".")))
+        paths = (os.path.join(config.trace_dir, f) for f in os.listdir(config.trace_dir)
+                 if not f.startswith("."))
+        trace_files = tuple(sorted(path for path in paths if os.path.isfile(path)))
         if not trace_files:
             raise ValueError(f"no trace files in {config.trace_dir!r}")
     return [Cell(dataclasses.replace(config, **point), index, trace_files)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from flowmark.cli import load_config, main
+from flowmark.cli import build_parser, load_config, main
 from flowmark.experiment import ExperimentConfig
 
 
@@ -449,3 +449,43 @@ def test_error_json_on_stderr(tmp_path, capsys):
     assert code == 1
     payload = json.loads(err)
     assert "error" in payload and "message" in payload
+
+
+# each subcommand's parsed arguments with only its required ones given:
+# subcommands share option declarations, and a default set for one of
+# them must not leak into another (transmit's sigma_ms is 0, decode's 10)
+PARSED_DEFAULTS = {
+    ("gen", "--rate", "1", "--count", "2", "--out", "o"):
+        dict(rate=1.0, count=2, seed=0, out="o"),
+    ("embed", "t", "--out", "o", "--sidecar", "s"):
+        dict(trace="t", out="o", sidecar="s", n=None, spread=10, delta_ms=100.0,
+             key_seed=1, wm_seed=None, wm_bits=None, clamp=False),
+    ("transmit", "t", "--out", "o"):
+        dict(trace="t", out="o", log=None, clamp=False, sigma_ms=0.0, p_d=0.0, p_i=0.0,
+             max_insert_run=8, seed=0, jitter="laplace", delta_ms=None),
+    ("extract", "t", "--delta-ms", "100"):
+        dict(trace="t", delta_ms=100.0, out=None, clamp=False),
+    ("decode", "t", "--sidecar", "s"):
+        dict(trace="t", sidecar="s", log=None, nbits=None, sigma_ms=10.0, p_d=0.0, p_i=0.0,
+             max_insert_run=8, threshold=None, d_max=None, out=None, clamp=False),
+    ("experiment",):
+        dict(config=None, set=[], json=None, csv=None),
+    ("ks", "a", "b"):
+        dict(trace_a="a", trace_b="b", threshold=0.036, out=None, clamp=False),
+    ("mfa", "a"):
+        dict(traces=["a"], interval_ms=70.0, out=None, clamp=False),
+    ("drtt", "--rtt-file", "r"):
+        dict(rtt_file="r", sidecar=None, csv=None, out=None),
+    ("calibrate", "--scores", "s"):
+        dict(scores="s", alpha=0.01, out=None),
+}
+
+
+def test_parsed_defaults():
+    parser = build_parser()
+    for argv, want in PARSED_DEFAULTS.items():
+        got = vars(parser.parse_args(list(argv)))
+        got.pop("func")
+        assert got == {"command": argv[0], **want}, argv[0]
+    assert {argv[0] for argv in PARSED_DEFAULTS} == set(
+        parser._subparsers._group_actions[0].choices)

@@ -210,6 +210,13 @@ def test_experiment_trace_dir(tmp_path):
     report = run_experiment(cfg)
     assert len(report.cells[0].scores_watermarked) == 5
     assert len(grid_cells(cfg)[0].trace_files) == 6
+    # a subdirectory is not a trace: the report stays the same
+    (tdir / "sub").mkdir()
+    assert run_experiment(cfg).cells == report.cells
+    # a regular file that is not a trace still fails, naming its line
+    (tdir / "notes.txt").write_text("hello\n")
+    with pytest.raises(ValueError, match=r"notes\.txt: line 1: not a timestamp"):
+        run_experiment(cfg)
 
 
 def test_trace_dir_selects_trace_traffic(tmp_path):
