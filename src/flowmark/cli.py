@@ -20,7 +20,7 @@ from flowmark.decoder import IdsParams, calibrate_threshold, decode
 from flowmark.experiment import ExperimentConfig, run_experiment
 from flowmark.idscode import WatermarkConfig, as_bits, encode, watermark_bits
 from flowmark.qim import embed_flow, qim_extract
-from flowmark.traffic import poisson_flow, read_trace, to_ipds, write_trace
+from flowmark.traffic import poisson_flow, read_trace, read_values, to_ipds, write_trace
 
 _CASTS = {"int": int, "float": float, "str": str}
 # the channel log's JSON fields, as written by transmit --log
@@ -198,7 +198,7 @@ def cmd_experiment(args) -> int:
     config = load_config(args.config, args.set)
     report = run_experiment(config)
     if args.csv:
-        report.to_csv(args.csv)
+        _write(report.to_csv(), args.csv)
     # one JSON document on stdout: the report, or the summary of a --json one
     _emit(report.to_dict(), args.json)
     if not args.json:
@@ -236,19 +236,15 @@ def cmd_mfa(args) -> int:
 
 
 def cmd_drtt(args) -> int:
-    with open(args.rtt_file, "r", encoding="utf-8") as fh:
-        rtts = [float(line.strip()) for line in fh
-                if line.strip() and not line.startswith("#")]
+    rtts = read_values(args.rtt_file, "an RTT")
     delays = _load_sidecar(args.sidecar)["delays"] if args.sidecar else []
     res = delta_rtt_overlay(rtts, delays)
     if args.csv:
-        raw = np.sort(res.raw_deltas)
-        marked = np.sort(res.marked_deltas)
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("which,delta_rtt,cdf\n")
-            for name, arr in (("raw", raw), ("marked", marked)):
-                for i, v in enumerate(arr):
-                    fh.write(f"{name},{v:.9f},{(i + 1) / arr.size:.6f}\n")
+        rows = ["which,delta_rtt,cdf"]
+        for name, arr in (("raw", res.raw_deltas), ("marked", res.marked_deltas)):
+            arr = np.sort(arr)
+            rows += [f"{name},{v:.9f},{(i + 1) / arr.size:.6f}" for i, v in enumerate(arr)]
+        _write("\n".join(rows), args.csv)
     _emit({"ks_distance": res.ks.distance,
            "threshold": res.ks.threshold,
            "indistinguishable": res.ks.indistinguishable,

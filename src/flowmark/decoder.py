@@ -17,8 +17,9 @@ for maximum-likelihood decoding.  Received
 sequences decoded under one key and one channel law sweep together, on a
 leading flow axis of every state array.
 
-Everything is kept in log domain via per-step renormalization; code
-lengths in the hundreds underflow otherwise.
+The forward and backward vectors hold linear probabilities, renormalized
+at each step with their log scales carried separately; code lengths in the
+hundreds underflow otherwise.
 """
 
 from __future__ import annotations
@@ -437,7 +438,6 @@ def binomial_score_threshold(n: int, alpha: float = 0.01) -> float:
         cum += math.comb(n, k)
         if cum >= target:
             return k / n
-    return 1.0
 
 
 def calibrate_threshold(control_scores, alpha: float) -> float:

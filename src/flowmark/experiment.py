@@ -50,7 +50,7 @@ def derive_seed(master: int, cell: int, trial: int, role: int) -> int:
 class ExperimentConfig:
     """One experiment grid.  List-valued watermark/channel fields form the
     cross product of cells.  A cell is the config with those fields scalar;
-    its watermark_config/channel/decoder_params convert ms to s.  Flows
+    its watermark_config/decoder_params convert ms to s.  Flows
     are read from the regular files in trace_dir when it is set, else
     drawn as Poisson flows of rate_pps."""
 
@@ -91,24 +91,11 @@ class ExperimentConfig:
             if isinstance(getattr(self, name), (list, tuple)) and not getattr(self, name):
                 raise ValueError(f"{name}: a grid axis needs at least one value")
 
-    def cells(self) -> list[dict]:
-        axes = [getattr(self, name) for name in GRID_FIELDS]
-        axes = [v if isinstance(v, (list, tuple)) else [v] for v in axes]
-        return [dict(zip(GRID_FIELDS, combo)) for combo in itertools.product(*axes)]
-
     def watermark_config(self) -> WatermarkConfig:
         w = watermark_bits(self.seed + self.key_seed, int(self.n))
         return WatermarkConfig(watermark=w, spread=self.spread,
                                delta=self.delta_ms / 1000.0,
                                key_seed=self.key_seed)
-
-    def channel(self, seed: int) -> ChannelParams:
-        return ChannelParams(
-            sigma=self.sigma_ms / 1000.0, p_delete=float(self.p_d),
-            p_insert=float(self.p_i), max_insert_run=self.max_insert_run,
-            seed=seed, jitter=self.jitter_mode,
-            delta=self.delta_ms / 1000.0 if self.jitter_mode == "quantizer" else None,
-        )
 
     def decoder_params(self) -> IdsParams:
         def dec(name):  # the dec_* override, else the channel's own value
@@ -136,8 +123,11 @@ def grid_cells(config: ExperimentConfig) -> list[Cell]:
         trace_files = tuple(sorted(path for path in paths if os.path.isfile(path)))
         if not trace_files:
             raise ValueError(f"no trace files in {config.trace_dir!r}")
+    axes = [getattr(config, name) for name in GRID_FIELDS]
+    axes = [v if isinstance(v, (list, tuple)) else [v] for v in axes]
+    points = (dict(zip(GRID_FIELDS, combo)) for combo in itertools.product(*axes))
     return [Cell(dataclasses.replace(config, **point), index, trace_files)
-            for index, point in enumerate(config.cells())]
+            for index, point in enumerate(points)]
 
 
 @dataclass
@@ -162,29 +152,25 @@ class CellReport:
 class ExperimentReport:
     config: dict
     cells: list
-    trials: int
-    alpha: float
-    seed: int
     wall_clock: float
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def to_csv(self, path) -> None:
+    def to_csv(self) -> str:
         cols = [*GRID_FIELDS, "trials", "threshold", "tp_rate", "fp_rate", "fp_holdout",
                 "mean_score_watermarked", "mean_score_control"]
         lines = [",".join(cols)]
         for cell in self.cells:
             row = [
-                *(str(cell.params[name]) for name in GRID_FIELDS), str(self.trials),
+                *(str(cell.params[name]) for name in GRID_FIELDS), str(self.config["trials"]),
                 f"{cell.threshold:.6f}", f"{cell.tp_rate:.6f}", f"{cell.fp_rate:.6f}",
                 "" if cell.fp_holdout is None else f"{cell.fp_holdout:.6f}",
                 f"{float(np.mean(cell.scores_watermarked)):.6f}",
                 f"{float(np.mean(cell.scores_control)):.6f}",
             ]
             lines.append(",".join(row))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        return "\n".join(lines)
 
 
 def _load_flow(cell: Cell, trial: int, role: int) -> PacketFlow:
@@ -203,11 +189,12 @@ def _load_flow(cell: Cell, trial: int, role: int) -> PacketFlow:
 
 def simulate_trial(cell: Cell, trial: int, role: int):
     """Embed (for the WATERMARKED role), transmit and extract one trial's
-    flow of one role; returns (y, deleted, inserted, seg_bits), y being the
-    received bits cut at the segment."""
+    flow of one role; returns (y, deleted, inserted), y being the received
+    bits cut at the segment."""
     if role not in (WATERMARKED, CONTROL, HOLDOUT):
         raise ValueError(f"unknown stream role {role!r}")
-    cfg = cell.config.watermark_config()
+    config = cell.config
+    cfg = config.watermark_config()
     code = encode(cfg.watermark, cfg)
     n_code = cfg.code_len
     flow = _load_flow(cell, trial, role)
@@ -217,27 +204,25 @@ def simulate_trial(cell: Cell, trial: int, role: int):
         )
     if role == WATERMARKED:
         flow, _ = embed_flow(flow, code, cfg.delta)
-    chan = cell.config.channel(derive_seed(cell.config.seed, cell.index, trial, 2 * role + 1))
-    recv, log = transmit(flow, chan)
-    n_bits = log.segment_bits(n_code)
-    y = qim_extract(to_ipds(recv), cfg.delta)[:n_bits]
-    return y, log.n_deleted, log.n_inserted, n_bits
-
-
-def decode_trials(cell: Cell, ys) -> list[float]:
-    """Scores of one cell's received streams, decoded in lockstep."""
-    cfg = cell.config.watermark_config()
-    reports = decode_batch(ys, cfg, cell.config.decoder_params(), cfg.watermark)
-    return [r.score for r in reports]
+    recv, log = transmit(flow, ChannelParams(
+        sigma=config.sigma_ms / 1000.0, p_delete=float(config.p_d),
+        p_insert=float(config.p_i), max_insert_run=config.max_insert_run,
+        seed=derive_seed(config.seed, cell.index, trial, 2 * role + 1),
+        jitter=config.jitter_mode, delta=config.delta_ms / 1000.0))
+    y = qim_extract(to_ipds(recv), cfg.delta)[:log.segment_bits(n_code)]
+    return y, log.n_deleted, log.n_inserted
 
 
 def _chunk_task(args):
-    """Simulate a chunk of one cell's trials, then decode them together;
-    returns (score, deleted, inserted, seg_bits) per trial."""
+    """Simulate a chunk of one cell's trials, then decode them together in
+    lockstep; returns (score, deleted, inserted, segment bits) per trial."""
     cell, trials = args
     sims = [simulate_trial(cell, *trial) for trial in trials]
-    scores = decode_trials(cell, [sim[0] for sim in sims])
-    return [(score, *sim[1:]) for score, sim in zip(scores, sims)]
+    cfg = cell.config.watermark_config()
+    reports = decode_batch([y for y, _, _ in sims], cfg, cell.config.decoder_params(),
+                           cfg.watermark)
+    return [(r.score, deleted, inserted, y.size)
+            for r, (y, deleted, inserted) in zip(reports, sims)]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -280,8 +265,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         config=dataclasses.asdict(config),
         cells=reports,
-        trials=config.trials,
-        alpha=config.alpha,
-        seed=config.seed,
         wall_clock=time.time() - t0,
     )

@@ -76,23 +76,30 @@ def to_flow(ipds: np.ndarray, start: float = 0.0) -> PacketFlow:
     return PacketFlow(ts)
 
 
-def read_trace(path, clamp: bool = False) -> PacketFlow:
-    """Read a timestamp trace: one decimal seconds value per line.
-
-    Blank lines and `#` comments are ignored.  Decreasing timestamps are an
-    error unless `clamp` is set, which clamps negative gaps to zero (for
-    traces with jitter-induced tiny negative gaps).
-    """
-    ts = []
+def read_values(path, what: str) -> list[float]:
+    """Read one decimal value per line.  Lines are stripped; blank lines and
+    `#` comments are ignored; a bad value's error names the file, the line
+    and `what` the value should be (e.g. "a timestamp")."""
+    values = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
             try:
-                ts.append(float(text))
+                values.append(float(text))
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: not a timestamp: {text!r}") from None
+                raise ValueError(f"{path}: line {lineno}: not {what}: {text!r}") from None
+    return values
+
+
+def read_trace(path, clamp: bool = False) -> PacketFlow:
+    """Read a timestamp trace: one decimal seconds value per line, as
+    read_values reads it.  Decreasing timestamps are an error unless
+    `clamp` is set, which clamps negative gaps to zero (for traces with
+    jitter-induced tiny negative gaps).
+    """
+    ts = read_values(path, "a timestamp")
     if not ts:
         raise ValueError(f"{path}: no timestamps found")
     arr = np.asarray(ts, dtype=np.float64)

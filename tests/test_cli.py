@@ -323,6 +323,57 @@ def test_drtt_command(tmp_path, capsys):
     assert json.loads(out)["ks_distance"] == 0.0
 
 
+def test_drtt_skips_comment_lines(tmp_path, capsys):
+    # RTT files follow the trace reader's line rule: lines are stripped,
+    # blank and `#` lines skipped
+    plain = tmp_path / "plain.txt"
+    plain.write_text("0.050\n0.052\n0.049\n")
+    noted = tmp_path / "noted.txt"
+    noted.write_text("# pings\n0.050\n0.052\n  # indented note\n\n0.049\n")
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps({"delays": [0.0, 0.003]}))
+    outs = []
+    for rtt in (plain, noted):
+        code, out, err = run_cli(capsys, "drtt", "--rtt-file", str(rtt), "--sidecar", str(side))
+        assert code == 0 and err == ""
+        outs.append(json.loads(out))
+    assert outs[0] == outs[1] and outs[0]["samples"] == 2
+
+
+def test_drtt_bad_line_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0.050\n# note\nabc\n")
+    code, out, err = run_cli(capsys, "drtt", "--rtt-file", str(bad))
+    assert code == 1 and out == ""
+    assert json.loads(err)["message"] == f"{bad}: line 3: not an RTT: 'abc'"
+
+
+def test_drtt_csv(tmp_path, capsys):
+    rtt = tmp_path / "rtt.txt"
+    rng = np.random.default_rng(1)
+    rtt.write_text("\n".join(f"{v:.9f}" for v in 0.05 + rng.normal(0, 0.001, 40)))
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps({"delays": list(rng.uniform(0, 0.01, 20))}))
+    csv = tmp_path / "drtt.csv"
+    code, out, _ = run_cli(capsys, "drtt", "--rtt-file", str(rtt), "--sidecar", str(side),
+                           "--csv", str(csv))
+    assert code == 0
+    samples = json.loads(out)["samples"]
+    assert samples == 39
+    text = csv.read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    header, *rows = text.splitlines()
+    assert header == "which,delta_rtt,cdf"
+    assert len(rows) == 2 * samples
+    for name, part in (("raw", rows[:samples]), ("marked", rows[samples:])):
+        cols = [row.split(",") for row in part]
+        assert {c[0] for c in cols} == {name}
+        values = [float(c[1]) for c in cols]
+        assert values == sorted(values)
+        assert [c[2] for c in cols] == [f"{(i + 1) / samples:.6f}" for i in range(samples)]
+        assert cols[-1][2] == "1.000000"
+
+
 def test_calibrate_command(tmp_path, capsys):
     scores = tmp_path / "scores.json"
     scores.write_text(json.dumps([i / 100 for i in range(100)]))
@@ -330,6 +381,14 @@ def test_calibrate_command(tmp_path, capsys):
                            "--alpha", "0.05")
     assert code == 0
     assert json.loads(out)["threshold"] == 0.94
+    # the same scores whitespace-separated give the same threshold
+    spaced = tmp_path / "scores.txt"
+    spaced.write_text("\n".join(" ".join(f"{i / 100}" for i in range(row, row + 10))
+                                for row in range(0, 100, 10)) + "\n")
+    code, out, _ = run_cli(capsys, "calibrate", "--scores", str(spaced),
+                           "--alpha", "0.05")
+    assert code == 0
+    assert json.loads(out) == {"threshold": 0.94, "alpha": 0.05, "count": 100}
 
 
 def test_experiment_command(tmp_path, capsys):
@@ -345,7 +404,7 @@ def test_experiment_command(tmp_path, capsys):
                            "--csv", str(out_csv))
     assert code == 0
     rep = json.loads(out_json.read_text())
-    assert rep["trials"] == 4
+    assert rep["config"]["trials"] == 4
     assert len(rep["cells"]) == 1
     assert out_csv.read_text().startswith("n,")
 

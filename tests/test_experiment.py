@@ -5,18 +5,23 @@ import numpy as np
 import pytest
 
 from flowmark.channel import substitution_prob
-from flowmark.decoder import IdsParams
+from flowmark.decoder import IdsParams, decode
 from flowmark.experiment import (
     CONTROL,
     HOLDOUT,
     WATERMARKED,
     ExperimentConfig,
-    decode_trials,
+    _chunk_task,
     derive_seed,
     grid_cells,
     run_experiment,
     simulate_trial,
 )
+
+
+# a small_config cell's scalar grid point, at the given axis values
+def grid_point(**kw):
+    return dict(dict(n=10, delta_ms=100.0, sigma_ms=10.0, p_d=0.05, p_i=0.0), **kw)
 
 
 def small_config(**kw):
@@ -43,12 +48,13 @@ def test_config_validation():
 
 def test_grid_cells():
     cfg = small_config(sigma_ms=[10.0, 20.0], p_d=[0.0, 0.1])
-    cells = cfg.cells()
+    # the cross product of the axes, the last axis varying fastest
+    points = [grid_point(sigma_ms=sigma_ms, p_d=p_d)
+              for sigma_ms in (10.0, 20.0) for p_d in (0.0, 0.1)]
+    cells = grid_cells(cfg)
     assert len(cells) == 4
-    assert {(c["sigma_ms"], c["p_d"]) for c in cells} == {
-        (10.0, 0.0), (10.0, 0.1), (20.0, 0.0), (20.0, 0.1)}
     # a cell is the config with one grid point's scalars, plus its index
-    for index, (cell, point) in enumerate(zip(grid_cells(cfg), cells)):
+    for index, (cell, point) in enumerate(zip(cells, points)):
         assert cell.config == dataclasses.replace(cfg, **point)
         assert cell.index == index and cell.trace_files == ()
 
@@ -78,16 +84,17 @@ def test_derive_seed_stable():
 def test_run_trial_shapes():
     cfg = small_config()
     cell = grid_cells(cfg)[0]
-    y, deleted, inserted, seg = simulate_trial(cell, 0, WATERMARKED)
-    assert y.size == seg
-    score, = decode_trials(cell, [y])
+    y, deleted, inserted = simulate_trial(cell, 0, WATERMARKED)
+    assert y.size > 0
+    # the chunk decodes the trial's stream and counts its segment bits
+    (score, *counts), = _chunk_task((cell, [(0, WATERMARKED)]))
+    assert counts == [deleted, inserted, y.size]
     assert 0.0 <= score <= 1.0
-    assert seg > 0
     with pytest.raises(ValueError, match="role"):
         simulate_trial(cell, 0, HOLDOUT + 1)
 
 
-def test_experiment_report_roundtrip(tmp_path):
+def test_experiment_report_roundtrip():
     cfg = small_config()
     report = run_experiment(cfg)
     assert len(report.cells) == 1
@@ -95,12 +102,13 @@ def test_experiment_report_roundtrip(tmp_path):
     assert len(cell.scores_watermarked) == cfg.trials
     assert len(cell.scores_control) == cfg.trials
     assert 0.0 <= cell.tp_rate <= 1.0
-    csv_path = tmp_path / "report.csv"
-    report.to_csv(csv_path)
     loaded = json.loads(json.dumps(report.to_dict()))
-    assert loaded["trials"] == cfg.trials
-    lines = csv_path.read_text().strip().splitlines()
+    # each setting once: trials, alpha and seed live in the config only
+    assert sorted(loaded) == ["cells", "config", "wall_clock"]
+    assert loaded["config"]["trials"] == cfg.trials
+    lines = report.to_csv().splitlines()
     assert len(lines) == 2 and lines[0].startswith("n,")
+    assert lines[1].split(",")[5] == str(cfg.trials)
 
 
 def test_experiment_deterministic_rerun():
@@ -151,25 +159,26 @@ def test_experiment_regrouping_matches_per_flow_stages(monkeypatch):
     roles = {"watermarked": WATERMARKED, "control": CONTROL, "holdout": HOLDOUT}
     expected = []
     for cell in grid_cells(cfg):
+        wm, law = cell.config.watermark_config(), cell.config.decoder_params()
         scores, sims = {}, []
         for role, index in roles.items():
             scores[role] = []
             for t in range(cfg.trials):
                 sim = simulate_trial(cell, t, index)
-                scores[role] += decode_trials(cell, [sim[0]])
+                scores[role].append(decode(sim[0], wm, law, wm.watermark).score)
                 sims.append(sim)
         threshold = calibrate_threshold(scores["control"], cfg.alpha)
         rate = {role: float(np.mean(np.asarray(s) >= threshold))
                 for role, s in scores.items()}
         expected.append(dict(
-            params=cfg.cells()[cell.index], threshold=threshold,
+            params=grid_point(p_d=(0.05, 0.1)[cell.index]), threshold=threshold,
             tp_rate=rate["watermarked"], fp_rate=rate["control"],
             fp_holdout=rate["holdout"],
             scores_watermarked=scores["watermarked"],
             scores_control=scores["control"], scores_holdout=scores["holdout"],
             mean_deleted=float(np.mean([s[1] for s in sims])),
             mean_inserted=float(np.mean([s[2] for s in sims])),
-            mean_segment_bits=float(np.mean([s[3] for s in sims])),
+            mean_segment_bits=float(np.mean([s[0].size for s in sims])),
         ))
     for chunk in (3, 4):
         monkeypatch.setattr(experiment, "DECODE_CHUNK", chunk)
@@ -217,6 +226,23 @@ def test_experiment_trace_dir(tmp_path):
     (tdir / "notes.txt").write_text("hello\n")
     with pytest.raises(ValueError, match=r"notes\.txt: line 1: not a timestamp"):
         run_experiment(cfg)
+
+
+def test_experiment_trace_cut_to_flow_len(tmp_path):
+    # traces longer than flow_len are cut to their first flow_len packets:
+    # 300-packet traces give the report of the same traces pre-cut to 150
+    from flowmark.traffic import PacketFlow, poisson_flow, write_trace
+
+    cells = []
+    for length in (300, 150):
+        tdir = tmp_path / f"traces{length}"
+        tdir.mkdir()
+        for i in range(4):
+            flow = poisson_flow(2.0, 300, seed=90 + i)
+            write_trace(PacketFlow(flow.timestamps[:length]), tdir / f"t{i}.txt")
+        cells.append(run_experiment(small_config(trace_dir=str(tdir), trials=4,
+                                                 flow_len=150)).cells)
+    assert cells[0] == cells[1]
 
 
 def test_trace_dir_selects_trace_traffic(tmp_path):
