@@ -239,7 +239,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             parts = list(pool.map(_chunk_task, chunks))
     else:
         parts = [_chunk_task(c) for c in chunks]
-    # (cell, trial, role, [score, deleted, inserted, seg_bits])
+    # (cell, trial, role, [score, deleted, inserted, segment bits])
     results = np.array([r for part in parts for r in part], dtype=np.float64)
     results = results.reshape(len(cells), config.trials, len(roles), 4)
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from flowmark.channel import substitution_prob
+from flowmark.channel import ChannelParams, substitution_prob, transmit
 from flowmark.decoder import IdsParams, decode
 from flowmark.experiment import (
     CONTROL,
@@ -17,6 +17,8 @@ from flowmark.experiment import (
     run_experiment,
     simulate_trial,
 )
+from flowmark.qim import qim_extract
+from flowmark.traffic import poisson_flow, to_ipds
 
 
 # a small_config cell's scalar grid point, at the given axis values
@@ -86,6 +88,18 @@ def test_run_trial_shapes():
     cell = grid_cells(cfg)[0]
     y, deleted, inserted = simulate_trial(cell, 0, WATERMARKED)
     assert y.size > 0
+    # a control trial's stream is its channel run's received bits cut at
+    # the watermarked segment, short of the whole received stream
+    y_ctrl, *_ = simulate_trial(cell, 0, CONTROL)
+    flow = poisson_flow(cfg.rate_pps, cfg.flow_len, seed=derive_seed(cfg.seed, 0, 0, 2))
+    recv, log = transmit(flow, ChannelParams(
+        sigma=cfg.sigma_ms / 1000.0, p_delete=cfg.p_d, p_insert=cfg.p_i,
+        max_insert_run=cfg.max_insert_run, seed=derive_seed(cfg.seed, 0, 0, 3),
+        jitter=cfg.jitter_mode, delta=cfg.delta_ms / 1000.0))
+    wcfg = cfg.watermark_config()
+    seg = log.segment_bits(wcfg.code_len)
+    assert y_ctrl.size == seg < cfg.flow_len - 1
+    np.testing.assert_array_equal(y_ctrl, qim_extract(to_ipds(recv), wcfg.delta)[:seg])
     # the chunk decodes the trial's stream and counts its segment bits
     (score, *counts), = _chunk_task((cell, [(0, WATERMARKED)]))
     assert counts == [deleted, inserted, y.size]
