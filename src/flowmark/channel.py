@@ -23,24 +23,29 @@ class ChannelParams:
     """Network channel knobs.
 
     sigma is the jitter standard deviation in seconds (the Laplace scale is
-    sigma/sqrt(2)).  Each packet is dropped independently with probability
-    p_delete; after each surviving packet, L extra packets are inserted
-    with P(L=l) = p_insert**l * (1-p_insert), capped at max_insert_run.
-    Inserted packets arrive together with the survivor they follow (zero
-    IPDs, which read as bit 0), and packet 0 is never dropped: the decoder
-    assumes both.
+    sigma/sqrt(2)).  Packet 0 is never dropped; each later packet is
+    dropped independently with probability p_delete.  After each surviving
+    packet, L extra packets are inserted with P(L=l) = p_insert**l *
+    (1-p_insert) below max_insert_run, which takes the tail.  Inserted
+    packets arrive together with the survivor they follow: their IPDs are
+    0 and read as bit 0 unless jitter flips them.  The decoder's IdsParams
+    states this same law.
 
     jitter selects how sigma perturbs the received IPDs:
 
     * "laplace": literal i.i.d. zero-mean Laplace noise.  Physically
       realistic, but both noise directions can cross the quantizer decision
       boundary, so the realized bit-flip rate is u/(1+u**2) with
-      u = exp(-delta/(2*sqrt(2)*sigma)), about twice substitution_prob().
+      u = exp(-delta/(2*sqrt(2)*sigma)), about twice substitution_prob(),
+      and the clamp at IPD 0 lowers it.  The decoder still reads this mode
+      as a binary symmetric channel at substitution_prob(delta, sigma).
     * "quantizer": quantization-aware substitution.  Each received IPD is
       shifted by half a quantization step with exactly the probability
-      substitution_prob(delta, sigma); requires delta.  This realizes the
-      bit-substitution abstraction the decoder is built on and is what the
-      experiment harness uses to reproduce the reference robustness tables.
+      substitution_prob(delta, sigma); requires delta.  An inserted zero
+      IPD is pushed up, so it reads 1 with that probability.  This
+      realizes the bit-substitution law the decoder is built on, and it is
+      what the experiment harness uses to reproduce the reference
+      robustness tables.
     """
 
     sigma: float = 0.0

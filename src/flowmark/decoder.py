@@ -6,16 +6,17 @@ is the xor of all code bits whose IPDs have merged into one received IPD
 through packet drops, and the drift is the offset of the sent position
 inside the received sequence caused by net insertions minus deletions.
 
-One trellis step resolves the fate of the previous sent packet: dropped
-with nothing inserted (no bit observed, the accumulated bit carries),
-or delivered/replaced-by-insertions (the accumulated bit is observed,
-possibly substituted, followed by a burst of inserted zeros).  Forward and
-backward sweeps over this chain, under the code's own law for the sparse
-bits, give the evidence and, joined across one watermark block's first
-step with its bit fixed to a hypothesis, the exact per-bit likelihoods
-for maximum-likelihood decoding.  Received
-sequences decoded under one key and one channel law sweep together, on a
-leading flow axis of every state array.
+One trellis step resolves the fate of the previous sent packet under the
+law channel.transmit samples, the insertion/deletion channel of Davey &
+MacKay's watermark codes (IEEE Trans. IT 47(2), 2001): dropped (the
+accumulated bit carries), or delivered (the accumulated bit is observed,
+then a burst of inserted zeros; every observed bit may be substituted).
+Forward and backward sweeps over this chain, under the code's own law for
+the sparse bits, give the evidence and, joined across one watermark
+block's first step with its bit fixed to a hypothesis, the exact per-bit
+likelihoods for maximum-likelihood decoding.  Received sequences decoded
+under one key and one channel law sweep together, on a leading flow axis
+of every state array.
 
 The forward and backward vectors hold linear probabilities, renormalized
 at each step with their log scales carried separately; code lengths in the
@@ -161,20 +162,17 @@ class Trellis:
         self.prior = self.code_weights(np.arange(1, self.n_code + 1),
                                        np.stack([1.0 - flip, flip], axis=1))
 
-        p = params
-        self.del_coef = p.p_delete * (1.0 - p.p_insert)
-        run = p.max_insert_run
-        # coef[l]: probability weight of a +l drift step, split over the
-        # two ways it can happen (drop with l+1 insertions, delivery with
-        # l insertions), each gated by the insertion-run cap.  It is
-        # positive for l = 0 and, when p_insert > 0, for every l <= run.
+        # transmit's law: a sent packet is dropped with p_delete; a delivered
+        # one, and the head, is followed by l inserted zeros, P(l) =
+        # p_insert**l * (1 - p_insert) below the run cap, which takes the tail
+        p, run = params, params.max_insert_run
         ls = np.arange(0, run + 1)
-        drop_part = p.p_delete * p.p_insert ** (ls + 1) * (ls + 1 <= run)
-        keep_part = (1.0 - p.p_delete) * p.p_insert ** ls
-        self.coef = (1.0 - p.p_insert) * (drop_part + keep_part)
+        self.init_coef = np.where(ls < run, p.p_insert ** ls * (1.0 - p.p_insert),
+                                  p.p_insert ** run)
+        self.del_coef = p.p_delete
+        # coef[l]: weight of a +l drift step, a delivery and l inserted zeros
+        self.coef = (1.0 - p.p_delete) * self.init_coef
         self.n_ins = run + 1 if p.p_insert > 0.0 else 1
-        # head insertions before the first marked IPD completes
-        self.init_coef = p.p_insert ** ls * (1.0 - p.p_insert)
 
         # band[b] = (lo, hi): the drifts in flow b's cap that some state i
         # can both reach from state 1, a step moving the drift by -down ..
@@ -201,38 +199,39 @@ class Trellis:
         inside = (self.drifts >= self.band[:, :1]) & (self.drifts <= self.band[:, 1:])
         self.window = None if inside.all() else inside[:, None, :].astype(np.float64)
 
-        # bits: the received sequences padded with ones, so that zrun
-        # reads 0 from each flow's end on; zrun[b, j]: observed zeros
-        # starting at position j of flow b
-        width = int(self.n_obs.max()) + 1
-        self.bits = np.ones((n_flows, width), dtype=np.uint8)
-        for b, y in enumerate(self.ys):
-            self.bits[b, : y.size] = y
-        at = np.arange(width)
-        next_one = np.minimum.accumulate(
-            np.where(self.bits == 1, at, width)[:, ::-1], axis=1)[:, ::-1]
-        self.zrun = next_one - at
-
         # Per-step emission context: step i (into state i) reads its first
-        # observed bit at position i - 2 + drift of the source state, so the
-        # tables of step i are the length-D windows at i - 2 of rows over
-        # positions lo .. n_code - 1 + hi.  The rows hold n_code windows:
-        # the last, k = n_code - 1, is the closing step of terminal_vec.
-        ps = p.p_sub
-        pos = np.arange(self.lo, self.n_code + self.hi)
+        # observed bit at position i - 2 + drift of the source state and its
+        # l inserted zeros at the positions after it, so the tables of step i
+        # are the length-D windows at i - 2 of rows over positions lo ..
+        # n_code - 1 + hi; the last window, k = n_code - 1, is the closing
+        # step of terminal_vec.  match[b, a, j]: weight of flow b's bit at
+        # position lo - 1 + j given sent bit a, 0 off the stream; the rows
+        # reach n_ins - 1 positions past the last window, for its zeros.
+        ps, n_pos = p.p_sub, self.n_code + self.D - 1
+        pos = np.arange(self.lo - 1, self.n_code + self.hi + self.n_ins - 1)
         valid = (pos >= 0) & (pos < self.n_obs[:, None])
-        obs = self.bits[:, np.clip(pos, 0, width - 1)]
-        # e_match[i-2, b, a]: weight of the first observed bit of flow b
-        # given accumulated bit a
+        obs = np.zeros(valid.shape, dtype=np.uint8)
+        for b, y in enumerate(self.ys):
+            obs[b, valid[b]] = y[pos[valid[b]]]
         match = np.stack([np.where(valid, np.where(obs == a, 1.0 - ps, ps), 0.0)
                           for a in (0, 1)], axis=1)
-        self.e_match = sliding_window_view(match, self.D, axis=2).transpose(2, 0, 1, 3)
-        # ins_weight[i-2, b, l]: coef[l], zero where fewer than l observed
-        # zeros follow the first observed bit
-        avail = self.zrun[:, np.clip(pos + 1, 0, width - 1)]
-        lens = np.arange(self.n_ins)[:, None]
-        ins = self.coef[lens] * (avail[:, None, :] >= lens)
+        # zeros[b, l, j]: weight of l inserted zeros after position lo - 1 + j
+        zeros = np.ones((n_flows, self.n_ins, n_pos + 1))
+        for l in range(1, self.n_ins):
+            zeros[:, l] = zeros[:, l - 1] * match[:, 0, l : l + n_pos + 1]
+        # e_match[i-2, b, a]: weight of the first observed bit of flow b
+        # given accumulated bit a; ins_weight[i-2, b, l]: coef[l] times the
+        # weight of the l inserted zeros after it
+        self.e_match = sliding_window_view(
+            match[:, :, 1 : n_pos + 1], self.D, axis=2).transpose(2, 0, 1, 3)
+        ins = self.coef[: self.n_ins, None] * zeros[:, :, 1:]
         self.ins_weight = sliding_window_view(ins, self.D, axis=2).transpose(2, 0, 1, 3)
+        # head: the head packet, then l inserted zeros at positions 0 .. l - 1
+        ls = np.arange(min(self.n_ins - 1, self.hi) + 1)
+        self.head = np.zeros((n_flows, 1, self.D))
+        self.head[:, 0, ls - self.lo] = self.init_coef[ls] * zeros[:, ls, -self.lo]
+        if self.window is not None:
+            self.head *= self.window
         self._run_rows = {}
 
     def code_weights(self, i, same_flip) -> np.ndarray:
@@ -247,12 +246,7 @@ class Trellis:
         """Distribution over state 1 given code-bit weights wx (..., 2):
         head survives, a burst of inserted zeros may precede the first
         marked IPD.  Shape (..., B, 2, D)."""
-        ls = np.arange(min(self.params.max_insert_run, self.hi) + 1)
-        head = np.zeros((len(self.ys), 1, self.D))
-        head[:, 0, ls - self.lo] = np.where(self.zrun[:, :1] >= ls, self.init_coef[ls], 0.0)
-        if self.window is not None:
-            head *= self.window
-        return np.asarray(wx)[..., None, :, None] * head
+        return np.asarray(wx)[..., None, :, None] * self.head
 
     def step(self, prev: np.ndarray, i, wx) -> np.ndarray:
         """Advance state i-1 to state i (resolve sent packet i-1).

@@ -8,29 +8,24 @@ def rng():
 
 
 def sample_ids_channel(code, params, rng):
-    """Bit-level sampler of the decoder's channel law, for building test
-    instances without the timestamp machinery."""
-    run = params.max_insert_run
+    """Bit-level sampler of transmit's law, for building test instances
+    without the timestamp machinery: the head packet arrives, every later
+    sent packet is dropped with p_delete (its bit merging into the next
+    IPD), each delivered packet is followed by a burst of inserted zeros
+    whose cap takes the tail, and every received bit flips with p_sub."""
 
     def burst():
         m = 0
-        while m < run and rng.random() < params.p_insert:
+        while m < params.max_insert_run and rng.random() < params.p_insert:
             m += 1
-        return m
+        return [0] * m
 
-    out = [0] * burst()
+    out = burst()
     pending = 0
     for bit in code:
         pending ^= int(bit)
-        if rng.random() < params.p_delete:
-            m = burst()
-            if m:
-                out.append(int(pending ^ (rng.random() < params.p_sub)))
-                out.extend([0] * (m - 1))
-                pending = 0
-        else:
-            m = burst()
-            out.append(int(pending ^ (rng.random() < params.p_sub)))
-            out.extend([0] * m)
+        if rng.random() >= params.p_delete:
+            out += [pending] + burst()
             pending = 0
-    return np.array(out, dtype=np.uint8)
+    flips = rng.random(len(out)) < params.p_sub
+    return np.array(out, dtype=np.uint8) ^ flips.astype(np.uint8)

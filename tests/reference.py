@@ -24,6 +24,20 @@ class TrellisState:
     drift: int
 
 
+def insertion_law(params: IdsParams) -> np.ndarray:
+    """P(l inserted zeros after a delivered packet), l = 0 .. run: the
+    geometric law below the run cap, the cap taking the tail."""
+    p_i, run = params.p_insert, params.max_insert_run
+    return np.append(p_i ** np.arange(run) * (1.0 - p_i), p_i ** run)
+
+
+def read_weight(bits, sent: int, p_sub: float) -> float:
+    """Substitution weight of reading the received bits when each was
+    sent as `sent`."""
+    flips = int(np.count_nonzero(np.asarray(bits) != sent))
+    return p_sub ** flips * (1.0 - p_sub) ** (len(bits) - flips)
+
+
 def transition_log_prob(prev: TrellisState, nxt: TrellisState, emitted,
                         key_bit: int, params: IdsParams,
                         flip: float | None = None,
@@ -48,19 +62,15 @@ def transition_log_prob(prev: TrellisState, nxt: TrellisState, emitted,
     total = 0.0
     for wv, pw in weights:
         if dd == -1 and emitted.size == 0:
+            # dropped: the accumulated bit carries
             if nxt.acc_bit == prev.acc_bit ^ key_bit ^ wv:
-                total += pw * p.p_delete * (1.0 - p.p_insert)
-        elif dd >= 0 and emitted.size == dd + 1:
-            if nxt.acc_bit != key_bit ^ wv:
-                continue
-            if np.any(emitted[1:] != 0):
-                continue
-            run = p.max_insert_run
-            drop_part = p.p_delete * p.p_insert ** (dd + 1) if dd + 1 <= run else 0.0
-            keep_part = (1.0 - p.p_delete) * p.p_insert ** dd if dd <= run else 0.0
-            coef = (1.0 - p.p_insert) * (drop_part + keep_part)
-            match = 1.0 - p.p_sub if int(emitted[0]) == prev.acc_bit else p.p_sub
-            total += pw * coef * match
+                total += pw * p.p_delete
+        elif 0 <= dd <= p.max_insert_run and emitted.size == dd + 1:
+            # delivered, then dd inserted zeros, each read through p_sub
+            if nxt.acc_bit == key_bit ^ wv:
+                total += (pw * (1.0 - p.p_delete) * insertion_law(p)[dd]
+                          * read_weight(emitted[:1], prev.acc_bit, p.p_sub)
+                          * read_weight(emitted[1:], 0, p.p_sub))
     return math.log(total) if total > 0.0 else -math.inf
 
 
@@ -69,8 +79,8 @@ def enumeration_oracle(x, params: IdsParams, y) -> float:
 
     Walks every combination of per-packet drops and insertion bursts that
     could map x to y, multiplying in substitution weights for each merged
-    bit.  Independent of the trellis; used to verify it.  Sizes are capped
-    to keep the enumeration honest and fast.
+    bit and each inserted zero.  Independent of the trellis; used to
+    verify it.  Sizes are capped to keep the enumeration honest and fast.
     """
     x = as_bits(x)
     y = as_bits(y)
@@ -83,52 +93,34 @@ def enumeration_oracle(x, params: IdsParams, y) -> float:
     n, n_obs = int(x.size), int(y.size)
     if n < 1:
         raise ValueError("code must be nonempty")
-    ins_w = [p.p_insert ** m * (1.0 - p.p_insert) for m in range(run + 1)]
-    keep = 1.0 - p.p_delete
+    ins_w = insertion_law(p)
 
     total = 0.0
 
-    def emit_match(bit: int, pos: int) -> float:
-        return 1.0 - p.p_sub if int(y[pos]) == bit else p.p_sub
-
-    def zeros_ok(pos: int, count: int) -> bool:
-        return not np.any(y[pos:pos + count])
+    def burst(pos: int, m: int) -> float:
+        # m inserted zeros read at pos ..; impossible past y's end
+        return ins_w[m] * read_weight(y[pos:pos + m], 0, p.p_sub) if pos + m <= n_obs else 0.0
 
     def resolve(i: int, pos: int, prob: float, pending: int):
         nonlocal total
+        if prob == 0.0:
+            return
         if i > n:
             if pos == n_obs:
                 total += prob
             return
         pending ^= int(x[i - 1])
-        # dropped, nothing inserted: the merged bit keeps accumulating
-        if p.p_delete > 0.0:
-            resolve(i + 1, pos, prob * p.p_delete * (1.0 - p.p_insert), pending)
-            # dropped but m bursts inserted: the merged bit is observed on
-            # the first inserted packet, the rest are zeros
-            for m in range(1, run + 1):
-                if ins_w[m] <= 0.0 or pos + m > n_obs:
-                    break
-                if not zeros_ok(pos + 1, m - 1):
-                    continue
-                resolve(i + 1, pos + m,
-                        prob * p.p_delete * ins_w[m] * emit_match(pending, pos), 0)
-        # delivered with m insertions after it
-        for m in range(0, run + 1):
-            if ins_w[m] <= 0.0 or pos + 1 + m > n_obs:
-                break
-            if not zeros_ok(pos + 1, m):
-                continue
-            resolve(i + 1, pos + 1 + m,
-                    prob * keep * ins_w[m] * emit_match(pending, pos), 0)
+        # dropped: the merged bit keeps accumulating
+        resolve(i + 1, pos, prob * p.p_delete, pending)
+        # delivered as y[pos], then m inserted zeros
+        if pos < n_obs:
+            for m in range(run + 1):
+                resolve(i + 1, pos + 1 + m, prob * (1.0 - p.p_delete)
+                        * read_weight(y[pos:pos + 1], pending, p.p_sub) * burst(pos + 1, m), 0)
 
     # head packet always arrives; a burst may precede the first marked IPD
-    for m0 in range(0, run + 1):
-        if ins_w[m0] <= 0.0 or m0 > n_obs:
-            break
-        if not zeros_ok(0, m0):
-            continue
-        resolve(1, m0, ins_w[m0], 0)
+    for m0 in range(run + 1):
+        resolve(1, m0, burst(0, m0), 0)
     return total
 
 
@@ -148,34 +140,31 @@ class DenseSteps:
         self.n_obs = int(self.y.size)
 
         p = params
-        self.del_coef = p.p_delete * (1.0 - p.p_insert)
-        run = p.max_insert_run
-        ls = np.arange(0, run + 1)
-        drop_part = p.p_delete * p.p_insert ** (ls + 1) * (ls + 1 <= run)
-        keep_part = (1.0 - p.p_delete) * p.p_insert ** ls
-        self.coef = (1.0 - p.p_insert) * (drop_part + keep_part)
-        self.active_l = [int(l) for l in ls if self.coef[l] > 0.0]
-        self.init_coef = p.p_insert ** ls * (1.0 - p.p_insert)
+        self.del_coef = p.p_delete
+        self.init_coef = insertion_law(p)
+        self.coef = (1.0 - p.p_delete) * self.init_coef
+        self.active_l = [l for l in range(p.max_insert_run + 1) if self.coef[l] > 0.0]
 
         self.D = 2 * self.d_max + 1
         self.drifts = np.arange(-self.d_max, self.d_max + 1)
 
-        zrun = np.zeros(self.n_obs + 1, dtype=np.int64)
-        for j in range(self.n_obs - 1, -1, -1):
-            zrun[j] = 0 if self.y[j] else zrun[j + 1] + 1
-        self.zrun = zrun
-
         # step i (into state i) reads its first observed bit at index
-        # i - 2 + drift of the source state
-        ps = p.p_sub
+        # i - 2 + drift of the source state, and its inserted zeros at the
+        # indices after it
         steps = np.arange(2, self.n_code + 1)
         pos = steps[:, None] - 2 + self.drifts[None, :]
-        valid = (pos >= 0) & (pos < self.n_obs)
-        obs = self.y[np.clip(pos, 0, max(self.n_obs - 1, 0))] if self.n_obs else np.zeros_like(pos)
-        self.e_match = [
-            np.where(valid, np.where(obs == b, 1.0 - ps, ps), 0.0) for b in (0, 1)
-        ]
-        self.avail = zrun[np.clip(pos + 1, 0, self.n_obs)]
+
+        def read(at, bit):
+            # weight of reading y[at] when `bit` was sent; 0 off y
+            inside = (at >= 0) & (at < self.n_obs)
+            obs = (self.y[np.clip(at, 0, max(self.n_obs - 1, 0))] if self.n_obs
+                   else np.zeros_like(at))
+            return np.where(inside, np.where(obs == bit, 1.0 - p.p_sub, p.p_sub), 0.0)
+
+        self.e_match = [read(pos, b) for b in (0, 1)]
+        # zero_w[l]: weight of l inserted zeros read after the first bit
+        self.zero_w = [np.prod([read(pos + t, 0) for t in range(1, l + 1)], axis=0)
+                       if l else np.ones(pos.shape) for l in range(p.max_insert_run + 1)]
 
     def _w_weights(self, i: int, override=None):
         """(value, weight) pairs of the sparse bit at position i (1-based)."""
@@ -191,13 +180,9 @@ class DenseSteps:
         vec = np.zeros((2, self.D))
         key = int(self.key[0])
         for wv, pw in self._w_weights(1, wbit):
-            row = key ^ wv
-            for l in range(min(self.params.max_insert_run, self.d_max) + 1):
-                c = self.init_coef[l]
-                if c <= 0.0:
-                    continue
-                if self.zrun[0] >= l:
-                    vec[row, self.d_max + l] += pw * c
+            for l in range(min(self.params.max_insert_run, self.d_max, self.n_obs) + 1):
+                vec[key ^ wv, self.d_max + l] += (
+                    pw * self.init_coef[l] * read_weight(self.y[:l], 0, self.params.p_sub))
         return vec
 
     def step(self, prev: np.ndarray, i: int, wbit=None) -> np.ndarray:
@@ -205,7 +190,6 @@ class DenseSteps:
         nxt = np.zeros_like(prev)
         key = int(self.key[i - 1])
         e0, e1 = self.e_match[0][i - 2], self.e_match[1][i - 2]
-        avail = self.avail[i - 2]
         merged = prev[0] * e0 + prev[1] * e1
         for wv, pw in self._w_weights(i, wbit):
             if key ^ wv:
@@ -216,7 +200,7 @@ class DenseSteps:
                 nxt[:, :-1] += (pw * self.del_coef) * del_src[:, 1:]
             row = key ^ wv
             for l in self.active_l:
-                contrib = merged * (avail >= l)
+                contrib = merged * self.zero_w[l][i - 2]
                 if l:
                     nxt[row, l:] += (pw * self.coef[l]) * contrib[:-l]
                 else:
@@ -224,24 +208,21 @@ class DenseSteps:
         return nxt
 
     def terminal_vec(self) -> np.ndarray:
-        """Closure against the observed tail: the last packet vanishes with
-        nothing inserted, or its accumulated bit arrives as bit `first`
-        of y and inserted zeros finish y."""
+        """Closure against the observed tail: the last packet is dropped,
+        or its accumulated bit arrives as bit `first` of y and inserted
+        zeros finish y."""
         p = self.params
         vec = np.zeros((2, self.D))
         for col, d in enumerate(self.drifts):
             first = self.n_code - 1 + int(d)
-            tail = self.n_obs - first
-            if tail == 0:
-                vec[:, col] = p.p_delete * (1.0 - p.p_insert)
-            elif tail > 0 and first >= 0 and not np.any(self.y[first + 1:]):
-                m = tail - 1
-                run = p.max_insert_run
-                keep = (1.0 - p.p_delete) * p.p_insert ** m if m <= run else 0.0
-                drop = p.p_delete * p.p_insert ** (m + 1) if m + 1 <= run else 0.0
+            m = self.n_obs - first - 1
+            if m == -1:
+                vec[:, col] = p.p_delete
+            elif first >= 0 and m in self.active_l:
+                tail = read_weight(self.y[first + 1:], 0, p.p_sub)
                 for a in (0, 1):
-                    match = 1.0 - p.p_sub if int(self.y[first]) == a else p.p_sub
-                    vec[a, col] = (1.0 - p.p_insert) * (keep + drop) * match
+                    vec[a, col] = self.coef[m] * read_weight(self.y[first:first + 1], a,
+                                                             p.p_sub) * tail
         return vec
 
     def sweeps(self):

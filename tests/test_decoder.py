@@ -62,36 +62,32 @@ def test_transition_inconsistent_pairs_are_zero():
     lp = transition_log_prob(TrellisState(0, 0), TrellisState(1, 2), [1],
                              key_bit=0, params=p, flip=0.05)
     assert lp == -math.inf
-    # inserted bits must be zeros
+    # an inserted bit read as 1 is a substituted zero: impossible without
+    # substitutions, p_sub / (1 - p_sub) times as likely as a 0 with them
     lp = transition_log_prob(TrellisState(0, 0), TrellisState(0, 1), [0, 1],
-                             key_bit=0, params=p, flip=0.05)
+                             key_bit=0, params=IdsParams(p_insert=0.1), flip=0.05)
     assert lp == -math.inf
+    one, zero = (transition_log_prob(TrellisState(0, 0), TrellisState(0, 1), [0, b],
+                                     key_bit=0, params=p, flip=0.05) for b in (1, 0))
+    assert math.exp(one - zero) == pytest.approx(0.1 / 0.9)
 
 
 def test_transition_normalization():
-    # summing over every next state and consistent emission gives 1 when
-    # insertion runs cannot be truncated
+    # summing over every next state and every emitted fragment gives 1:
+    # the run cap takes the insertion law's tail
     for p_i in (0.0, 0.15):
-        p = IdsParams(p_sub=0.07, p_delete=0.2, p_insert=p_i, max_insert_run=64)
-        total = 0.0
-        for key_bit in (0,):
-            for acc in (0, 1):
-                prev = TrellisState(acc, 0)
-                # deletion branch
-                for nxt_acc in (0, 1):
-                    lp = transition_log_prob(prev, TrellisState(nxt_acc, -1), [],
-                                             key_bit, p, flip=0.05)
-                    total += math.exp(lp) if math.isfinite(lp) else 0.0
-                # emission branches
-                for l in range(0, 40):
-                    for first in (0, 1):
-                        emitted = [first] + [0] * l
-                        for nxt_acc in (0, 1):
-                            lp = transition_log_prob(
-                                prev, TrellisState(nxt_acc, l), emitted,
-                                key_bit, p, flip=0.05)
-                            total += math.exp(lp) if math.isfinite(lp) else 0.0
-        assert total / 2 == pytest.approx(1.0, abs=1e-9)
+        p = IdsParams(p_sub=0.07, p_delete=0.2, p_insert=p_i, max_insert_run=3)
+        for acc in (0, 1):
+            prev = TrellisState(acc, 0)
+            moves = [(TrellisState(nxt_acc, -1), []) for nxt_acc in (0, 1)]
+            moves += [(TrellisState(nxt_acc, l), emitted) for l in range(5)
+                      for emitted in itertools.product((0, 1), repeat=l + 1)
+                      for nxt_acc in (0, 1)]
+            total = 0.0
+            for nxt, emitted in moves:
+                lp = transition_log_prob(prev, nxt, emitted, 0, p, flip=0.05)
+                total += math.exp(lp) if math.isfinite(lp) else 0.0
+            assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transition_noiseless_identity():
@@ -103,6 +99,53 @@ def test_transition_noiseless_identity():
     lp_bad = transition_log_prob(TrellisState(0, 0), TrellisState(1, 0), [1],
                                  key_bit=1, params=p, wtilde_bit=0)
     assert lp_bad == -math.inf
+
+
+# ----------------------------------------------------------------- channel law
+
+def test_step_law_is_a_distribution():
+    # a sent packet is dropped, or delivered with some run of inserted
+    # zeros; the head's burst is the insertion law alone
+    for p_d, p_i, run in ((0.3, 0.3, 2), (0.1, 0.1, 8), (0.0, 0.2, 1), (0.5, 0.05, 4)):
+        t = Trellis([[0, 1, 0]], [1, 0, 1], IdsParams(p_sub=0.05, p_delete=p_d,
+                                                      p_insert=p_i, max_insert_run=run))
+        assert abs(t.del_coef + t.coef.sum() - 1.0) <= 1e-12
+        assert abs(t.init_coef.sum() - 1.0) <= 1e-12
+
+
+def test_evidence_matches_transmit_chi_square():
+    # the decoder's P(y) is the law of transmit's own draws: the 3-bit
+    # code embedded in a flow, sent through quantizer jitter, drops and
+    # bursts 20,000 times and cut at the segment, gives stream counts
+    # that fit exp(log_evidence); streams expected fewer than 5 times
+    # share one cell, and no seen stream is impossible
+    delta, sigma, p_d, p_i, run, draws = 0.1, 0.03, 0.3, 0.3, 2, 20_000
+    code = np.array([1, 0, 1], dtype=np.uint8)
+    flow, _ = embed_flow(poisson_flow(3.3, 8, seed=1), code, delta)
+    counts = {}
+    for seed in range(draws):
+        recv, log = transmit(flow, ChannelParams(
+            sigma=sigma, p_delete=p_d, p_insert=p_i, max_insert_run=run,
+            jitter="quantizer", delta=delta, seed=seed))
+        # with every packet but the head dropped there is no IPD to read
+        bits = qim_extract(to_ipds(recv), delta) if len(recv) > 1 else np.zeros(0, np.uint8)
+        y = bits[: log.segment_bits(code.size)].tobytes()
+        counts[y] = counts.get(y, 0) + 1
+    ys = list(counts)
+    params = IdsParams.from_channel(delta, sigma, p_d, p_i, run)
+    t = trellis_tables([np.frombuffer(y, np.uint8) for y in ys], code, params,
+                       wtilde=np.zeros(code.size, np.uint8))
+    expected = draws * np.exp(t.log_evidence)
+    seen = np.array([counts[y] for y in ys])
+    assert np.all(expected > 0.0)
+    big = expected >= 5.0
+    cells_seen = np.append(seen[big], draws - seen[big].sum())
+    cells_expected = np.append(expected[big], draws - expected[big].sum())
+    chi2 = float(np.sum((cells_seen - cells_expected) ** 2 / cells_expected))
+    # the 0.999 quantile of chi-square(df), Wilson-Hilferty
+    df = cells_seen.size - 1
+    bound = df * (1.0 - 2.0 / (9 * df) + 3.090 * math.sqrt(2.0 / (9 * df))) ** 3
+    assert df >= 50 and chi2 < bound
 
 
 # ----------------------------------------------------------------- forward
@@ -426,7 +469,7 @@ def test_step_batch_equals_single_rows(rng):
         for l in range(p.max_insert_run + 1):
             if l < t.n_ins:
                 assert np.array_equal(t.ins_weight[: n_code - 1, 0, l],
-                                      dense.coef[l] * (dense.avail[:, cols] >= l))
+                                      dense.coef[l] * dense.zero_w[l][:, cols])
             else:
                 assert dense.coef[l] == 0.0
         if n_code < 2:
