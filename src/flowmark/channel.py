@@ -99,12 +99,11 @@ class ChannelLog:
 
 
 def substitution_prob(delta: float, sigma: float) -> float:
-    """Probability that Laplace jitter flips one embedded bit.
-
-    A bit flips when the IPD moves more than delta/4 toward the wrong
-    quantizer, which for zero-mean Laplace jitter with standard deviation
-    sigma has probability exp(-delta / (2*sqrt(2)*sigma)) / 2.
-    """
+    """One-sided tail of zero-mean Laplace jitter (standard deviation sigma)
+    past delta/4, exp(-delta / (2*sqrt(2)*sigma)) / 2: the bit-flip rate
+    that "quantizer" jitter realizes and the decoder assumes.  Literal
+    Laplace jitter crosses a decision boundary on either side and flips
+    about twice as often, u/(1+u**2) (see ChannelParams)."""
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     if sigma < 0.0:

@@ -113,8 +113,8 @@ class Trellis:
     accumulated bit, and columns for the drifts lo .. hi, the union of the
     flows' bands; further leading axes are a batch of independent chains.
     A flow's band is the part of its cap [-d_max, d_max] that its chain
-    can both reach and close from.  A flow keeps zeros outside its band,
-    since every step zeroes those columns, so each flow's evidence and
+    can both reach and close from.  The sweeps zero each flow's columns
+    outside its band at every state, so each flow's evidence and
     posteriors are those of a trellis over its own cap, up to rounding.
     Linear-domain vectors are renormalized each step and the log scale is
     carried separately.  trellis_tables() fills fw and bw, the (vectors,
@@ -230,8 +230,6 @@ class Trellis:
         ls = np.arange(min(self.n_ins - 1, self.hi) + 1)
         self.head = np.zeros((n_flows, 1, self.D))
         self.head[:, 0, ls - self.lo] = self.init_coef[ls] * zeros[:, ls, -self.lo]
-        if self.window is not None:
-            self.head *= self.window
         self._run_rows = {}
 
     def code_weights(self, i, same_flip) -> np.ndarray:
@@ -270,8 +268,6 @@ class Trellis:
         if self.del_coef > 0.0:
             nxt[..., :-1] += self.del_coef * (
                 wx[..., :1, :] * prev[..., 1:] + wx[..., 1:, :] * prev[..., ::-1, 1:])
-        if self.window is not None:
-            nxt *= self.window
         return nxt
 
     def step_back(self, nxt: np.ndarray, i, wx) -> np.ndarray:
@@ -291,8 +287,6 @@ class Trellis:
         if self.del_coef > 0.0:
             prev[..., 1:] += self.del_coef * (
                 wx[..., :1, :] * nxt[..., :-1] + wx[..., 1:, :] * nxt[..., ::-1, :-1])
-        if self.window is not None:
-            prev *= self.window
         return prev
 
     def _runs(self, lead: tuple, backward: bool):
@@ -328,15 +322,13 @@ class Trellis:
         fits = (ls >= 0) & (ls < self.n_ins)
         ins = np.take_along_axis(self.ins_weight[k], np.where(fits, ls, 0)[:, None], axis=1)
         vec = self.e_match[k] * np.where(fits[:, None], ins, 0.0)
-        vec = np.where((ls == -1)[:, None], self.del_coef, vec)
-        if self.window is not None:
-            vec *= self.window
-        return vec
+        return np.where((ls == -1)[:, None], self.del_coef, vec)
 
     def _sweep(self, vec, advance):
         """Renormalize-and-accumulate over the n_code states in sweep
         order: vec is the unnormalized vector of sweep state 0, and
         advance(vec, k) carries that of sweep state k - 1 to state k.
+        Each state is masked to the flows' bands before it is scaled.
         Returns the normalized vectors and log scales of every spread-th
         state, the spread-th first, in sweep order.  Flows past a
         zero-mass step keep zeros and -inf."""
@@ -348,6 +340,8 @@ class Trellis:
             for k in range(self.n_code):
                 if k:
                     vec = advance(vec, k)
+                if self.window is not None:
+                    vec *= self.window
                 scale = np.add.reduce(vec, axis=(1, 2), keepdims=True)
                 scales.append(scale)
                 vec /= scale
@@ -382,7 +376,7 @@ def trellis_tables(ys, key, params: IdsParams, d_max: int | None = None,
     t.bw = bvecs[::-1], blogw[::-1]
     closing = (t.fw[0][-1] * terminal).sum(axis=(-2, -1))
     with np.errstate(divide="ignore"):
-        t.log_evidence = np.where(closing > 0.0, t.fw[1][-1] + np.log(closing), -math.inf)
+        t.log_evidence = t.fw[1][-1] + np.log(closing)
     return t
 
 
@@ -395,7 +389,9 @@ def block_posterior(trellis: Trellis) -> np.ndarray:
     that one step under each hypothesis, from the forward vector at the
     previous block's end (from the head for block 0), closed against the
     backward vector at the block's first state.  All blocks and both
-    hypotheses take one batched step.
+    hypotheses take one batched step.  That step is not masked to the
+    bands: its columns outside a flow's band meet the zeros of the swept
+    backward vectors.
     """
     t = trellis
     (fvecs, flogw), (bvecs, blogw) = t.fw, t.bw

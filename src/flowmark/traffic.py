@@ -7,6 +7,7 @@ both views round-trip exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,7 @@ def poisson_flow(rate: float, count: int, seed: int) -> PacketFlow:
 
 
 def to_ipds(flow: PacketFlow) -> np.ndarray:
-    """Inter-packet delays of a flow; length is one less than the flow."""
-    if len(flow) < 2:
-        raise ValueError("need at least 2 packets to form IPDs")
+    """Inter-packet delays of a flow, one fewer than its packets (none for one)."""
     return np.diff(flow.timestamps)
 
 
@@ -77,9 +76,9 @@ def to_flow(ipds: np.ndarray, start: float = 0.0) -> PacketFlow:
 
 
 def read_values(path, what: str) -> list[float]:
-    """Read one decimal value per line.  Lines are stripped; blank lines and
-    `#` comments are ignored; a bad value's error names the file, the line
-    and `what` the value should be (e.g. "a timestamp")."""
+    """Read one finite decimal value per line.  Lines are stripped; blank
+    lines and `#` comments are ignored; a bad value's error (`nan` and `inf`
+    are bad) names the file, the line and `what` it should be (e.g. "a timestamp")."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -87,9 +86,12 @@ def read_values(path, what: str) -> list[float]:
             if not text or text.startswith("#"):
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: not {what}: {text!r}") from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno}: not {what}: {text!r}")
+            values.append(value)
     return values
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,3 +141,14 @@ def test_params_validation():
         ChannelParams(jitter="quantizer")  # needs delta
     with pytest.raises(ValueError):
         ChannelParams(jitter="bogus")
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: ChannelParams(p_delete=1.5), "p_delete must lie in [0, 1]",
+                 id="p_delete"),
+    pytest.param(lambda: substitution_prob(-0.1, 0.01), "delta must be nonnegative", id="delta"),
+    pytest.param(lambda: substitution_prob(0.1, -0.01), "sigma must be nonnegative", id="sigma"),
+])
+def test_input_checks(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -293,6 +294,23 @@ def test_extract_command(tmp_path, capsys):
     assert out.strip() == "01"
 
 
+def test_one_packet_trace_extracts_and_decodes_empty(tmp_path, capsys):
+    # a one-packet trace has no IPDs: it extracts to an empty line and
+    # decodes as the empty stream, which every dropped packet explains
+    flow, side = tmp_path / "flow.txt", tmp_path / "side.json"
+    run_cli(capsys, "gen", "--rate", "2.0", "--count", "40", "--seed", "1", "--out", str(flow))
+    run_cli(capsys, "embed", str(flow), "--out", str(tmp_path / "marked.txt"), "--sidecar",
+            str(side), "--n", "6", "--spread", "5")
+    head = tmp_path / "head.txt"
+    head.write_text("0.0\n")
+    code, out, _ = run_cli(capsys, "extract", str(head), "--delta-ms", "100")
+    assert code == 0 and out == "\n"
+    code, out, err = run_cli(capsys, "decode", str(head), "--sidecar", str(side),
+                             "--p-d", "0.3")
+    assert code == 0 and err == ""
+    assert json.loads(out)["log_evidence"] == pytest.approx(30 * math.log(0.3), rel=1e-12)
+
+
 def test_ks_command_identical(tmp_path, capsys):
     flow = tmp_path / "flow.txt"
     flow.write_text("0.0\n0.3\n0.5\n0.9\n")
@@ -341,11 +359,13 @@ def test_drtt_skips_comment_lines(tmp_path, capsys):
 
 
 def test_drtt_bad_line_names_file_and_line(tmp_path, capsys):
+    # float() reads inf and nan, but neither is an RTT
     bad = tmp_path / "bad.txt"
-    bad.write_text("0.050\n# note\nabc\n")
-    code, out, err = run_cli(capsys, "drtt", "--rtt-file", str(bad))
-    assert code == 1 and out == ""
-    assert json.loads(err)["message"] == f"{bad}: line 3: not an RTT: 'abc'"
+    for text in ("abc", "inf", "nan"):
+        bad.write_text(f"0.050\n# note\n{text}\n")
+        code, out, err = run_cli(capsys, "drtt", "--rtt-file", str(bad))
+        assert code == 1 and out == ""
+        assert json.loads(err)["message"] == f"{bad}: line 3: not an RTT: {text!r}"
 
 
 def test_drtt_csv(tmp_path, capsys):
@@ -501,6 +521,12 @@ def test_unknown_config_key(tmp_path):
         with pytest.raises(ValueError,
                            match=rf"^override '{item}': key '{item.split('=')[0]}': "):
             load_config(None, [item])
+    # a line without '=' names its line, or its override
+    cfg.write_text("seed = 3\ntrials 20\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(cfg))}: line 2: expected key = value"):
+        load_config(str(cfg), [])
+    with pytest.raises(ValueError, match=r"^override 'trials 20': expected key = value"):
+        load_config(None, ["trials 20"])
 
 
 def test_error_json_on_stderr(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,9 +128,7 @@ def test_evidence_matches_transmit_chi_square():
         recv, log = transmit(flow, ChannelParams(
             sigma=sigma, p_delete=p_d, p_insert=p_i, max_insert_run=run,
             jitter="quantizer", delta=delta, seed=seed))
-        # with every packet but the head dropped there is no IPD to read
-        bits = qim_extract(to_ipds(recv), delta) if len(recv) > 1 else np.zeros(0, np.uint8)
-        y = bits[: log.segment_bits(code.size)].tobytes()
+        y = qim_extract(to_ipds(recv), delta)[: log.segment_bits(code.size)].tobytes()
         counts[y] = counts.get(y, 0) + 1
     ys = list(counts)
     params = IdsParams.from_channel(delta, sigma, p_d, p_i, run)
@@ -266,9 +265,9 @@ def test_backward_terminal_wrong_drift_is_minus_inf():
 
 def test_terminal_vec_is_the_dense_closure(rng):
     # the closing step read from the step tables is the scalar closure on
-    # each flow's band and zero off it: streams sampled, cut, and run long
-    # by zeros that an insertion burst can finish, alone and in a batch
-    # whose flows mask each other's columns
+    # each flow's band, and the sweeps keep every state zero off it:
+    # streams sampled, cut, and run long by zeros that an insertion burst
+    # can finish, alone and in a batch whose flows mask each other's columns
     run, n_nonzero, n_windowed = 3, 0, 0
     for p_d, p_i in itertools.product((0.0, 0.1), (0.0, 0.1)):
         p = IdsParams(p_sub=0.05, p_delete=p_d, p_insert=p_i, max_insert_run=run)
@@ -280,7 +279,7 @@ def test_terminal_vec_is_the_dense_closure(rng):
                 ys.append(y[: max(y.size + extra, 0)] if extra < 0 else np.concatenate(
                     [y, np.zeros(extra, dtype=np.uint8)]))
             for batch in [[y] for y in ys] + [ys]:
-                t = Trellis(batch, key, p)
+                t = trellis_tables(batch, key, p)
                 n_windowed += t.window is not None
                 got = t.terminal_vec()
                 for b, y in enumerate(batch):
@@ -289,7 +288,8 @@ def test_terminal_vec_is_the_dense_closure(rng):
                     inside = (t.drifts >= lo) & (t.drifts <= hi)
                     dense = DenseSteps(y, key, p, d_max).terminal_vec()
                     want = dense[:, t.drifts[inside] + d_max]
-                    assert not np.any(got[b][:, ~inside])
+                    for vecs, _ in (t.fw, t.bw):
+                        assert not np.any(vecs[:, b][..., ~inside])
                     assert np.array_equal(got[b][:, inside] == 0.0, want == 0.0)
                     nz = want != 0.0
                     assert np.all(np.abs(got[b][:, inside][nz] - want[nz]) <= 1e-15 * want[nz])
@@ -797,6 +797,33 @@ def test_calibrate_errors():
 
 def test_binomial_score_threshold():
     assert binomial_score_threshold(50, 0.01) == pytest.approx(33 / 50)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: IdsParams(p_sub=1.0), "p_sub must lie in [0, 1)", id="p_sub"),
+    pytest.param(lambda: IdsParams(p_delete=-0.1), "p_delete must lie in [0, 1)", id="p_delete"),
+    pytest.param(lambda: IdsParams(max_insert_run=0), "max_insert_run must be at least 1",
+                 id="run-cap"),
+    pytest.param(lambda: Trellis([], [1, 0], IdsParams()), "need at least one received sequence",
+                 id="no-streams"),
+    pytest.param(lambda: Trellis([[0]], [], IdsParams()), "key must contain at least one bit",
+                 id="empty-key"),
+    pytest.param(lambda: Trellis([[0]], [1, 0, 1], IdsParams(), spread=2),
+                 "spread 2 does not divide the code length 3", id="spread"),
+    pytest.param(lambda: Trellis([[0]], [1, 0], IdsParams(), wtilde=[1]),
+                 "conditioning pattern must match the code length", id="wtilde"),
+    pytest.param(lambda: binomial_score_threshold(0), "n must be positive", id="binomial-n"),
+    pytest.param(lambda: binomial_score_threshold(5, alpha=1.0), "alpha must lie in (0, 1)",
+                 id="binomial-alpha"),
+    pytest.param(lambda: calibrate_threshold([0.5], 0.0), "alpha must lie in (0, 1)",
+                 id="calibrate-alpha"),
+    pytest.param(lambda: decode_batch([[0, 1]], WatermarkConfig([1, 0], 1, 0.1, 1), IdsParams(),
+                                      [1]),
+                 "reference watermark length does not match config", id="reference"),
+])
+def test_input_checks(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()
 
 
 # ----------------------------------------------------------------- oracle

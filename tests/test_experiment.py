@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,30 @@ def test_trace_dir_selects_trace_traffic(tmp_path):
     poisson = [run_experiment(small_config(trials=4, flow_len=150, rate_pps=rate)).cells
                for rate in (2.0, 5.0)]
     assert poisson[0] != poisson[1]
+
+
+def test_head_only_trials_decode_as_the_empty_stream():
+    # a channel that keeps only the head packet leaves no IPD to read: the
+    # trial decodes the empty stream, which carries no evidence, so both
+    # roles score alike
+    cell, = run_experiment(small_config(p_d=1.0, trials=4)).cells
+    assert cell.mean_segment_bits == 0.0 and cell.mean_deleted == 119.0
+    assert cell.scores_watermarked == cell.scores_control
+    # one marked packet behind the head: some trials keep it, some do not
+    cell, = run_experiment(ExperimentConfig(n=1, spread=1, flow_len=2, p_d=0.5,
+                                            trials=20, seed=3)).cells
+    assert 0.0 < cell.mean_segment_bits < 1.0
+
+
+@pytest.mark.parametrize("make, fragment", [
+    pytest.param(lambda tmp: small_config(jobs=0), "jobs must be at least 1", id="jobs"),
+    pytest.param(lambda tmp: grid_cells(small_config(trace_dir=str(tmp))), "no trace files in",
+                 id="trace-dir-without-files"),
+])
+def test_input_checks(tmp_path, make, fragment):
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        make(tmp_path)
 
 
 def test_experiment_flow_too_short():

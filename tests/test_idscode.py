@@ -1,7 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
-from flowmark.idscode import WatermarkConfig, encode, keystream, sparsify, watermark_bits
+from flowmark.idscode import (
+    WatermarkConfig,
+    as_bits,
+    encode,
+    keystream,
+    sparsify,
+    watermark_bits,
+)
 from reference import unsparsify
 
 
@@ -86,6 +95,18 @@ def test_config_validation():
         WatermarkConfig(watermark=[1], spread=2, delta=0.0, key_seed=1)
     with pytest.raises(ValueError):
         WatermarkConfig(watermark=[2], spread=2, delta=0.1, key_seed=1)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    pytest.param(lambda: as_bits([[0, 1]]), "bit sequence must be one-dimensional", id="2-d"),
+    pytest.param(lambda: sparsify([1], 0), "spread factor must be a positive integer",
+                 id="spread"),
+    pytest.param(lambda: keystream(1, -1), "length must be nonnegative", id="key-length"),
+    pytest.param(lambda: watermark_bits(1, 0), "watermark length must be positive", id="n"),
+])
+def test_input_checks(call, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        call()
 
 
 def test_watermark_bits_deterministic():

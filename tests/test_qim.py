@@ -109,3 +109,5 @@ def test_embed_validation():
         qim_embed(np.array([0.1]), np.array([1]), -0.5)
     with pytest.raises(ValueError):
         qim_embed(np.array([-0.1]), np.array([1]), 0.1)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        qim_extract(np.array([0.1]), 0.0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -82,9 +84,9 @@ def test_to_flow_rejects_negative():
         to_flow(np.array([0.1, -0.2]))
 
 
-def test_to_ipds_needs_two_packets():
-    with pytest.raises(ValueError):
-        to_ipds(PacketFlow(np.array([1.0])))
+def test_one_packet_flow_has_no_ipds():
+    ipds = to_ipds(PacketFlow(np.array([1.0])))
+    assert ipds.size == 0 and ipds.dtype == np.float64
 
 
 def test_flow_invariants():
@@ -113,13 +115,32 @@ def test_trace_parse(tmp_path):
 
 def test_trace_errors(tmp_path):
     bad = tmp_path / "bad.txt"
-    bad.write_text("0.0\nnot-a-number\n")
-    with pytest.raises(ValueError, match="line 2"):
-        read_trace(bad)
+    for text in ("not-a-number", "nan", "inf", "-inf"):
+        bad.write_text(f"0.0\n{text}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: line 2: not a timestamp"):
+            read_trace(bad)
     dec = tmp_path / "dec.txt"
     dec.write_text("0.5\n0.3\n")
     with pytest.raises(ValueError, match="decrease"):
         read_trace(dec)
+
+
+def _written(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("make, fragment", [
+    pytest.param(lambda tmp: PacketFlow(np.zeros((2, 2))), "timestamps must be one-dimensional",
+                 id="2-d"),
+    pytest.param(lambda tmp: PacketFlow(np.zeros(0)), "a flow needs at least one packet",
+                 id="empty"),
+    pytest.param(lambda tmp: read_trace(_written(tmp / "c.txt", "# only a comment\n\n")),
+                 "c.txt: no timestamps found", id="comment-only"),
+])
+def test_input_checks(tmp_path, make, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        make(tmp_path)
 
 
 def test_trace_clamp(tmp_path):
