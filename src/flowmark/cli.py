@@ -214,9 +214,13 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_ks(args) -> int:
-    fa = read_trace(args.trace_a, clamp=args.clamp)
-    fb = read_trace(args.trace_b, clamp=args.clamp)
-    res = ks_distance(to_ipds(fa), to_ipds(fb), threshold=args.threshold)
+    samples = []
+    for path in (args.trace_a, args.trace_b):
+        flow = read_trace(path, clamp=args.clamp)
+        if len(flow) < 2:
+            raise ValueError(f"{path}: a one-packet flow has no IPDs; ks needs at least 2 packets")
+        samples.append(to_ipds(flow))
+    res = ks_distance(*samples, threshold=args.threshold)
     _emit({"distance": res.distance, "threshold": res.threshold,
            "indistinguishable": res.indistinguishable}, args.out)
     return 0

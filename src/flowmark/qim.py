@@ -1,41 +1,36 @@
 """Quantization index modulation on inter-packet delays.
 
-A bit is embedded by moving an IPD onto the next multiple of delta/2 with
-the right parity: even multiples carry 0, odd multiples carry 1.  Packets
-are only ever delayed, never advanced, so the embedder works on cumulative
-time and quantizes the gap that remains after earlier delays.
+A bit is embedded in one inter-packet delay (IPD): for a 0 the marked IPD
+is the first multiple of delta at or after the gap that remains after
+earlier delays, for a 1 it is delta/2 more.  The extractor reads the parity
+of the nearest multiple of delta/2, so even multiples carry 0 and odd ones
+carry 1.  Packets are only ever delayed, never advanced.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from flowmark.idscode import as_bits
 from flowmark.traffic import PacketFlow, to_flow, to_ipds
 
-# Relative guard so values sitting exactly on a quantizer point do not
-# flip under floating-point round-off.
+# The embedder's guard, absolute in units of delta: a gap sitting exactly on
+# a multiple of delta must not gain a whole step under floating-point
+# round-off.
 _GUARD = 1e-9
-
-
-def _ceil_guarded(q: float) -> int:
-    nearest = round(q)
-    if abs(q - nearest) <= _GUARD * max(1.0, abs(q)):
-        return int(nearest)
-    return int(math.ceil(q))
 
 
 def qim_embed(ipds: np.ndarray, code: np.ndarray, delta: float) -> np.ndarray:
     """Embed code bits into the first len(code) IPDs.
 
-    Each embedded IPD becomes the smallest admissible multiple of delta/2
-    (even multiple for a 0, odd for a 1) that does not advance the packet
-    in cumulative time.  Trailing IPDs are passed through, shifted only as
-    much as needed so no packet is advanced past its original arrival.
+    Each embedded IPD carrying a 0 ends on the first multiple of delta at
+    or after the gap that remains in cumulative time; one carrying a 1 ends
+    delta/2 past that point, so the added delay stays below 1.5 * delta.
+    Trailing IPDs are passed through, shifted only as much as needed so no
+    packet is advanced past its original arrival.
     """
     ipds = np.asarray(ipds, dtype=np.float64)
-    code = np.asarray(code)
+    code = as_bits(code)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if np.any(ipds < 0.0):
@@ -44,20 +39,22 @@ def qim_embed(ipds: np.ndarray, code: np.ndarray, delta: float) -> np.ndarray:
         raise ValueError(f"flow too short: {ipds.size} IPDs for {code.size} code bits; "
                          f"embedding needs at least {code.size + 1} packets")
 
-    out = np.empty_like(ipds)
-    cum_orig = 0.0
-    cum_marked = 0.0
-    for i in range(ipds.size):
-        cum_orig += ipds[i]
-        gap = max(cum_orig - cum_marked, 0.0)
-        if i < code.size:
-            steps = _ceil_guarded(gap / delta)
-            marked = (steps + 0.5 * float(code[i] & 1)) * delta
-        else:
-            marked = gap
-        out[i] = marked
-        cum_marked += marked
-    return out
+    cum = np.cumsum(ipds)
+    bits = code.astype(np.float64)
+    ones_before = np.cumsum(bits) - bits
+    # Departure i less delta/2 per earlier 1 sits on the delta lattice, at
+    # index K_i = max(K_{i-1}, ceil((arrival_i - ones_before_i * delta/2) /
+    # delta)).  The IPDs come from the integer steps, not from differences
+    # of lattice times, which round differently: marked times sit on the
+    # edges of mfa_aggregate's bins, where rounding decides the bin.
+    index = np.ceil((cum[:code.size] - ones_before * (0.5 * delta)) / delta - _GUARD)
+    index = np.maximum.accumulate(index)
+    head = (np.diff(index, prepend=0.0) + 0.5 * bits) * delta
+    # past the code a packet leaves at max(arrival, head end); the head end
+    # is the sequential sum (not np.sum's pairwise one) that a walk gives
+    head_end = np.cumsum(head)[-1] if head.size else 0.0
+    tail = np.diff(np.maximum(cum[code.size:], head_end), prepend=head_end)
+    return np.concatenate([head, tail])
 
 
 def qim_extract(ipds: np.ndarray, delta: float) -> np.ndarray:
@@ -68,13 +65,7 @@ def qim_extract(ipds: np.ndarray, delta: float) -> np.ndarray:
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    r = 2.0 * np.asarray(ipds, dtype=np.float64) / delta
-    nearest = np.round(r)
-    on_point = np.abs(r - nearest) <= _GUARD * np.maximum(1.0, np.abs(r))
-    r = np.where(on_point, nearest, r)
-    low = np.floor(r)
-    frac = r - low
-    quantizer = np.where(frac <= 0.5, low, np.ceil(r))
+    quantizer = np.ceil(2.0 * np.asarray(ipds, dtype=np.float64) / delta - 0.5)
     return (quantizer.astype(np.int64) & 1).astype(np.uint8)
 
 

@@ -4,7 +4,8 @@ Each is written independently of the code it checks: a per-transition
 law, an exhaustive channel-path enumeration, a scalar per-block
 posterior over dense per-step tables, full per-state sweeps for the
 forward/backward identity, dense sweeps over the whole drift cap for the
-band's exactness, and the inverse of sparsify.
+band's exactness, the inverse of sparsify, and a per-packet QIM embedding
+loop.
 """
 
 from __future__ import annotations
@@ -356,3 +357,33 @@ def unsparsify(wt, spread: int) -> np.ndarray:
     if wt.size % spread != 0:
         raise ValueError("length must be a multiple of the spread factor")
     return wt[::spread].copy()
+
+
+def _ceil_guarded(q: float) -> int:
+    """ceil(q), but q within a relative 1e-9 of an integer is that integer."""
+    nearest = round(q)
+    if abs(q - nearest) <= 1e-9 * max(1.0, abs(q)):
+        return int(nearest)
+    return int(math.ceil(q))
+
+
+def loop_qim_embed(ipds, code, delta: float) -> np.ndarray:
+    """QIM embedding one packet at a time in cumulative time: each code
+    IPD becomes the guarded ceiling of the remaining gap in units of delta,
+    plus delta/2 for a 1; later IPDs take whatever gap remains."""
+    ipds = np.asarray(ipds, dtype=np.float64)
+    code = np.asarray(code)
+    out = np.empty_like(ipds)
+    cum_orig = 0.0
+    cum_marked = 0.0
+    for i in range(ipds.size):
+        cum_orig += ipds[i]
+        gap = max(cum_orig - cum_marked, 0.0)
+        if i < code.size:
+            steps = _ceil_guarded(gap / delta)
+            marked = (steps + 0.5 * float(code[i] & 1)) * delta
+        else:
+            marked = gap
+        out[i] = marked
+        cum_marked += marked
+    return out

@@ -319,6 +319,16 @@ def test_ks_command_identical(tmp_path, capsys):
     assert json.loads(out)["distance"] == 0.0
 
 
+def test_ks_names_a_one_packet_trace(tmp_path, capsys):
+    flow, head = tmp_path / "flow.txt", tmp_path / "head.txt"
+    flow.write_text("0.0\n0.3\n0.5\n0.9\n")
+    head.write_text("0.0\n")
+    for traces in ((head, flow), (flow, head)):
+        code, out, err = run_cli(capsys, "ks", *map(str, traces))
+        assert code == 1 and out == ""
+        assert json.loads(err)["message"].startswith(f"{head}: ")
+
+
 def test_mfa_command(tmp_path, capsys):
     a = tmp_path / "a.txt"
     a.write_text("0.0\n0.05\n0.21\n")

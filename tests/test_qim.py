@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from reference import loop_qim_embed
 
+from flowmark.idscode import WatermarkConfig, encode, watermark_bits
 from flowmark.qim import embed_flow, qim_embed, qim_extract
 from flowmark.traffic import poisson_flow, to_flow, to_ipds
+
+
+def _ulps(value):
+    """value and its two floating-point neighbours, below first."""
+    return np.array([np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)])
 
 
 def test_embed_known_values():
@@ -14,6 +21,8 @@ def test_embed_exact_multiple_adds_nothing():
     # already on an even quantizer: a zero bit costs no delay
     assert np.allclose(qim_embed(np.array([0.2]), np.array([0]), 0.1), [0.2])
     assert np.allclose(qim_embed(np.array([0.2]), np.array([1]), 0.1), [0.25])
+    # no code bits: every IPD passes through
+    assert np.allclose(qim_embed(np.array([0.25, 0.1]), [], 0.1), [0.25, 0.1])
 
 
 def test_extract_known_values():
@@ -21,12 +30,51 @@ def test_extract_known_values():
     assert qim_extract(np.array([0.0]), 0.1)[0] == 0
     assert qim_extract(np.array([0.074]), 0.1)[0] == 1
     assert qim_extract(np.array([0.30]), 0.1)[0] == 0
+    # a lattice point's floating-point neighbours read the same bit
+    assert np.array_equal(qim_extract(_ulps(0.30), 0.1), [0, 0, 0])
+    assert np.array_equal(qim_extract(_ulps(0.35), 0.1), [1, 1, 1])
 
 
 def test_extract_tie_rounds_down():
     # fractional part exactly 0.5 keeps the floor quantizer
     assert qim_extract(np.array([0.025]), 0.1)[0] == 0
     assert qim_extract(np.array([0.075]), 0.1)[0] == 1
+    # one ulp past a tie reads the upper point, one ulp short the lower
+    assert np.array_equal(qim_extract(_ulps(0.025), 0.1), [0, 0, 1])
+    assert np.array_equal(qim_extract(_ulps(0.075), 0.1), [1, 1, 0])
+
+
+def test_embed_matches_reference_loop(rng):
+    # operating-point flows: byte-identical to the per-packet loop
+    delta = 0.1
+    for seed in range(300):
+        w = watermark_bits(seed, 50)
+        code = encode(w, WatermarkConfig(watermark=w, spread=10, delta=delta,
+                                         key_seed=seed + 1))
+        ipds = to_ipds(poisson_flow(3.3, 2000, seed=1000 + seed))
+        assert qim_embed(ipds, code, delta).tobytes() == \
+            loop_qim_embed(ipds, code, delta).tobytes(), seed
+    # small cases: gaps on the lattice, zero IPDs, long gaps, empty codes;
+    # past the code the loop's running sum may round differently
+    for case in range(4000):
+        delta = float(rng.choice([0.1, 0.08, 0.05, 0.03]))
+        n = int(rng.integers(0, 12))
+        size = n + int(rng.integers(0, 10))
+        kind = case % 4
+        if kind == 0:
+            ipds = rng.integers(0, 8, size) * (delta / 2)
+        elif kind == 1:
+            ipds = rng.exponential(0.3, size) * (rng.random(size) < 0.6)
+        elif kind == 2:
+            ipds = rng.exponential(0.3, size)
+            ipds[rng.random(size) < 0.2] *= 50.0
+        else:
+            ipds = rng.integers(0, 5, size) * delta
+        code = rng.integers(0, 2, n, dtype=np.uint8)
+        got = qim_embed(ipds, code, delta)
+        want = loop_qim_embed(ipds, code, delta)
+        assert got[:n].tobytes() == want[:n].tobytes(), case
+        assert np.allclose(got[n:], want[n:], rtol=0.0, atol=1e-12), case
 
 
 def test_noiseless_roundtrip(rng):
@@ -109,5 +157,7 @@ def test_embed_validation():
         qim_embed(np.array([0.1]), np.array([1]), -0.5)
     with pytest.raises(ValueError):
         qim_embed(np.array([-0.1]), np.array([1]), 0.1)
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        qim_embed(np.array([0.1]), np.array([2]), 0.1)
     with pytest.raises(ValueError, match="delta must be positive"):
         qim_extract(np.array([0.1]), 0.0)
