@@ -121,9 +121,11 @@ class Trellis:
     log scales) of the states that end and start a block of spread code
     bits, and log_evidence, log P(y) per flow.
 
-    The sparse bit enters a step only through one pair of weights per
-    chain, the weights of code bit 0 and 1 (see code_weights), so both of
-    its values share one pass over the insertion lengths.
+    The sparse bit enters a step only through one (2, 3) weight matrix per
+    chain (see code_weights), whose delivery column holds the weights of
+    code bit 0 and 1 and whose two drop columns hold them times p_delete,
+    so both of its values share one pass over the insertion lengths and
+    one matmul.
     """
 
     def __init__(self, ys, key, params: IdsParams, d_max: int | None = None,
@@ -158,9 +160,6 @@ class Trellis:
         if d_max < 1:
             raise ValueError("d_max must be at least 1")
         self.flow_d_max = np.maximum(int(d_max), np.abs(self.n_obs - self.n_code) + 2)
-        # prior[i-1]: code-bit weights at position i
-        self.prior = self.code_weights(np.arange(1, self.n_code + 1),
-                                       np.stack([1.0 - flip, flip], axis=1))
 
         # transmit's law: a sent packet is dropped with p_delete; a delivered
         # one, and the head, is followed by l inserted zeros, P(l) =
@@ -173,6 +172,10 @@ class Trellis:
         # coef[l]: weight of a +l drift step, a delivery and l inserted zeros
         self.coef = (1.0 - p.p_delete) * self.init_coef
         self.n_ins = run + 1 if p.p_insert > 0.0 else 1
+        # prior[i-1]: the step weight matrix at position i, which reads
+        # del_coef
+        self.prior = self.code_weights(np.arange(1, self.n_code + 1),
+                                       np.stack([1.0 - flip, flip], axis=1))
 
         # band[b] = (lo, hi): the drifts in flow b's cap that some state i
         # can both reach from state 1, a step moving the drift by -down ..
@@ -231,51 +234,59 @@ class Trellis:
         self.head = np.zeros((n_flows, 1, self.D))
         self.head[:, 0, ls - self.lo] = self.init_coef[ls] * zeros[:, ls, -self.lo]
         self._run_rows = {}
+        self._stacks = {}
 
     def code_weights(self, i, same_flip) -> np.ndarray:
-        """Weights of code bit 0 and 1 at position i, shape (..., 2), from
+        """The step weight matrix q at position i, shape (..., 2, 3), from
         the sparse bit's prior weights (same, flip): the weight of a code
-        bit equal to the key bit (sparse bit 0) and differing from it."""
+        bit equal to the key bit (sparse bit 0) and differing from it,
+        which give wx[c], the weight of code bit c.  Row a' is the new
+        accumulated bit.  Column 0 delivers the previous packet: code bit
+        a' starts the new accumulated bit, q[..., a', 0] = wx[a'].
+        Columns 1 + a drop it: accumulated bit a takes in the code bit and
+        becomes a', q[..., a', 1 + a] = p_delete * wx[a xor a']."""
         same_flip = np.asarray(same_flip, dtype=np.float64)
         key = self.key[np.asarray(i) - 1]
-        return np.where(key[..., None] == 1, same_flip[..., ::-1], same_flip)
+        wx = np.where(key[..., None] == 1, same_flip[..., ::-1], same_flip)
+        drop = self.del_coef * np.stack([wx, wx[..., ::-1]], axis=-2)
+        return np.concatenate([wx[..., None], drop], axis=-1)
 
-    def init_vec(self, wx) -> np.ndarray:
-        """Distribution over state 1 given code-bit weights wx (..., 2):
+    def init_vec(self, q) -> np.ndarray:
+        """Distribution over state 1 given the weight matrix q (..., 2, 3):
         head survives, a burst of inserted zeros may precede the first
         marked IPD.  Shape (..., B, 2, D)."""
-        return np.asarray(wx)[..., None, :, None] * self.head
+        return q[..., None, :, :1] * self.head
 
-    def step(self, prev: np.ndarray, i, wx) -> np.ndarray:
+    def step(self, prev: np.ndarray, i, q) -> np.ndarray:
         """Advance state i-1 to state i (resolve sent packet i-1).
 
         prev is (..., B, 2, D); the step index i, of shape (...), and the
-        code-bit weights wx, of shape (..., 2), broadcast over the leading
-        axes and are shared by the flows.
+        weight matrix q, of shape (..., 2, 3), broadcast over the leading
+        axes and are shared by the flows.  The delivered mass, summed over
+        insertion runs, and the previous state one drift up, for a drop,
+        stack into z (..., B, 3, D), and the step is q @ z.
         """
-        k = np.asarray(i) - 2
-        wx = np.asarray(wx)[..., None, :, None]
+        k = i - 2
+        z = self._stack(prev.shape[:-2])
         merged = (prev * self.e_match[k]).sum(axis=-2)
         if self.n_ins == 1:
-            ins = merged * self.ins_weight[k][..., 0, :]
+            np.multiply(merged, self.ins_weight[k][..., 0, :], out=z[..., 0, :])
         else:
             # a run of l inserted zeros moves the drift up by l: row l of
             # the shifted view is row l of contrib, l columns to the right
             contrib, shifted = self._runs(merged.shape[:-1], backward=False)
             np.multiply(merged[..., None, :], self.ins_weight[k], out=contrib)
-            ins = shifted.sum(axis=-2)
-        nxt = wx * ins[..., None, :]
-        if self.del_coef > 0.0:
-            nxt[..., :-1] += self.del_coef * (
-                wx[..., :1, :] * prev[..., 1:] + wx[..., 1:, :] * prev[..., ::-1, 1:])
-        return nxt
+            shifted.sum(axis=-2, out=z[..., 0, :])
+        z[..., 1:, :-1] = prev[..., 1:]
+        return q[..., None, :, :] @ z
 
-    def step_back(self, nxt: np.ndarray, i, wx) -> np.ndarray:
+    def step_back(self, nxt: np.ndarray, i, q) -> np.ndarray:
         """Pull the backward vector across the transition into state i;
-        shapes as in step()."""
-        k = np.asarray(i) - 2
-        wx = np.asarray(wx)[..., None, :, None]
-        landed = (wx * nxt).sum(axis=-2)
+        shapes as in step().  The transpose of step: r = q^T @ nxt, whose
+        row 0 is the delivered mass and rows 1 + a the dropped."""
+        k = i - 2
+        r = q[..., None, :, :].swapaxes(-1, -2) @ nxt
+        landed = r[..., 0, :]
         if self.n_ins == 1:
             acc = self.ins_weight[k][..., 0, :] * landed
         else:
@@ -284,10 +295,15 @@ class Trellis:
             buf[...] = landed
             acc = (self.ins_weight[k] * shifted).sum(axis=-2)
         prev = self.e_match[k] * acc[..., None, :]
-        if self.del_coef > 0.0:
-            prev[..., 1:] += self.del_coef * (
-                wx[..., :1, :] * nxt[..., :-1] + wx[..., 1:, :] * nxt[..., ::-1, :-1])
+        prev[..., 1:] += r[..., 1:, :-1]
         return prev
+
+    def _stack(self, lead: tuple) -> np.ndarray:
+        """Reusable (*lead, 3, D) operand of step()'s matmul; its last
+        column stays 0 in rows 1-2, since no state lies above drift hi."""
+        if lead not in self._stacks:
+            self._stacks[lead] = np.zeros((*lead, 3, self.D))
+        return self._stacks[lead]
 
     def _runs(self, lead: tuple, backward: bool):
         """Reusable rows for the insertion-run sums of states with leading
@@ -434,11 +450,15 @@ def calibrate_threshold(control_scores, alpha: float) -> float:
     """Empirical (1-alpha) quantile of control scores.
 
     Control scores come from unwatermarked flows decoded against the
-    reference watermark; at least 1/alpha of them are recommended.
+    reference watermark; at least 1/alpha of them are recommended.  A NaN
+    or infinite score is an error naming its index.
     """
     scores = np.asarray(control_scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("need at least one control score")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ValueError(f"control score {bad[0]} is not finite: {scores.flat[bad[0]]}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     k = math.ceil((1 - Fraction(str(alpha))) * scores.size)

@@ -421,6 +421,20 @@ def test_calibrate_command(tmp_path, capsys):
     assert json.loads(out) == {"threshold": 0.94, "alpha": 0.05, "count": 100}
 
 
+def test_calibrate_command_rejects_non_finite_scores(tmp_path, capsys):
+    # json reads Infinity and NaN; a threshold of inf would print as
+    # Infinity, which is not strict JSON
+    for text, index in (("[0.5, 0.6, Infinity]", 2), ("0.5 NaN 0.6", 1)):
+        scores = tmp_path / "scores.txt"
+        scores.write_text(text)
+        code, out, err = run_cli(capsys, "calibrate", "--scores", str(scores),
+                                 "--alpha", "0.05")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert f"control score {index} is not finite" in payload["message"]
+
+
 def test_experiment_command(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

@@ -447,10 +447,10 @@ def test_block_posterior_matches_scalar_reference(rng):
 
 
 def test_step_batch_equals_single_rows(rng):
-    # a stacked batch with per-row step indices and weights is B single-row
-    # steps bit for bit, and the window tables are the dense per-step
-    # tables at the band's drifts; n_code = 1 has no steps and a row
-    # shorter than a bare window
+    # a stacked batch with per-row step indices and weight matrices is B
+    # single-row steps bit for bit, and the window tables are the dense
+    # per-step tables at the band's drifts; n_code = 1 has no steps and a
+    # row shorter than a bare window
     cases = (
         (1, IdsParams(p_sub=0.1, p_delete=0.1, p_insert=0.2, max_insert_run=3)),
         (2, IdsParams(p_sub=0.1, p_delete=0.1)),
@@ -477,17 +477,46 @@ def test_step_batch_equals_single_rows(rng):
         B = 7
         prev = rng.random((B, 1, 2, t.D))
         i = rng.integers(2, n_code + 1, B)
-        wx = rng.random((B, 2))
+        q = t.code_weights(i, rng.random((B, 2)))
+        assert q.shape == (B, 2, 3)
         for advance in (t.step, t.step_back):
-            batch = advance(prev, i, wx)
+            batch = advance(prev, i, q)
             for b in range(B):
-                assert np.array_equal(batch[b], advance(prev[b], int(i[b]), wx[b]))
-        # block layout: one step index per block, one weight pair per hypothesis
-        wx2 = rng.random((B, 2, 2))
-        batch = t.step(prev[:, None], i[:, None], wx2)
+                assert np.array_equal(batch[b], advance(prev[b], int(i[b]), q[b]))
+        # block layout: one step index per block, one weight matrix per
+        # hypothesis
+        q2 = t.code_weights(i[:, None], rng.random((B, 2, 2)))
+        assert q2.shape == (B, 2, 2, 3)
+        batch = t.step(prev[:, None], i[:, None], q2)
         for b in range(B):
             for h in (0, 1):
-                assert np.array_equal(batch[b, h], t.step(prev[b], int(i[b]), wx2[b, h]))
+                assert np.array_equal(batch[b, h], t.step(prev[b], int(i[b]), q2[b, h]))
+
+
+def test_step_back_is_the_adjoint_of_step(rng):
+    # the backward kernel is the transpose of the forward one: for any u
+    # and v, sum(step(u) * v) == sum(u * step_back(v)), for single flows,
+    # B flows and the block layout's leading (block, hypothesis) axes
+    n_code, B = 24, 3
+    for p_d, p_i in itertools.product((0.0, 0.2), (0.0, 0.2)):
+        p = IdsParams(p_sub=0.1, p_delete=p_d, p_insert=p_i, max_insert_run=2)
+        key = rng.integers(0, 2, n_code, dtype=np.uint8)
+        ys = [sample_ids_channel(key, p, rng) for _ in range(B)]
+        t = Trellis(ys, key, p, d_max=6)
+        assert t.n_ins == (3 if p_i else 1)
+        i = rng.integers(2, n_code + 1, 5)
+        for lead, i_lead, same_flip in (
+            ((), int(i[0]), rng.random(2)),
+            ((5,), i, rng.random((5, 2))),
+            ((5, 2), i[:, None], rng.random((5, 2, 2))),
+        ):
+            q = t.code_weights(i_lead, same_flip)
+            u = rng.random((*lead, B, 2, t.D))
+            v = rng.random((*lead, B, 2, t.D))
+            lhs = float(np.sum(t.step(u, i_lead, q) * v))
+            rhs = float(np.sum(u * t.step_back(v, i_lead, q)))
+            assert lhs > 0.0
+            assert abs(lhs - rhs) <= 1e-12 * lhs
 
 
 # ----------------------------------------------------------------- band
@@ -793,6 +822,15 @@ def test_calibrate_binomial_null(rng):
 def test_calibrate_errors():
     with pytest.raises(ValueError):
         calibrate_threshold([], 0.01)
+
+
+def test_calibrate_refuses_non_finite_scores():
+    # the message names the first bad index
+    for scores, message in (([0.5, math.nan], "control score 1 is not finite: nan"),
+                            ([0.5, 0.6, math.inf], "control score 2 is not finite: inf"),
+                            ([-math.inf, math.nan], "control score 0 is not finite: -inf")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            calibrate_threshold(scores, 0.01)
 
 
 def test_binomial_score_threshold():
