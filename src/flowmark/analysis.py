@@ -46,6 +46,8 @@ def ks_distance(a, b, threshold: float = KS_VISIBILITY_THRESHOLD) -> KsResult:
     The supremum of |F_a - F_b| is attained at a sample point, so it is
     evaluated over the pooled sorted samples; no asymptotics involved.
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], not {threshold}")
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
@@ -61,7 +63,7 @@ def ks_distance(a, b, threshold: float = KS_VISIBILITY_THRESHOLD) -> KsResult:
 def mfa_aggregate(flows, interval: float) -> MfaResult:
     """Aggregate flows (each shifted to start at 0) and count packets per
     fixed interval; blank intervals expose batched watermark schemes."""
-    if interval <= 0.0:
+    if not interval > 0.0:
         raise ValueError("interval must be positive")
     if not flows:
         raise ValueError("need at least one flow")

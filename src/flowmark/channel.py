@@ -57,7 +57,7 @@ class ChannelParams:
     delta: float | None = None
 
     def __post_init__(self):
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError("sigma must be nonnegative")
         if not 0.0 <= self.p_delete <= 1.0:
             raise ValueError("p_delete must lie in [0, 1]")
@@ -67,7 +67,7 @@ class ChannelParams:
             raise ValueError("max_insert_run must be at least 1")
         if self.jitter not in ("laplace", "quantizer"):
             raise ValueError("jitter must be 'laplace' or 'quantizer'")
-        if self.jitter == "quantizer" and (self.delta is None or self.delta <= 0.0):
+        if self.jitter == "quantizer" and (self.delta is None or not self.delta > 0.0):
             raise ValueError("quantizer jitter needs a positive delta")
 
 
@@ -104,9 +104,9 @@ def substitution_prob(delta: float, sigma: float) -> float:
     that "quantizer" jitter realizes and the decoder assumes.  Literal
     Laplace jitter crosses a decision boundary on either side and flips
     about twice as often, u/(1+u**2) (see ChannelParams)."""
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError("delta must be nonnegative")
-    if sigma < 0.0:
+    if not sigma >= 0.0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
         return 0.0

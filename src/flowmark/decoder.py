@@ -50,21 +50,21 @@ class IdsParams:
     max_insert_run: int = 8
 
     def __post_init__(self):
-        for name in ("p_sub", "p_delete", "p_insert"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
+        for name in ("p_sub", "p_insert"):
+            if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
+        if not 0.0 <= self.p_delete <= 1.0:
+            raise ValueError("p_delete must lie in [0, 1]")
         if self.max_insert_run < 1:
             raise ValueError("max_insert_run must be at least 1")
 
     @classmethod
     def from_channel(cls, delta: float, sigma: float, p_delete: float,
                      p_insert: float, max_insert_run: int = 8) -> "IdsParams":
-        """The bit law of a packet channel, times in seconds; a certain
-        drop is clamped below 1, where the law is defined."""
+        """The bit law of a packet channel, times in seconds."""
         return cls(
             p_sub=substitution_prob(delta, sigma),
-            p_delete=min(float(p_delete), 1.0 - 1e-12),
+            p_delete=float(p_delete),
             p_insert=float(p_insert),
             max_insert_run=max_insert_run,
         )
@@ -475,6 +475,10 @@ def decode_batch(ys, cfg: WatermarkConfig, params: IdsParams, w_reference,
     w_ref = as_bits(w_reference)
     if w_ref.size != cfg.n_bits:
         raise ValueError("reference watermark length does not match config")
+    if threshold is None:
+        threshold = binomial_score_threshold(cfg.n_bits, alpha=0.01)
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], not {threshold}")
     key = keystream(cfg.key_seed, cfg.code_len)
 
     trellis = trellis_tables(ys, key, params, d_max, spread=cfg.spread)
@@ -484,8 +488,6 @@ def decode_batch(ys, cfg: WatermarkConfig, params: IdsParams, w_reference,
         llr = np.where(np.isfinite(lp).any(axis=-1), lp[..., 1] - lp[..., 0], 0.0)
     w_hat = (llr > 0.0).astype(np.uint8)
     scores = (w_hat == w_ref).mean(axis=-1)
-    if threshold is None:
-        threshold = binomial_score_threshold(cfg.n_bits, alpha=0.01)
     return [
         DetectionReport(
             w_hat=w_hat[b],

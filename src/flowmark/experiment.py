@@ -108,26 +108,35 @@ class ExperimentConfig:
 
 class Cell(NamedTuple):
     """One grid cell: the config with scalar grid fields, the cell's index
-    in the grid (for the seed fan-out) and the sorted trace files."""
+    in the grid (for the seed fan-out), its watermark config and codeword,
+    and the flows of the sorted trace files, cut at flow_len (none for
+    Poisson traffic)."""
 
     config: ExperimentConfig
     index: int
-    trace_files: tuple = ()
+    wm: WatermarkConfig
+    code: np.ndarray
+    traces: tuple
 
 
 def grid_cells(config: ExperimentConfig) -> list[Cell]:
-    trace_files = ()
+    """The grid's cells, each trace file read once for all of them."""
+    traces = ()
     if config.trace_dir is not None:
         paths = (os.path.join(config.trace_dir, f) for f in os.listdir(config.trace_dir)
                  if not f.startswith("."))
-        trace_files = tuple(sorted(path for path in paths if os.path.isfile(path)))
-        if not trace_files:
+        files = sorted(path for path in paths if os.path.isfile(path))
+        if not files:
             raise ValueError(f"no trace files in {config.trace_dir!r}")
+        traces = tuple(PacketFlow(read_trace(path, clamp=True).timestamps[: config.flow_len])
+                       for path in files)
     axes = [getattr(config, name) for name in GRID_FIELDS]
     axes = [v if isinstance(v, (list, tuple)) else [v] for v in axes]
-    points = (dict(zip(GRID_FIELDS, combo)) for combo in itertools.product(*axes))
-    return [Cell(dataclasses.replace(config, **point), index, trace_files)
-            for index, point in enumerate(points)]
+    configs = [dataclasses.replace(config, **dict(zip(GRID_FIELDS, combo)))
+               for combo in itertools.product(*axes)]
+    wms = [c.watermark_config() for c in configs]
+    return [Cell(c, index, wm, encode(wm.watermark, wm), traces)
+            for index, (c, wm) in enumerate(zip(configs, wms))]
 
 
 @dataclass
@@ -173,43 +182,32 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _load_flow(cell: Cell, trial: int, role: int) -> PacketFlow:
-    config = cell.config
-    if not cell.trace_files:
-        return poisson_flow(config.rate_pps, config.flow_len,
-                            seed=derive_seed(config.seed, cell.index, trial, 2 * role))
-    files = cell.trace_files
-    offset = (0, len(files) // 2 + 1, 2)[role]
-    path = files[(trial + offset) % len(files)]
-    flow = read_trace(path, clamp=True)
-    if len(flow) > config.flow_len:
-        flow = PacketFlow(flow.timestamps[: config.flow_len])
-    return flow
-
-
 def simulate_trial(cell: Cell, trial: int, role: int):
     """Embed (for the WATERMARKED role), transmit and extract one trial's
     flow of one role; returns (y, deleted, inserted), y being the received
-    bits cut at the segment."""
+    bits cut at the segment.  The roles rotate through the trace files
+    from offsets 0, n // 2 + 1 and 2."""
     if role not in (WATERMARKED, CONTROL, HOLDOUT):
         raise ValueError(f"unknown stream role {role!r}")
-    config = cell.config
-    cfg = config.watermark_config()
-    code = encode(cfg.watermark, cfg)
-    n_code = cfg.code_len
-    flow = _load_flow(cell, trial, role)
-    if len(flow) < n_code + 1:
+    config, wm = cell.config, cell.wm
+    if cell.traces:
+        n = len(cell.traces)
+        flow = cell.traces[(trial + (0, n // 2 + 1, 2)[role]) % n]
+    else:
+        flow = poisson_flow(config.rate_pps, config.flow_len,
+                            seed=derive_seed(config.seed, cell.index, trial, 2 * role))
+    if len(flow) < wm.code_len + 1:
         raise ValueError(
-            f"flow of {len(flow)} packets is too short; need at least {n_code + 1}"
+            f"flow of {len(flow)} packets is too short; need at least {wm.code_len + 1}"
         )
     if role == WATERMARKED:
-        flow, _ = embed_flow(flow, code, cfg.delta)
+        flow, _ = embed_flow(flow, cell.code, wm.delta)
     recv, log = transmit(flow, ChannelParams(
         sigma=config.sigma_ms / 1000.0, p_delete=float(config.p_d),
         p_insert=float(config.p_i), max_insert_run=config.max_insert_run,
         seed=derive_seed(config.seed, cell.index, trial, 2 * role + 1),
         jitter=config.jitter_mode, delta=config.delta_ms / 1000.0))
-    y = qim_extract(to_ipds(recv), cfg.delta)[:log.segment_bits(n_code)]
+    y = qim_extract(to_ipds(recv), wm.delta)[:log.segment_bits(wm.code_len)]
     return y, log.n_deleted, log.n_inserted
 
 
@@ -218,9 +216,8 @@ def _chunk_task(args):
     lockstep; returns (score, deleted, inserted, segment bits) per trial."""
     cell, trials = args
     sims = [simulate_trial(cell, *trial) for trial in trials]
-    cfg = cell.config.watermark_config()
-    reports = decode_batch([y for y, _, _ in sims], cfg, cell.config.decoder_params(),
-                           cfg.watermark)
+    reports = decode_batch([y for y, _, _ in sims], cell.wm, cell.config.decoder_params(),
+                           cell.wm.watermark)
     return [(r.score, deleted, inserted, y.size)
             for r, (y, deleted, inserted) in zip(reports, sims)]
 

@@ -39,7 +39,7 @@ class WatermarkConfig:
         object.__setattr__(self, "watermark", w)
         if self.spread < 1:
             raise ValueError("spread factor must be a positive integer")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ValueError("delta must be positive")
 
     @property

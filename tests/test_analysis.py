@@ -85,11 +85,28 @@ def test_mfa_adding_packets_never_raises_blanks(rng):
         np.count_nonzero(base.counts[:k] == 0))
 
 
+def test_mfa_last_edge_covers_the_span():
+    # ceil(span / interval) * interval rounds to 0.77, below the span
+    # 0.7700000000000001: the last edge is raised to the span, so the last
+    # packet is counted in the 11th bin, not dropped past the edges
+    res = mfa_aggregate([PacketFlow(np.array([0.0, 0.3, 0.7700000000000001]))], 0.07)
+    assert res.total_intervals == 11
+    assert list(res.counts) == [1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1]
+
+
 def test_mfa_validation():
     with pytest.raises(ValueError):
         mfa_aggregate([], 0.1)
     with pytest.raises(ValueError):
         mfa_aggregate([PacketFlow(np.array([0.0]))], 0.0)
+    with pytest.raises(ValueError, match="interval must be positive"):
+        mfa_aggregate([PacketFlow(np.array([0.0]))], float("nan"))
+
+
+def test_ks_threshold_range():
+    for threshold in (float("nan"), -0.1, 1.5):
+        with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\]"):
+            ks_distance([1.0], [2.0], threshold=threshold)
 
 
 def test_drtt_zero_delays():

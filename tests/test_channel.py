@@ -148,6 +148,14 @@ def test_params_validation():
                  id="p_delete"),
     pytest.param(lambda: substitution_prob(-0.1, 0.01), "delta must be nonnegative", id="delta"),
     pytest.param(lambda: substitution_prob(0.1, -0.01), "sigma must be nonnegative", id="sigma"),
+    pytest.param(lambda: substitution_prob(math.nan, 0.01), "delta must be nonnegative",
+                 id="delta-nan"),
+    pytest.param(lambda: substitution_prob(0.1, math.nan), "sigma must be nonnegative",
+                 id="sigma-nan"),
+    pytest.param(lambda: ChannelParams(sigma=math.nan), "sigma must be nonnegative",
+                 id="params-sigma-nan"),
+    pytest.param(lambda: ChannelParams(jitter="quantizer", delta=math.nan),
+                 "quantizer jitter needs a positive delta", id="params-delta-nan"),
 ])
 def test_input_checks(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):

@@ -103,10 +103,13 @@ def test_decode_law_matches_harness(tmp_path, capsys):
     assert code == 0
     assert json.loads(out) == _library_decode(side, recv, log, sigma_ms=20.0,
                                               p_d=0.05, p_i=0.02)
-    # a certain drop decodes at the clamp below 1, as the harness does
-    code, out, _ = run_cli(capsys, *decode, "--sigma-ms", "10", "--p-d", "1")
+    # a certain drop decodes as one, as the harness does: the segment's
+    # bits are impossible under it, which is reported, not hidden
+    code, out, err = run_cli(capsys, *decode, "--sigma-ms", "10", "--p-d", "1")
     assert code == 0
     assert json.loads(out) == _library_decode(side, recv, log, sigma_ms=10.0, p_d=1.0)
+    assert json.loads(out)["status"] == "zero-evidence"
+    assert json.loads(err)["warning"] == "zero-evidence"
 
 
 def test_old_sidecar_density_key_is_ignored(tmp_path, capsys):
@@ -292,6 +295,26 @@ def test_extract_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "extract", str(flow), "--delta-ms", "100")
     assert code == 0
     assert out.strip() == "01"
+
+
+def test_nan_and_out_of_range_values_are_errors(tmp_path, capsys):
+    # NaN fails every range check, and a threshold lies in [0, 1]: each of
+    # these exits 1 with the error JSON, naming the value
+    side, [(recv, log)] = _marked_and_received(tmp_path, capsys, [9])
+    decode = ["decode", str(recv), "--sidecar", str(side), "--log", str(log)]
+    cases = [
+        (["extract", str(recv), "--delta-ms", "nan"], "delta must be positive"),
+        (["transmit", str(recv), "--out", str(tmp_path / "r.txt"), "--sigma-ms", "nan",
+          "--jitter", "quantizer", "--delta-ms", "100"], "sigma must be nonnegative"),
+        ([*decode, "--threshold", "nan"], "threshold must lie in [0, 1], not nan"),
+        ([*decode, "--threshold", "2"], "threshold must lie in [0, 1], not 2.0"),
+        (["ks", str(recv), str(recv), "--threshold", "nan"],
+         "threshold must lie in [0, 1], not nan"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
 def test_one_packet_trace_extracts_and_decodes_empty(tmp_path, capsys):

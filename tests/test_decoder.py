@@ -328,6 +328,22 @@ def test_unclosable_stream_is_zero_evidence_at_any_cap():
             assert rep.log_evidence == -math.inf
 
 
+def test_certain_drop_decodes_as_one():
+    # at p_delete = 1 every sent packet past the head is dropped: a stream
+    # that holds any bit without insertions has probability 0, and the
+    # empty stream is the head with no inserted zeros, 1 - p_insert
+    w = watermark_bits(5, 10)
+    cfg = WatermarkConfig(watermark=w, spread=3, delta=0.1, key_seed=6)
+    key = keystream(6, cfg.code_len)
+    for y in (key[:5], key):
+        rep = decode(y, cfg, IdsParams(p_sub=0.05, p_delete=1.0), w)
+        assert rep.status == "zero-evidence" and not np.any(rep.llr)
+    for p_insert in (0.0, 0.1):
+        rep = decode([], cfg, IdsParams(p_sub=0.05, p_delete=1.0, p_insert=p_insert), w)
+        assert rep.status == "ok" and not np.any(rep.llr)
+        assert rep.log_evidence == pytest.approx(math.log1p(-p_insert), rel=1e-12, abs=1e-15)
+
+
 # ------------------------------------------------------------ block posterior
 
 def test_block_posterior_noiseless_recovers_bits(rng):
@@ -839,7 +855,9 @@ def test_binomial_score_threshold():
 
 @pytest.mark.parametrize("call, fragment", [
     pytest.param(lambda: IdsParams(p_sub=1.0), "p_sub must lie in [0, 1)", id="p_sub"),
-    pytest.param(lambda: IdsParams(p_delete=-0.1), "p_delete must lie in [0, 1)", id="p_delete"),
+    pytest.param(lambda: IdsParams(p_delete=-0.1), "p_delete must lie in [0, 1]", id="p_delete"),
+    pytest.param(lambda: IdsParams(p_delete=math.nan), "p_delete must lie in [0, 1]",
+                 id="p_delete-nan"),
     pytest.param(lambda: IdsParams(max_insert_run=0), "max_insert_run must be at least 1",
                  id="run-cap"),
     pytest.param(lambda: Trellis([], [1, 0], IdsParams()), "need at least one received sequence",
@@ -858,6 +876,10 @@ def test_binomial_score_threshold():
     pytest.param(lambda: decode_batch([[0, 1]], WatermarkConfig([1, 0], 1, 0.1, 1), IdsParams(),
                                       [1]),
                  "reference watermark length does not match config", id="reference"),
+    *(pytest.param(lambda t=t: decode_batch([[0, 1]], WatermarkConfig([1], 2, 0.1, 1),
+                                            IdsParams(), [1], threshold=t),
+                   f"threshold must lie in [0, 1], not {t}", id=f"threshold-{t}")
+      for t in (math.nan, 2.0, -0.1)),
 ])
 def test_input_checks(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):

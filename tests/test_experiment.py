@@ -18,8 +18,9 @@ from flowmark.experiment import (
     run_experiment,
     simulate_trial,
 )
+from flowmark.idscode import encode
 from flowmark.qim import qim_extract
-from flowmark.traffic import poisson_flow, to_ipds
+from flowmark.traffic import poisson_flow, read_trace, to_ipds
 
 
 # a small_config cell's scalar grid point, at the given axis values
@@ -56,21 +57,27 @@ def test_grid_cells():
               for sigma_ms in (10.0, 20.0) for p_d in (0.0, 0.1)]
     cells = grid_cells(cfg)
     assert len(cells) == 4
-    # a cell is the config with one grid point's scalars, plus its index
+    # a cell is the config with one grid point's scalars, plus its index,
+    # its watermark config and codeword, and no traces for Poisson traffic
     for index, (cell, point) in enumerate(zip(cells, points)):
         assert cell.config == dataclasses.replace(cfg, **point)
-        assert cell.index == index and cell.trace_files == ()
+        assert cell.index == index and cell.traces == ()
+        wm = cell.config.watermark_config()
+        np.testing.assert_array_equal(cell.wm.watermark, wm.watermark)
+        assert (cell.wm.spread, cell.wm.delta, cell.wm.key_seed) == (
+            wm.spread, wm.delta, wm.key_seed)
+        np.testing.assert_array_equal(cell.code, encode(wm.watermark, wm))
 
 
 def test_decoder_params_law():
     # the decoder's bit law: dec_* overrides replace the channel's own
-    # values, p_d is clamped below 1 and plain ints come out as floats
+    # values, a certain drop stays certain and plain ints come out as floats
     cases = [
         ({}, IdsParams(substitution_prob(0.1, 0.01), 0.0, 0.0, 8)),
         (dict(dec_sigma_ms=15, dec_p_d=0.08, dec_p_i=0.02),
          IdsParams(substitution_prob(0.1, 0.015), 0.08, 0.02, 8)),
         (dict(p_d=0.1, dec_p_d=0), IdsParams(substitution_prob(0.1, 0.01), 0.0, 0.0, 8)),
-        (dict(p_d=1), IdsParams(substitution_prob(0.1, 0.01), 1.0 - 1e-12, 0.0, 8)),
+        (dict(p_d=1), IdsParams(substitution_prob(0.1, 0.01), 1.0, 0.0, 8)),
     ]
     for kw, want in cases:
         got = ExperimentConfig(**kw).decoder_params()
@@ -233,7 +240,7 @@ def test_experiment_trace_dir(tmp_path):
     cfg = small_config(trace_dir=str(tdir), trials=5, flow_len=150)
     report = run_experiment(cfg)
     assert len(report.cells[0].scores_watermarked) == 5
-    assert len(grid_cells(cfg)[0].trace_files) == 6
+    assert len(grid_cells(cfg)[0].traces) == 6
     # a subdirectory is not a trace: the report stays the same
     (tdir / "sub").mkdir()
     assert run_experiment(cfg).cells == report.cells
@@ -241,6 +248,40 @@ def test_experiment_trace_dir(tmp_path):
     (tdir / "notes.txt").write_text("hello\n")
     with pytest.raises(ValueError, match=r"notes\.txt: line 1: not a timestamp"):
         run_experiment(cfg)
+
+
+def test_each_trace_file_is_read_once(tmp_path, monkeypatch):
+    # a run reads each trace file once, before the first trial, however
+    # many trials and cells rotate through it
+    import flowmark.experiment as experiment
+    from flowmark.traffic import write_trace
+
+    tdir = tmp_path / "traces"
+    tdir.mkdir()
+    for i in range(3):
+        write_trace(poisson_flow(2.0, 150, seed=60 + i), tdir / f"t{i}.txt")
+    calls = []
+
+    def counting_read_trace(path, clamp=False):
+        calls.append(path)
+        return read_trace(path, clamp=clamp)
+
+    monkeypatch.setattr(experiment, "read_trace", counting_read_trace)
+    cfg = small_config(trace_dir=str(tdir), trials=7, flow_len=150, sigma_ms=[10.0, 20.0],
+                       holdout=True)
+    run_experiment(cfg)
+    assert sorted(calls) == sorted(str(tdir / f"t{i}.txt") for i in range(3))
+
+
+def test_bad_trace_fails_in_grid_cells(tmp_path):
+    # a trace file that does not parse fails when the grid is built, before
+    # any trial runs, with read_trace's file-and-line message
+    from flowmark.traffic import write_trace
+
+    write_trace(poisson_flow(2.0, 150, seed=80), tmp_path / "flow.txt")
+    (tmp_path / "notes.txt").write_text("0.0\nhello\n")
+    with pytest.raises(ValueError, match=r"notes\.txt: line 2: not a timestamp"):
+        grid_cells(small_config(trace_dir=str(tmp_path), flow_len=150))
 
 
 def test_experiment_trace_cut_to_flow_len(tmp_path):

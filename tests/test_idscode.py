@@ -103,6 +103,8 @@ def test_config_validation():
                  id="spread"),
     pytest.param(lambda: keystream(1, -1), "length must be nonnegative", id="key-length"),
     pytest.param(lambda: watermark_bits(1, 0), "watermark length must be positive", id="n"),
+    pytest.param(lambda: WatermarkConfig([1], 2, float("nan"), 1), "delta must be positive",
+                 id="delta-nan"),
 ])
 def test_input_checks(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):

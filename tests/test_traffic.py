@@ -137,6 +137,8 @@ def _written(path, text):
                  id="empty"),
     pytest.param(lambda tmp: read_trace(_written(tmp / "c.txt", "# only a comment\n\n")),
                  "c.txt: no timestamps found", id="comment-only"),
+    pytest.param(lambda tmp: poisson_flow(float("nan"), 100, seed=0), "rate must be positive",
+                 id="rate-nan"),
 ])
 def test_input_checks(tmp_path, make, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
