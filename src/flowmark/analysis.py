@@ -63,7 +63,7 @@ def ks_distance(a, b, threshold: float = KS_VISIBILITY_THRESHOLD) -> KsResult:
 def mfa_aggregate(flows, interval: float) -> MfaResult:
     """Aggregate flows (each shifted to start at 0) and count packets per
     fixed interval; blank intervals expose batched watermark schemes."""
-    if not interval > 0.0:
+    if not 0.0 < interval < math.inf:
         raise ValueError("interval must be positive")
     if not flows:
         raise ValueError("need at least one flow")

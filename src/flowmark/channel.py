@@ -28,8 +28,8 @@ class ChannelParams:
     packet, L extra packets are inserted with P(L=l) = p_insert**l *
     (1-p_insert) below max_insert_run, which takes the tail.  Inserted
     packets arrive together with the survivor they follow: their IPDs are
-    0 and read as bit 0 unless jitter flips them.  The decoder's IdsParams
-    states this same law.
+    0 and read as bit 0 unless jitter flips them.  IdsParams.from_channel
+    gives the decoder this same law.
 
     jitter selects how sigma perturbs the received IPDs:
 
@@ -57,7 +57,7 @@ class ChannelParams:
     delta: float | None = None
 
     def __post_init__(self):
-        if not self.sigma >= 0.0:
+        if not 0.0 <= self.sigma < math.inf:
             raise ValueError("sigma must be nonnegative")
         if not 0.0 <= self.p_delete <= 1.0:
             raise ValueError("p_delete must lie in [0, 1]")
@@ -67,7 +67,7 @@ class ChannelParams:
             raise ValueError("max_insert_run must be at least 1")
         if self.jitter not in ("laplace", "quantizer"):
             raise ValueError("jitter must be 'laplace' or 'quantizer'")
-        if self.jitter == "quantizer" and (self.delta is None or not self.delta > 0.0):
+        if self.jitter == "quantizer" and (self.delta is None or not 0.0 < self.delta < math.inf):
             raise ValueError("quantizer jitter needs a positive delta")
 
 

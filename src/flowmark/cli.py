@@ -137,11 +137,9 @@ def cmd_embed(args) -> int:
 
 def cmd_transmit(args) -> int:
     flow = read_trace(args.trace, clamp=args.clamp)
-    chan = ChannelParams(
-        sigma=args.sigma_ms / 1000.0, p_delete=args.p_d, p_insert=args.p_i,
-        max_insert_run=args.max_insert_run, seed=args.seed, jitter=args.jitter,
-        delta=args.delta_ms / 1000.0 if args.delta_ms is not None else None)
-    recv, log = transmit(flow, chan)
+    recv, log = transmit(flow, _law_channel(
+        args, seed=args.seed, jitter=args.jitter,
+        delta=args.delta_ms / 1000.0 if args.delta_ms is not None else None))
     write_trace(recv, args.out)
     if args.log:
         payload = {name: getattr(log, name).tolist() for name in _LOG_FIELDS}
@@ -181,8 +179,7 @@ def cmd_decode(args) -> int:
         n_bits = args.nbits
     else:
         n_bits = bits.size
-    params = IdsParams.from_channel(cfg.delta, args.sigma_ms / 1000.0, args.p_d, args.p_i,
-                                    args.max_insert_run)
+    params = IdsParams.from_channel(_law_channel(args, delta=cfg.delta))
     report = decode(bits[:n_bits], cfg, params, cfg.watermark,
                     threshold=args.threshold, d_max=args.d_max)
     if report.status != "ok":
@@ -277,6 +274,12 @@ def _add_law_args(p: argparse.ArgumentParser, sigma_ms: float):
     p.add_argument("--p-i", type=float, default=0.0, help="geometric insertion parameter")
     p.add_argument("--max-insert-run", type=int, default=8,
                    help="cap on the packets inserted after one survivor")
+
+
+def _law_channel(args, **rest) -> ChannelParams:
+    """The packet channel of _add_law_args' flags, times in seconds."""
+    return ChannelParams(sigma=args.sigma_ms / 1000.0, p_delete=args.p_d, p_insert=args.p_i,
+                         max_insert_run=args.max_insert_run, **rest)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from flowmark.channel import substitution_prob
+from flowmark.channel import ChannelParams, substitution_prob
 from flowmark.idscode import WatermarkConfig, as_bits, keystream
 
 
@@ -59,14 +59,16 @@ class IdsParams:
             raise ValueError("max_insert_run must be at least 1")
 
     @classmethod
-    def from_channel(cls, delta: float, sigma: float, p_delete: float,
-                     p_insert: float, max_insert_run: int = 8) -> "IdsParams":
-        """The bit law of a packet channel, times in seconds."""
+    def from_channel(cls, chan: ChannelParams) -> "IdsParams":
+        """The bit law of a packet channel: its drops and insertion bursts,
+        and its jitter read as substitutions at its quantization step."""
+        if chan.delta is None:
+            raise ValueError("the bit law needs the channel's delta")
         return cls(
-            p_sub=substitution_prob(delta, sigma),
-            p_delete=float(p_delete),
-            p_insert=float(p_insert),
-            max_insert_run=max_insert_run,
+            p_sub=substitution_prob(chan.delta, chan.sigma),
+            p_delete=float(chan.p_delete),
+            p_insert=float(chan.p_insert),
+            max_insert_run=chan.max_insert_run,
         )
 
 

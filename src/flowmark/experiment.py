@@ -49,10 +49,9 @@ def derive_seed(master: int, cell: int, trial: int, role: int) -> int:
 @dataclass
 class ExperimentConfig:
     """One experiment grid.  List-valued watermark/channel fields form the
-    cross product of cells.  A cell is the config with those fields scalar;
-    its watermark_config/decoder_params convert ms to s.  Flows
-    are read from the regular files in trace_dir when it is set, else
-    drawn as Poisson flows of rate_pps."""
+    cross product of cells.  A cell is the config with those fields scalar
+    (see grid_cells).  Flows are read from the regular files in trace_dir
+    when it is set, else drawn as Poisson flows of rate_pps."""
 
     n: int | list = 50
     spread: int = 10
@@ -91,37 +90,27 @@ class ExperimentConfig:
             if isinstance(getattr(self, name), (list, tuple)) and not getattr(self, name):
                 raise ValueError(f"{name}: a grid axis needs at least one value")
 
-    def watermark_config(self) -> WatermarkConfig:
-        w = watermark_bits(self.seed + self.key_seed, int(self.n))
-        return WatermarkConfig(watermark=w, spread=self.spread,
-                               delta=self.delta_ms / 1000.0,
-                               key_seed=self.key_seed)
-
-    def decoder_params(self) -> IdsParams:
-        def dec(name):  # the dec_* override, else the channel's own value
-            override = getattr(self, "dec_" + name)
-            return getattr(self, name) if override is None else override
-
-        return IdsParams.from_channel(self.delta_ms / 1000.0, dec("sigma_ms") / 1000.0,
-                                      dec("p_d"), dec("p_i"), self.max_insert_run)
-
 
 class Cell(NamedTuple):
     """One grid cell: the config with scalar grid fields, the cell's index
     in the grid (for the seed fan-out), its watermark config and codeword,
-    and the flows of the sorted trace files, cut at flow_len (none for
-    Poisson traffic)."""
+    the sorted trace files' flows cut at flow_len (none for Poisson
+    traffic), its packet channel at seed 0 and the decoder's bit law, that
+    channel's with the dec_* overrides."""
 
     config: ExperimentConfig
     index: int
     wm: WatermarkConfig
     code: np.ndarray
     traces: tuple
+    channel: ChannelParams
+    law: IdsParams
 
 
 def grid_cells(config: ExperimentConfig) -> list[Cell]:
-    """The grid's cells, each trace file read once for all of them."""
-    traces = ()
+    """The grid's cells, each trace file read once for all of them; each
+    cell's values and flow lengths are checked here, before any trial."""
+    traces, shortest = (), (config.flow_len, "")
     if config.trace_dir is not None:
         paths = (os.path.join(config.trace_dir, f) for f in os.listdir(config.trace_dir)
                  if not f.startswith("."))
@@ -130,13 +119,27 @@ def grid_cells(config: ExperimentConfig) -> list[Cell]:
             raise ValueError(f"no trace files in {config.trace_dir!r}")
         traces = tuple(PacketFlow(read_trace(path, clamp=True).timestamps[: config.flow_len])
                        for path in files)
+        shortest = min((len(flow), f"{path}: ") for flow, path in zip(traces, files))
     axes = [getattr(config, name) for name in GRID_FIELDS]
     axes = [v if isinstance(v, (list, tuple)) else [v] for v in axes]
-    configs = [dataclasses.replace(config, **dict(zip(GRID_FIELDS, combo)))
-               for combo in itertools.product(*axes)]
-    wms = [c.watermark_config() for c in configs]
-    return [Cell(c, index, wm, encode(wm.watermark, wm), traces)
-            for index, (c, wm) in enumerate(zip(configs, wms))]
+    cells = []
+    for index, combo in enumerate(itertools.product(*axes)):
+        c = dataclasses.replace(config, **dict(zip(GRID_FIELDS, combo)))
+        wm = WatermarkConfig(watermark=watermark_bits(c.seed + c.key_seed, int(c.n)),
+                             spread=c.spread, delta=c.delta_ms / 1000.0, key_seed=c.key_seed)
+        if shortest[0] < wm.code_len + 1:
+            raise ValueError(f"{shortest[1]}flow of {shortest[0]} packets is too short; "
+                             f"need at least {wm.code_len + 1}")
+        channel = ChannelParams(sigma=c.sigma_ms / 1000.0, p_delete=float(c.p_d),
+                                p_insert=float(c.p_i), max_insert_run=c.max_insert_run,
+                                jitter=c.jitter_mode, delta=wm.delta)
+        # the decoder's own values, where a dec_* field overrides the channel's
+        mismatch = {"sigma": None if c.dec_sigma_ms is None else c.dec_sigma_ms / 1000.0,
+                    "p_delete": c.dec_p_d, "p_insert": c.dec_p_i}
+        law = IdsParams.from_channel(dataclasses.replace(
+            channel, **{k: v for k, v in mismatch.items() if v is not None}))
+        cells.append(Cell(c, index, wm, encode(wm.watermark, wm), traces, channel, law))
+    return cells
 
 
 @dataclass
@@ -196,17 +199,10 @@ def simulate_trial(cell: Cell, trial: int, role: int):
     else:
         flow = poisson_flow(config.rate_pps, config.flow_len,
                             seed=derive_seed(config.seed, cell.index, trial, 2 * role))
-    if len(flow) < wm.code_len + 1:
-        raise ValueError(
-            f"flow of {len(flow)} packets is too short; need at least {wm.code_len + 1}"
-        )
     if role == WATERMARKED:
         flow, _ = embed_flow(flow, cell.code, wm.delta)
-    recv, log = transmit(flow, ChannelParams(
-        sigma=config.sigma_ms / 1000.0, p_delete=float(config.p_d),
-        p_insert=float(config.p_i), max_insert_run=config.max_insert_run,
-        seed=derive_seed(config.seed, cell.index, trial, 2 * role + 1),
-        jitter=config.jitter_mode, delta=config.delta_ms / 1000.0))
+    recv, log = transmit(flow, dataclasses.replace(
+        cell.channel, seed=derive_seed(config.seed, cell.index, trial, 2 * role + 1)))
     y = qim_extract(to_ipds(recv), wm.delta)[:log.segment_bits(wm.code_len)]
     return y, log.n_deleted, log.n_inserted
 
@@ -216,8 +212,7 @@ def _chunk_task(args):
     lockstep; returns (score, deleted, inserted, segment bits) per trial."""
     cell, trials = args
     sims = [simulate_trial(cell, *trial) for trial in trials]
-    reports = decode_batch([y for y, _, _ in sims], cell.wm, cell.config.decoder_params(),
-                           cell.wm.watermark)
+    reports = decode_batch([y for y, _, _ in sims], cell.wm, cell.law, cell.wm.watermark)
     return [(r.score, deleted, inserted, y.size)
             for r, (y, deleted, inserted) in zip(reports, sims)]
 

@@ -39,7 +39,7 @@ class WatermarkConfig:
         object.__setattr__(self, "watermark", w)
         if self.spread < 1:
             raise ValueError("spread factor must be a positive integer")
-        if not self.delta > 0.0:
+        if not 0.0 < self.delta < np.inf:
             raise ValueError("delta must be positive")
 
     @property

@@ -31,7 +31,7 @@ def qim_embed(ipds: np.ndarray, code: np.ndarray, delta: float) -> np.ndarray:
     """
     ipds = np.asarray(ipds, dtype=np.float64)
     code = as_bits(code)
-    if not delta > 0.0:
+    if not 0.0 < delta < np.inf:
         raise ValueError("delta must be positive")
     if np.any(ipds < 0.0):
         raise ValueError("IPDs must be nonnegative")
@@ -63,7 +63,7 @@ def qim_extract(ipds: np.ndarray, delta: float) -> np.ndarray:
     Ties (fractional part exactly 0.5) round down.  A zero IPD is an even
     point, which is why inserted back-to-back packets decode as 0.
     """
-    if not delta > 0.0:
+    if not 0.0 < delta < np.inf:
         raise ValueError("delta must be positive")
     quantizer = np.ceil(2.0 * np.asarray(ipds, dtype=np.float64) / delta - 0.5)
     return (quantizer.astype(np.int64) & 1).astype(np.uint8)

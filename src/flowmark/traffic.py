@@ -48,7 +48,7 @@ def poisson_flow(rate: float, count: int, seed: int) -> PacketFlow:
     The first packet arrives at t=0 and the mean IPD is 1/rate seconds.
     Deterministic for a fixed seed.
     """
-    if not rate > 0.0:
+    if not 0.0 < rate < math.inf:
         raise ValueError("rate must be positive")
     if count < 2:
         raise ValueError("count must be at least 2")

@@ -99,8 +99,9 @@ def test_mfa_validation():
         mfa_aggregate([], 0.1)
     with pytest.raises(ValueError):
         mfa_aggregate([PacketFlow(np.array([0.0]))], 0.0)
-    with pytest.raises(ValueError, match="interval must be positive"):
-        mfa_aggregate([PacketFlow(np.array([0.0]))], float("nan"))
+    for interval in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="interval must be positive"):
+            mfa_aggregate([PacketFlow(np.array([0.0]))], interval)
 
 
 def test_ks_threshold_range():

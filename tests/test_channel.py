@@ -156,6 +156,10 @@ def test_params_validation():
                  id="params-sigma-nan"),
     pytest.param(lambda: ChannelParams(jitter="quantizer", delta=math.nan),
                  "quantizer jitter needs a positive delta", id="params-delta-nan"),
+    pytest.param(lambda: ChannelParams(sigma=math.inf), "sigma must be nonnegative",
+                 id="params-sigma-inf"),
+    pytest.param(lambda: ChannelParams(jitter="quantizer", delta=math.inf),
+                 "quantizer jitter needs a positive delta", id="params-delta-inf"),
 ])
 def test_input_checks(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from flowmark.cli import build_parser, load_config, main
-from flowmark.experiment import ExperimentConfig
+from flowmark.experiment import ExperimentConfig, grid_cells
 
 
 def run_cli(capsys, *argv):
@@ -91,7 +91,7 @@ def _library_decode(side, recv, log, **law):
     origins = np.asarray(json.loads(log.read_text())["origins"])
     y = qim_extract(to_ipds(read_trace(recv)), cfg.delta)
     y = y[: int(np.count_nonzero(origins[1:] <= cfg.code_len))]
-    params = ExperimentConfig(delta_ms=cfg.delta * 1000.0, **law).decoder_params()
+    params = grid_cells(ExperimentConfig(delta_ms=cfg.delta * 1000.0, **law))[0].law
     return decode(y, cfg, params, cfg.watermark).to_dict()
 
 
@@ -298,14 +298,23 @@ def test_extract_command(tmp_path, capsys):
 
 
 def test_nan_and_out_of_range_values_are_errors(tmp_path, capsys):
-    # NaN fails every range check, and a threshold lies in [0, 1]: each of
-    # these exits 1 with the error JSON, naming the value
+    # NaN and infinity fail every range check, and a threshold lies in
+    # [0, 1]: each of these exits 1 with the error JSON, naming the value
     side, [(recv, log)] = _marked_and_received(tmp_path, capsys, [9])
     decode = ["decode", str(recv), "--sidecar", str(side), "--log", str(log)]
+    transmit = ["transmit", str(recv), "--out", str(tmp_path / "r.txt")]
     cases = [
         (["extract", str(recv), "--delta-ms", "nan"], "delta must be positive"),
-        (["transmit", str(recv), "--out", str(tmp_path / "r.txt"), "--sigma-ms", "nan",
-          "--jitter", "quantizer", "--delta-ms", "100"], "sigma must be nonnegative"),
+        ([*transmit, "--sigma-ms", "nan", "--jitter", "quantizer", "--delta-ms", "100"],
+         "sigma must be nonnegative"),
+        (["extract", str(recv), "--delta-ms", "inf"], "delta must be positive"),
+        (["mfa", str(recv), "--interval-ms", "inf"], "interval must be positive"),
+        ([*transmit, "--jitter", "quantizer", "--delta-ms", "inf"],
+         "quantizer jitter needs a positive delta"),
+        (["gen", "--rate", "inf", "--count", "10", "--out", str(tmp_path / "g.txt")],
+         "rate must be positive"),
+        ([*transmit, "--sigma-ms", "inf"], "sigma must be nonnegative"),
+        ([*decode, "--sigma-ms", "inf"], "sigma must be nonnegative"),
         ([*decode, "--threshold", "nan"], "threshold must lie in [0, 1], not nan"),
         ([*decode, "--threshold", "2"], "threshold must lie in [0, 1], not 2.0"),
         (["ks", str(recv), str(recv), "--threshold", "nan"],

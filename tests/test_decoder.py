@@ -131,7 +131,8 @@ def test_evidence_matches_transmit_chi_square():
         y = qim_extract(to_ipds(recv), delta)[: log.segment_bits(code.size)].tobytes()
         counts[y] = counts.get(y, 0) + 1
     ys = list(counts)
-    params = IdsParams.from_channel(delta, sigma, p_d, p_i, run)
+    params = IdsParams.from_channel(ChannelParams(sigma=sigma, p_delete=p_d, p_insert=p_i,
+                                                  max_insert_run=run, delta=delta))
     t = trellis_tables([np.frombuffer(y, np.uint8) for y in ys], code, params,
                        wtilde=np.zeros(code.size, np.uint8))
     expected = draws * np.exp(t.log_evidence)
@@ -617,7 +618,7 @@ def test_decode_zero_noise_exact(rng):
 def test_decode_from_channel_params(rng):
     w, cfg = _clean_roundtrip_cfg(rng)
     code = encode(w, cfg)
-    params = IdsParams.from_channel(cfg.delta, 0.005, 0.05, 0.0)
+    params = IdsParams.from_channel(ChannelParams(sigma=0.005, p_delete=0.05, delta=cfg.delta))
     rep = decode(code, cfg, params, w)
     assert rep.score == 1.0
 
@@ -646,7 +647,7 @@ def test_decode_status_flags_zero_evidence():
     cfg = WatermarkConfig(watermark=w, spread=10, delta=0.1, key_seed=4)
     flow, _ = embed_flow(poisson_flow(3.3, 2000, seed=5), encode(w, cfg), 0.1)
     chan = ChannelParams(sigma=0.01, p_delete=0.1, jitter="quantizer", delta=0.1, seed=6)
-    params = IdsParams.from_channel(cfg.delta, chan.sigma, chan.p_delete, chan.p_insert)
+    params = IdsParams.from_channel(chan)
     recv, log = transmit(flow, chan)
     y = qim_extract(to_ipds(recv), 0.1)
     seg = decode(y[: log.segment_bits(cfg.code_len)], cfg, params, w)
@@ -687,7 +688,7 @@ def _received(cfg, n_flows, p_i, seed):
                              delta=0.1, seed=seed + 100 + s)
         recv, log = transmit(flow, chan)
         ys.append(qim_extract(to_ipds(recv), 0.1)[: log.segment_bits(cfg.code_len)])
-    return ys, IdsParams.from_channel(0.1, 0.01, 0.1, p_i)
+    return ys, IdsParams.from_channel(chan)
 
 
 def _assert_same_decode(got, want):
@@ -860,6 +861,8 @@ def test_binomial_score_threshold():
                  id="p_delete-nan"),
     pytest.param(lambda: IdsParams(max_insert_run=0), "max_insert_run must be at least 1",
                  id="run-cap"),
+    pytest.param(lambda: IdsParams.from_channel(ChannelParams(sigma=0.01)),
+                 "the bit law needs the channel's delta", id="channel-without-delta"),
     pytest.param(lambda: Trellis([], [1, 0], IdsParams()), "need at least one received sequence",
                  id="no-streams"),
     pytest.param(lambda: Trellis([[0]], [], IdsParams()), "key must contain at least one bit",

@@ -18,9 +18,9 @@ from flowmark.experiment import (
     run_experiment,
     simulate_trial,
 )
-from flowmark.idscode import encode
+from flowmark.idscode import encode, watermark_bits
 from flowmark.qim import qim_extract
-from flowmark.traffic import poisson_flow, read_trace, to_ipds
+from flowmark.traffic import poisson_flow, read_trace, to_ipds, write_trace
 
 
 # a small_config cell's scalar grid point, at the given axis values
@@ -58,15 +58,18 @@ def test_grid_cells():
     cells = grid_cells(cfg)
     assert len(cells) == 4
     # a cell is the config with one grid point's scalars, plus its index,
-    # its watermark config and codeword, and no traces for Poisson traffic
+    # its watermark config and codeword, no traces for Poisson traffic, and
+    # its packet channel in seconds at seed 0
+    w = watermark_bits(cfg.seed + cfg.key_seed, 10)
     for index, (cell, point) in enumerate(zip(cells, points)):
         assert cell.config == dataclasses.replace(cfg, **point)
         assert cell.index == index and cell.traces == ()
-        wm = cell.config.watermark_config()
-        np.testing.assert_array_equal(cell.wm.watermark, wm.watermark)
-        assert (cell.wm.spread, cell.wm.delta, cell.wm.key_seed) == (
-            wm.spread, wm.delta, wm.key_seed)
-        np.testing.assert_array_equal(cell.code, encode(wm.watermark, wm))
+        np.testing.assert_array_equal(cell.wm.watermark, w)
+        assert (cell.wm.spread, cell.wm.delta, cell.wm.key_seed) == (5, 0.1, cfg.key_seed)
+        np.testing.assert_array_equal(cell.code, encode(w, cell.wm))
+        assert cell.channel == ChannelParams(sigma=point["sigma_ms"] / 1000.0,
+                                             p_delete=point["p_d"], jitter="quantizer",
+                                             delta=0.1)
 
 
 def test_decoder_params_law():
@@ -80,7 +83,7 @@ def test_decoder_params_law():
         (dict(p_d=1), IdsParams(substitution_prob(0.1, 0.01), 1.0, 0.0, 8)),
     ]
     for kw, want in cases:
-        got = ExperimentConfig(**kw).decoder_params()
+        got = grid_cells(ExperimentConfig(**kw))[0].law
         assert got == want
         assert type(got.p_delete) is float and type(got.p_insert) is float
 
@@ -104,7 +107,7 @@ def test_run_trial_shapes():
         sigma=cfg.sigma_ms / 1000.0, p_delete=cfg.p_d, p_insert=cfg.p_i,
         max_insert_run=cfg.max_insert_run, seed=derive_seed(cfg.seed, 0, 0, 3),
         jitter=cfg.jitter_mode, delta=cfg.delta_ms / 1000.0))
-    wcfg = cfg.watermark_config()
+    wcfg = cell.wm
     seg = log.segment_bits(wcfg.code_len)
     assert y_ctrl.size == seg < cfg.flow_len - 1
     np.testing.assert_array_equal(y_ctrl, qim_extract(to_ipds(recv), wcfg.delta)[:seg])
@@ -181,7 +184,7 @@ def test_experiment_regrouping_matches_per_flow_stages(monkeypatch):
     roles = {"watermarked": WATERMARKED, "control": CONTROL, "holdout": HOLDOUT}
     expected = []
     for cell in grid_cells(cfg):
-        wm, law = cell.config.watermark_config(), cell.config.decoder_params()
+        wm, law = cell.wm, cell.law
         scores, sims = {}, []
         for role, index in roles.items():
             scores[role] = []
@@ -350,3 +353,34 @@ def test_experiment_flow_too_short():
     cfg = small_config(flow_len=30)  # needs 51 packets
     with pytest.raises(ValueError, match="too short"):
         run_experiment(cfg)
+
+
+def _trace_dir_config(tmp, packets):
+    write_trace(poisson_flow(2.0, packets, seed=1), tmp / "short.txt")
+    return small_config(trace_dir=str(tmp))
+
+
+@pytest.mark.parametrize("make, fragment", [
+    pytest.param(lambda tmp: small_config(p_d=[0.1, 1.5]), "p_delete must lie in [0, 1]",
+                 id="p_d"),
+    pytest.param(lambda tmp: small_config(dec_p_d=1.5), "p_delete must lie in [0, 1]",
+                 id="dec_p_d"),
+    pytest.param(lambda tmp: _trace_dir_config(tmp, 30),
+                 "short.txt: flow of 30 packets is too short; need at least 51",
+                 id="short-trace"),
+])
+def test_bad_grid_fails_before_first_trial(tmp_path, monkeypatch, make, fragment):
+    # a bad law value in any cell, or a trace any trial might read that is
+    # shorter than the code, fails while the grid is built: no trial runs
+    from flowmark import experiment
+
+    calls = []
+
+    def counting_transmit(flow, params):
+        calls.append(params)
+        return transmit(flow, params)
+
+    monkeypatch.setattr(experiment, "transmit", counting_transmit)
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        run_experiment(make(tmp_path))
+    assert calls == []

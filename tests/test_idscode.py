@@ -105,6 +105,8 @@ def test_config_validation():
     pytest.param(lambda: watermark_bits(1, 0), "watermark length must be positive", id="n"),
     pytest.param(lambda: WatermarkConfig([1], 2, float("nan"), 1), "delta must be positive",
                  id="delta-nan"),
+    pytest.param(lambda: WatermarkConfig([1], 2, float("inf"), 1), "delta must be positive",
+                 id="delta-inf"),
 ])
 def test_input_checks(call, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):

@@ -161,7 +161,8 @@ def test_embed_validation():
         qim_embed(np.array([0.1]), np.array([2]), 0.1)
     with pytest.raises(ValueError, match="delta must be positive"):
         qim_extract(np.array([0.1]), 0.0)
-    with pytest.raises(ValueError, match="delta must be positive"):
-        qim_embed(np.array([0.1]), np.array([1]), float("nan"))
-    with pytest.raises(ValueError, match="delta must be positive"):
-        qim_extract(np.array([0.1]), float("nan"))
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            qim_embed(np.array([0.1]), np.array([1]), delta)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            qim_extract(np.array([0.1]), delta)

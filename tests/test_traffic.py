@@ -139,6 +139,8 @@ def _written(path, text):
                  "c.txt: no timestamps found", id="comment-only"),
     pytest.param(lambda tmp: poisson_flow(float("nan"), 100, seed=0), "rate must be positive",
                  id="rate-nan"),
+    pytest.param(lambda tmp: poisson_flow(float("inf"), 100, seed=0), "rate must be positive",
+                 id="rate-inf"),
 ])
 def test_input_checks(tmp_path, make, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
