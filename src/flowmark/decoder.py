@@ -467,6 +467,15 @@ def calibrate_threshold(control_scores, alpha: float) -> float:
     return float(np.sort(scores)[k - 1])
 
 
+def present(scores, informative, threshold):
+    """The presence rule: a flow is detected when its decode says something
+    about some watermark bit (a nonzero LLR) and its score reaches the
+    threshold.  A decode whose LLRs are all 0, such as a zero-evidence one,
+    decides every bit as 0, so its score is the reference's share of zeros
+    and says nothing."""
+    return np.logical_and(informative, np.greater_equal(scores, threshold))
+
+
 def decode_batch(ys, cfg: WatermarkConfig, params: IdsParams, w_reference,
                  threshold: float | None = None,
                  d_max: int | None = None) -> list[DetectionReport]:
@@ -490,13 +499,14 @@ def decode_batch(ys, cfg: WatermarkConfig, params: IdsParams, w_reference,
         llr = np.where(np.isfinite(lp).any(axis=-1), lp[..., 1] - lp[..., 0], 0.0)
     w_hat = (llr > 0.0).astype(np.uint8)
     scores = (w_hat == w_ref).mean(axis=-1)
+    detected = present(scores, llr.any(axis=-1), threshold)
     return [
         DetectionReport(
             w_hat=w_hat[b],
             llr=llr[b],
             score=float(scores[b]),
             threshold=float(threshold),
-            detected=bool(scores[b] >= threshold),
+            detected=bool(detected[b]),
             log_evidence=float(evidence),
             status="ok" if math.isfinite(evidence) else "zero-evidence",
         )
@@ -510,9 +520,9 @@ def decode(y, cfg: WatermarkConfig, params: IdsParams, w_reference,
 
     params is the assumed bit law, from IdsParams.from_channel for a
     packet channel.  The score is the fraction of decoded bits agreeing
-    with the reference watermark; without an explicit threshold the exact
-    binomial null quantile at 1% is used.  This is decode_batch() on a
-    batch of one.
+    with the reference watermark, and `present` decides detection;
+    without an explicit threshold the exact binomial null quantile at 1%
+    is used.  This is decode_batch() on a batch of one.
     """
     return decode_batch([y], cfg, params, w_reference, threshold=threshold,
                         d_max=d_max)[0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from flowmark.channel import ChannelParams, transmit
-from flowmark.decoder import IdsParams, calibrate_threshold, decode_batch
+from flowmark.decoder import IdsParams, calibrate_threshold, decode_batch, present
 from flowmark.idscode import WatermarkConfig, encode, watermark_bits
 from flowmark.qim import embed_flow, qim_extract
 from flowmark.traffic import PacketFlow, poisson_flow, read_trace, to_ipds
@@ -86,6 +87,11 @@ class ExperimentConfig:
             raise ValueError("jitter_mode must be 'laplace' or 'quantizer'")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if not 0.0 < self.rate_pps < math.inf:
+            raise ValueError(f"rate_pps must be positive and finite, not {self.rate_pps}")
+        for name in ("seed", "key_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, not {getattr(self, name)}")
         for name in GRID_FIELDS:
             if isinstance(getattr(self, name), (list, tuple)) and not getattr(self, name):
                 raise ValueError(f"{name}: a grid axis needs at least one value")
@@ -209,11 +215,12 @@ def simulate_trial(cell: Cell, trial: int, role: int):
 
 def _chunk_task(args):
     """Simulate a chunk of one cell's trials, then decode them together in
-    lockstep; returns (score, deleted, inserted, segment bits) per trial."""
+    lockstep; returns (score, whether some LLR is nonzero, deleted,
+    inserted, segment bits) per trial."""
     cell, trials = args
     sims = [simulate_trial(cell, *trial) for trial in trials]
     reports = decode_batch([y for y, _, _ in sims], cell.wm, cell.law, cell.wm.watermark)
-    return [(r.score, deleted, inserted, y.size)
+    return [(r.score, r.llr.any(), deleted, inserted, y.size)
             for r, (y, deleted, inserted) in zip(reports, sims)]
 
 
@@ -231,15 +238,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             parts = list(pool.map(_chunk_task, chunks))
     else:
         parts = [_chunk_task(c) for c in chunks]
-    # (cell, trial, role, [score, deleted, inserted, segment bits])
+    # (cell, trial, role, [score, informative, deleted, inserted, segment bits])
     results = np.array([r for part in parts for r in part], dtype=np.float64)
-    results = results.reshape(len(cells), config.trials, len(roles), 4)
+    results = results.reshape(len(cells), config.trials, len(roles), 5)
 
     reports = []
     for cell, res in zip(cells, results):
-        scores = res[:, :, 0].T
+        scores, informative = res[:, :, 0].T, res[:, :, 1].T
         threshold = calibrate_threshold(scores[1], config.alpha)
-        rates = [float(np.mean(s >= threshold)) for s in scores]
+        rates = [float(np.mean(present(s, e, threshold))) for s, e in zip(scores, informative)]
         reports.append(CellReport(
             params={name: getattr(cell.config, name) for name in GRID_FIELDS},
             threshold=threshold,
@@ -249,9 +256,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             scores_watermarked=scores[0].tolist(),
             scores_control=scores[1].tolist(),
             scores_holdout=scores[2].tolist() if config.holdout else None,
-            mean_deleted=float(np.mean(res[:, :, 1])),
-            mean_inserted=float(np.mean(res[:, :, 2])),
-            mean_segment_bits=float(np.mean(res[:, :, 3])),
+            mean_deleted=float(np.mean(res[:, :, 2])),
+            mean_inserted=float(np.mean(res[:, :, 3])),
+            mean_segment_bits=float(np.mean(res[:, :, 4])),
         ))
 
     return ExperimentReport(

@@ -210,7 +210,7 @@ def test_decode_narrow_cap_decodes_at_the_floor(tmp_path, capsys):
     code, narrow, err = run_cli(capsys, *decode, "--d-max", "3")
     assert code == 0 and err == ""
     assert narrow == default
-    assert json.loads(narrow)["status"] == "ok"
+    assert json.loads(narrow)["status"] == "ok" and json.loads(narrow)["detected"] is True
 
 
 def test_embed_wm_bits_excludes_derived_watermark(tmp_path, capsys):
@@ -319,11 +319,32 @@ def test_nan_and_out_of_range_values_are_errors(tmp_path, capsys):
         ([*decode, "--threshold", "2"], "threshold must lie in [0, 1], not 2.0"),
         (["ks", str(recv), str(recv), "--threshold", "nan"],
          "threshold must lie in [0, 1], not nan"),
+        (["experiment", "--set", "p_d=0.1,1.5", "--set", "n=8", "--set", "spread=4",
+          "--set", "flow_len=100", "--set", "trials=4"], "p_delete must lie in [0, 1]"),
     ]
     for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_zero_evidence_decode_is_not_detected(tmp_path, capsys):
+    # an unmarked stream is impossible under a noiseless law, so every LLR
+    # is 0 and every bit decodes as 0: against a watermark with 40 zeros in
+    # 50 bits that scores 0.80, above the binomial threshold, yet a decode
+    # that says nothing about any bit detects nothing
+    flow, side = tmp_path / "flow.txt", tmp_path / "side.json"
+    run_cli(capsys, "gen", "--rate", "2.0", "--count", "200", "--seed", "1", "--out", str(flow))
+    code, _, _ = run_cli(capsys, "embed", str(flow), "--out", str(tmp_path / "marked.txt"),
+                         "--sidecar", str(side), "--spread", "2", "--wm-bits", "0000100001" * 5)
+    assert code == 0
+    code, out, err = run_cli(capsys, "decode", str(flow), "--sidecar", str(side),
+                             "--nbits", "100", "--sigma-ms", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "zero-evidence" and json.loads(err)["warning"] == "zero-evidence"
+    assert report["score"] == 0.8 and report["score"] >= report["threshold"]
+    assert report["detected"] is False
 
 
 def test_one_packet_trace_extracts_and_decodes_empty(tmp_path, capsys):
@@ -620,6 +641,16 @@ PARSED_DEFAULTS = {
     ("calibrate", "--scores", "s"):
         dict(scores="s", alpha=0.01, out=None),
 }
+
+
+def test_every_subcommand_help_renders(capsys):
+    # argparse formats help strings with %, so a stray % breaks --help only
+    parser = build_parser()
+    for command in parser._subparsers._group_actions[0].choices:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: flowmark {command} ")
 
 
 def test_parsed_defaults():

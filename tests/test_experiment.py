@@ -111,10 +111,11 @@ def test_run_trial_shapes():
     seg = log.segment_bits(wcfg.code_len)
     assert y_ctrl.size == seg < cfg.flow_len - 1
     np.testing.assert_array_equal(y_ctrl, qim_extract(to_ipds(recv), wcfg.delta)[:seg])
-    # the chunk decodes the trial's stream and counts its segment bits
-    (score, *counts), = _chunk_task((cell, [(0, WATERMARKED)]))
+    # the chunk decodes the trial's stream, says whether some LLR is
+    # nonzero and counts its segment bits
+    (score, informative, *counts), = _chunk_task((cell, [(0, WATERMARKED)]))
     assert counts == [deleted, inserted, y.size]
-    assert 0.0 <= score <= 1.0
+    assert 0.0 <= score <= 1.0 and informative
     with pytest.raises(ValueError, match="role"):
         simulate_trial(cell, 0, HOLDOUT + 1)
 
@@ -178,22 +179,24 @@ def test_experiment_regrouping_matches_per_flow_stages(monkeypatch):
     # cells in grid order, each trial's streams in role order, whatever
     # the chunking (3 aligns chunks with trials, 4 does not)
     from flowmark import experiment
-    from flowmark.decoder import calibrate_threshold
+    from flowmark.decoder import calibrate_threshold, present
 
     cfg = small_config(p_d=[0.05, 0.1], trials=5, holdout=True)
     roles = {"watermarked": WATERMARKED, "control": CONTROL, "holdout": HOLDOUT}
     expected = []
     for cell in grid_cells(cfg):
         wm, law = cell.wm, cell.law
-        scores, sims = {}, []
+        scores, informative, sims = {}, {}, []
         for role, index in roles.items():
-            scores[role] = []
+            scores[role], informative[role] = [], []
             for t in range(cfg.trials):
                 sim = simulate_trial(cell, t, index)
-                scores[role].append(decode(sim[0], wm, law, wm.watermark).score)
+                report = decode(sim[0], wm, law, wm.watermark)
+                scores[role].append(report.score)
+                informative[role].append(report.llr.any())
                 sims.append(sim)
         threshold = calibrate_threshold(scores["control"], cfg.alpha)
-        rate = {role: float(np.mean(np.asarray(s) >= threshold))
+        rate = {role: float(np.mean(present(s, informative[role], threshold)))
                 for role, s in scores.items()}
         expected.append(dict(
             params=grid_point(p_d=(0.05, 0.1)[cell.index]), threshold=threshold,
@@ -212,9 +215,12 @@ def test_experiment_regrouping_matches_per_flow_stages(monkeypatch):
 
 
 def test_experiment_clean_channel_perfect():
+    # a control stream is impossible under the noiseless law, so its LLRs
+    # are all 0 and it scores the watermark's share of zeros, as every
+    # control does; such a decode detects nothing, whatever the threshold
     cfg = small_config(sigma_ms=0.0, p_d=0.0, trials=4)
     report = run_experiment(cfg)
-    assert report.cells[0].tp_rate == 1.0
+    assert report.cells[0].tp_rate == 1.0 and report.cells[0].fp_rate == 0.0
     assert np.allclose(report.cells[0].scores_watermarked, 1.0)
 
 
@@ -328,10 +334,11 @@ def test_trace_dir_selects_trace_traffic(tmp_path):
 def test_head_only_trials_decode_as_the_empty_stream():
     # a channel that keeps only the head packet leaves no IPD to read: the
     # trial decodes the empty stream, which carries no evidence, so both
-    # roles score alike
+    # roles score alike and neither is detected
     cell, = run_experiment(small_config(p_d=1.0, trials=4)).cells
     assert cell.mean_segment_bits == 0.0 and cell.mean_deleted == 119.0
     assert cell.scores_watermarked == cell.scores_control
+    assert cell.tp_rate == cell.fp_rate == 0.0
     # one marked packet behind the head: some trials keep it, some do not
     cell, = run_experiment(ExperimentConfig(n=1, spread=1, flow_len=2, p_d=0.5,
                                             trials=20, seed=3)).cells
@@ -340,6 +347,14 @@ def test_head_only_trials_decode_as_the_empty_stream():
 
 @pytest.mark.parametrize("make, fragment", [
     pytest.param(lambda tmp: small_config(jobs=0), "jobs must be at least 1", id="jobs"),
+    pytest.param(lambda tmp: small_config(rate_pps=0), "rate_pps must be positive and finite",
+                 id="rate-zero"),
+    pytest.param(lambda tmp: small_config(rate_pps=float("inf")),
+                 "rate_pps must be positive and finite", id="rate-inf"),
+    pytest.param(lambda tmp: small_config(seed=-1, key_seed=1), "seed must be nonnegative",
+                 id="seed"),
+    pytest.param(lambda tmp: small_config(key_seed=-1), "key_seed must be nonnegative",
+                 id="key-seed"),
     pytest.param(lambda tmp: grid_cells(small_config(trace_dir=str(tmp))), "no trace files in",
                  id="trace-dir-without-files"),
 ])
