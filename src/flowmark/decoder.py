@@ -18,9 +18,12 @@ likelihoods for maximum-likelihood decoding.  Received sequences decoded
 under one key and one channel law sweep together, on a leading flow axis
 of every state array.
 
-The forward and backward vectors hold linear probabilities, renormalized
-at each step with their log scales carried separately; code lengths in the
-hundreds underflow otherwise.
+The forward and backward vectors hold linear probabilities with their log
+scales carried separately; code lengths in the hundreds underflow
+otherwise.  A sweep renormalizes only the states it keeps, every spread-th,
+and at least every R states, where R is the most steps that even the
+rarest path can take from one renormalization before its mass could fall
+below 1e-290 of what it held there (Trellis.renorm_every).
 """
 
 from __future__ import annotations
@@ -118,10 +121,11 @@ class Trellis:
     can both reach and close from.  The sweeps zero each flow's columns
     outside its band at every state, so each flow's evidence and
     posteriors are those of a trellis over its own cap, up to rounding.
-    Linear-domain vectors are renormalized each step and the log scale is
-    carried separately.  trellis_tables() fills fw and bw, the (vectors,
-    log scales) of the states that end and start a block of spread code
-    bits, and log_evidence, log P(y) per flow.
+    Linear-domain vectors are renormalized at the states the sweeps keep
+    and at least every renorm_every states, and the log scale is carried
+    separately.  trellis_tables() fills fw and bw, the (vectors, log
+    scales) of the states that end and start a block of spread code bits,
+    and log_evidence, log P(y) per flow.
 
     The sparse bit enters a step only through one (2, 3) weight matrix per
     chain (see code_weights), whose delivery column holds the weights of
@@ -174,6 +178,19 @@ class Trellis:
         # coef[l]: weight of a +l drift step, a delivery and l inserted zeros
         self.coef = (1.0 - p.p_delete) * self.init_coef
         self.n_ins = run + 1 if p.p_insert > 0.0 else 1
+        # renorm_every, R: one step scales a path's mass by at least w_min,
+        # half (a block's first sparse bit weighs 1/2) the least nonzero of
+        # p_delete and coef[l] times l + 1 observed bits read at the rarer
+        # of p_sub and 1 - p_sub; the head and the closing step are one
+        # such factor too.  So R states after a renormalization every live path keeps
+        # at least 1e-290 of its mass there, far above float64's 2.2e-308.
+        rare = min(p.p_sub, 1.0 - p.p_sub) or 1.0
+        live = np.flatnonzero(self.coef)
+        log_w = np.log(self.coef[live]) + (live + 1) * math.log(rare)
+        if p.p_delete > 0.0:
+            log_w = np.append(log_w, math.log(p.p_delete))
+        log_w_min = math.log(0.5) + float(log_w.min())
+        self.renorm_every = max(1, math.floor(math.log(1e-290) / log_w_min))
         # prior[i-1]: the step weight matrix at position i, which reads
         # del_coef
         self.prior = self.code_weights(np.arange(1, self.n_code + 1),
@@ -343,32 +360,41 @@ class Trellis:
         return np.where((ls == -1)[:, None], self.del_coef, vec)
 
     def _sweep(self, vec, advance):
-        """Renormalize-and-accumulate over the n_code states in sweep
-        order: vec is the unnormalized vector of sweep state 0, and
-        advance(vec, k) carries that of sweep state k - 1 to state k.
-        Each state is masked to the flows' bands before it is scaled.
-        Returns the normalized vectors and log scales of every spread-th
-        state, the spread-th first, in sweep order.  Flows past a
-        zero-mass step keep zeros and -inf."""
-        kept = np.zeros((self.n_code // self.spread, *vec.shape))
-        scales = []
-        # a flow whose mass hits zero divides 0 by 0 from there on; its
-        # NaNs stay in its own row and are cleared after the loop
+        """Advance-and-renormalize over the n_code states in sweep order:
+        vec is the unnormalized vector of sweep state 0, and advance(vec, k)
+        carries that of sweep state k - 1 to state k.  Each state is
+        masked to the flows' bands.  A state is renormalized when it is
+        kept, every spread-th, or when renorm_every states have passed
+        since the last renormalization; the log scales sum the
+        renormalizations made.  Returns the normalized vectors and log
+        scales of the kept states, the spread-th first, in sweep order.
+        Flows past a zero-mass step keep zeros and -inf."""
+        spread, every = self.spread, self.renorm_every
+        kept = np.zeros((self.n_code // spread, *vec.shape))
+        scales, at_kept = [], []
+        last = -1
+        # a flow whose mass hits zero divides 0 by 0 at its next
+        # renormalization and on; its NaNs stay in its own row and are
+        # cleared after the loop
         with np.errstate(divide="ignore", invalid="ignore"):
             for k in range(self.n_code):
                 if k:
                     vec = advance(vec, k)
                 if self.window is not None:
                     vec *= self.window
-                scale = np.add.reduce(vec, axis=(1, 2), keepdims=True)
-                scales.append(scale)
-                vec /= scale
-                if (k + 1) % self.spread == 0:
-                    kept[k // self.spread] = vec
-            logw = np.cumsum(np.log(np.stack(scales)[:, :, 0, 0]), axis=0)
+                keep = (k + 1) % spread == 0
+                if keep or k - last == every:
+                    scale = np.add.reduce(vec, axis=(1, 2), keepdims=True)
+                    scales.append(scale)
+                    vec /= scale
+                    last = k
+                    if keep:
+                        kept[k // spread] = vec
+                        at_kept.append(len(scales) - 1)
+            logw = np.cumsum(np.log(np.stack(scales)[:, :, 0, 0]), axis=0)[at_kept]
         logw[np.isnan(logw)] = -math.inf
         kept[np.isnan(kept)] = 0.0
-        return kept, logw[self.spread - 1 :: self.spread]
+        return kept, logw
 
 
 def trellis_tables(ys, key, params: IdsParams, d_max: int | None = None,

@@ -320,8 +320,10 @@ def scalar_block_posterior(j: int, trellis, w_hypothesis: int, flow: int = 0) ->
 def log_sweeps(trellis):
     """Log forward and log backward vectors of every state 1..N, each of
     shape (N, B, 2, D), swept afresh through the trellis' own init_vec,
-    step, step_back and terminal_vec under its sparse-bit law.  The
-    production sweeps keep only block-boundary states."""
+    step, step_back and terminal_vec under its sparse-bit law, masked to
+    the flows' bands and renormalized at every state.  The production
+    sweeps keep only block-boundary states and renormalize only there
+    and every renorm_every states."""
     t = trellis
     fw = np.empty((t.n_code, len(t.ys), 2, t.D))
     bw = np.empty_like(fw)
@@ -335,6 +337,8 @@ def log_sweeps(trellis):
         for k, s in enumerate(states):
             if k:
                 vec = advance(vec, s)
+            if t.window is not None:
+                vec = vec * t.window
             scale = vec.sum(axis=(-2, -1))
             with np.errstate(divide="ignore"):
                 logw = logw + np.log(scale)

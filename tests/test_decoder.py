@@ -248,6 +248,103 @@ def test_forward_backward_identity(rng):
             assert tot == pytest.approx(tab.log_evidence[0], rel=1e-10, abs=1e-9)
 
 
+# ------------------------------------------------------------ renormalization
+
+def _renorm_every(sigma, p_i):
+    chan = ChannelParams(sigma=sigma, p_delete=0.1, p_insert=p_i, max_insert_run=8,
+                         delta=0.1)
+    key = keystream(1, 20)
+    return Trellis([key], key, IdsParams.from_channel(chan)).renorm_every
+
+
+def test_renorm_every_follows_the_law():
+    # the bench laws, sigma 10 ms at p_i 0 and 0.1, leave at least one
+    # renormalization-free block of 10 states; a rarer substitution
+    # shortens the run, down to a renormalization at every state
+    assert _renorm_every(0.01, 0.0) == 132
+    assert _renorm_every(0.01, 0.1) == 11
+    runs = [_renorm_every(sigma, 0.1) for sigma in (0.02, 0.01, 0.005, 0.002, 0.001)]
+    assert all(a > b for a, b in zip(runs, runs[1:]))
+    assert runs[-1] == 1 and _renorm_every(0.0005, 0.1) == 1
+
+
+def test_sweeps_match_per_step_renormalization(rng):
+    # the kept vectors and log scales equal those of sweeps renormalized
+    # at every state, at each block boundary, for one-bit, ten-bit and
+    # one-block spreads, without and with insertion runs; the flows' caps
+    # differ, so the band window masks every state
+    n_code = 60
+    for p_i, n_ins in ((0.0, 1), (0.1, 9)):
+        p = IdsParams(p_sub=0.05, p_delete=0.1, p_insert=p_i, max_insert_run=8)
+        key = rng.integers(0, 2, n_code, dtype=np.uint8)
+        ys = [sample_ids_channel(key, p, rng) for _ in range(3)]
+        ys[1] = ys[1][:-6]
+        for spread in (1, 10, n_code):
+            t = trellis_tables(ys, key, p, d_max=3, spread=spread)
+            assert t.window is not None and t.n_ins == n_ins
+            assert np.all(np.isfinite(t.log_evidence))
+            lf, lb = log_sweeps(t)
+            for (vecs, logw), want in ((t.fw, lf[spread - 1 :: spread]), (t.bw, lb[::spread])):
+                with np.errstate(divide="ignore"):
+                    got = np.log(vecs) + logw[:, :, None, None]
+                assert np.array_equal(np.isinf(got), np.isinf(want))
+                fin = np.isfinite(want)
+                assert np.all(np.abs(got[fin] - want[fin]) <= 1e-10)
+    # with insertion runs the one-block sweeps renormalize between kept
+    # states as well
+    assert t.renorm_every < n_code
+
+
+def test_underflow_guard_at_the_largest_spread(rng):
+    # one watermark bit spread over the whole code keeps no state but the
+    # last, so only the renorm_every guard renormalizes.  At sigma 2 ms
+    # (p_sub 1e-8) with bursts of up to 8 zeros, a 1000-bit stream with 60
+    # flipped bits has evidence below float64's least subnormal, e^-745;
+    # it stays finite and equal to that of sweeps renormalized at every
+    # state
+    chan = ChannelParams(sigma=0.002, p_delete=0.1, p_insert=0.1, max_insert_run=8,
+                         delta=0.1)
+    p = IdsParams.from_channel(chan)
+    w = np.array([1], dtype=np.uint8)
+    cfg = WatermarkConfig(watermark=w, spread=1000, delta=0.1, key_seed=5)
+    y = sample_ids_channel(encode(w, cfg), p, rng)
+    y[rng.choice(y.size, 60, replace=False)] ^= 1
+    rep = decode(y, cfg, p, w)
+    assert rep.status == "ok" and math.isfinite(rep.log_evidence)
+    t = trellis_tables([y], keystream(5, cfg.code_len), p, spread=cfg.spread)
+    assert t.renorm_every < cfg.spread
+    want = logsumexp(state_log_joint(t)[-1, 0])
+    assert want < -745.0
+    assert abs(rep.log_evidence - want) <= 1e-10 * abs(want)
+
+
+def test_zero_mass_between_kept_states_is_zero_evidence(rng):
+    # under p_sub = 0 and no insertions, a full-length stream stays at
+    # drift 0, so one flipped bit leaves no path from the step that reads
+    # it, state 25; the forward sweep first renormalizes the dead flow,
+    # as 0/0, at kept state 30 (the backward sweep at kept state 21).  It
+    # reports zero evidence and no LLRs, and the live flow beside it
+    # decodes as it does alone
+    w = watermark_bits(2, 6)
+    cfg = WatermarkConfig(watermark=w, spread=10, delta=0.1, key_seed=3)
+    p = IdsParams(p_delete=0.1)
+    code = encode(w, cfg)
+    dead = code.copy()
+    dead[23] ^= 1
+    live = sample_ids_channel(code, p, rng)
+    assert live.size < code.size
+    t = trellis_tables([dead, live], keystream(3, cfg.code_len), p, spread=cfg.spread)
+    assert t.window is not None and t.renorm_every > cfg.code_len
+    lf, lb = log_sweeps(t)
+    assert np.isfinite(lf[23, 0]).any() and np.isneginf(lf[24, 0]).all()
+    assert np.isfinite(t.fw[1][:2, 0]).all() and np.isneginf(t.fw[1][2:, 0]).all()
+    assert not np.any(t.fw[0][2:, 0])
+    got = decode_batch([dead, live], cfg, p, w)
+    assert got[0].status == "zero-evidence" and got[0].log_evidence == -math.inf
+    assert not np.any(got[0].llr)
+    _assert_same_decode(got[1], decode(live, cfg, p, w))
+
+
 def test_backward_terminal_wrong_drift_is_minus_inf():
     key = keystream(3, 10)
     y = key.copy()  # same length: final drift must be 0 or +1 tail
