@@ -131,7 +131,14 @@ class Trellis:
     chain (see code_weights), whose delivery column holds the weights of
     code bit 0 and 1 and whose two drop columns hold them times p_delete,
     so both of its values share one pass over the insertion lengths and
-    one matmul.
+    one matmul.  Without insertion runs (n_ins == 1) a step reads the
+    received bits through one emission table, e_match times the weight of
+    a delivery; with them, through e_match and then the run weights, which
+    the forward step reads by the column a run lands on (ins_landing) and
+    the backward step by the column it leaves (ins_weight).  The step
+    kernels write through operand buffers made once per leading shape
+    (see _operands), and a sweep alternates two state arrays, so a sweep
+    allocates nothing per state.
     """
 
     def __init__(self, ys, key, params: IdsParams, d_max: int | None = None,
@@ -244,16 +251,33 @@ class Trellis:
         # e_match[i-2, b, a]: weight of the first observed bit of flow b
         # given accumulated bit a; ins_weight[i-2, b, l]: coef[l] times the
         # weight of the l inserted zeros after it
-        self.e_match = sliding_window_view(
-            match[:, :, 1 : n_pos + 1], self.D, axis=2).transpose(2, 0, 1, 3)
+        def windows(rows):
+            return sliding_window_view(rows, self.D, axis=2).transpose(2, 0, 1, 3)
+
+        self.e_match = windows(match[:, :, 1 : n_pos + 1])
         ins = self.coef[: self.n_ins, None] * zeros[:, :, 1:]
-        self.ins_weight = sliding_window_view(ins, self.D, axis=2).transpose(2, 0, 1, 3)
+        self.ins_weight = windows(ins)
+        # emission[i-2, b, a]: what a step weighs accumulated bit a's mass
+        # by, apart from the insertion runs' own pass: e_match, which at
+        # n_ins == 1 takes in ins_weight's one row, so that a delivery
+        # reads one table
+        self.emission = (self.e_match if self.n_ins > 1
+                         else windows(match[:, :, 1 : n_pos + 1] * ins))
+        # ins_landing[i-2, b, l, d] = ins_weight[i-2, b, l, d - l] for
+        # d >= l: the weight of a run of l inserted zeros that lands the
+        # drift at column d (n_ins > 1 only); row l of ins, shifted l
+        # positions on
+        self.ins_landing = None
+        if self.n_ins > 1:
+            landing = np.zeros((n_flows, self.n_ins, n_pos + self.n_ins - 1))
+            for l in range(self.n_ins):
+                landing[:, l, l : l + n_pos] = ins[:, l]
+            self.ins_landing = windows(landing)
         # head: the head packet, then l inserted zeros at positions 0 .. l - 1
         ls = np.arange(min(self.n_ins - 1, self.hi) + 1)
         self.head = np.zeros((n_flows, 1, self.D))
         self.head[:, 0, ls - self.lo] = self.init_coef[ls] * zeros[:, ls, -self.lo]
-        self._run_rows = {}
-        self._stacks = {}
+        self._buffers = {}
 
     def code_weights(self, i, same_flip) -> np.ndarray:
         """The step weight matrix q at position i, shape (..., 2, 3), from
@@ -276,72 +300,94 @@ class Trellis:
         marked IPD.  Shape (..., B, 2, D)."""
         return q[..., None, :, :1] * self.head
 
-    def step(self, prev: np.ndarray, i, q) -> np.ndarray:
+    def step(self, prev: np.ndarray, i, q, out=None) -> np.ndarray:
         """Advance state i-1 to state i (resolve sent packet i-1).
 
         prev is (..., B, 2, D); the step index i, of shape (...), and the
         weight matrix q, of shape (..., 2, 3), broadcast over the leading
-        axes and are shared by the flows.  The delivered mass, summed over
-        insertion runs, and the previous state one drift up, for a drop,
-        stack into z (..., B, 3, D), and the step is q @ z.
+        axes of prev and are shared by the flows.  The delivered mass,
+        summed over insertion runs, and the previous state one drift up,
+        for a drop, stack into z (..., B, 3, D), and the step is q @ z,
+        written to out when given (not prev itself), else to a new array.
         """
         k = i - 2
-        z = self._stack(prev.shape[:-2])
-        merged = (prev * self.e_match[k]).sum(axis=-2)
+        prod, rows, z, delivered, dropped, merged, shifted, runs = self._operands(
+            prev.shape[:-2], backward=False)
+        np.multiply(prev, self.emission[k], out=prod)
         if self.n_ins == 1:
-            np.multiply(merged, self.ins_weight[k][..., 0, :], out=z[..., 0, :])
+            np.add(*rows, out=delivered)
         else:
             # a run of l inserted zeros moves the drift up by l: row l of
-            # the shifted view is row l of contrib, l columns to the right
-            contrib, shifted = self._runs(merged.shape[:-1], backward=False)
-            np.multiply(merged[..., None, :], self.ins_weight[k], out=contrib)
-            shifted.sum(axis=-2, out=z[..., 0, :])
-        z[..., 1:, :-1] = prev[..., 1:]
-        return q[..., None, :, :] @ z
+            # the shifted view is merged, l columns to the right
+            np.add(*rows, out=merged)
+            np.multiply(shifted, self.ins_landing[k], out=runs)
+            np.add.reduce(runs, axis=-2, keepdims=True, out=delivered)
+        np.copyto(dropped, prev[..., 1:])
+        return np.matmul(q[..., None, :, :], z, out=out)
 
-    def step_back(self, nxt: np.ndarray, i, q) -> np.ndarray:
+    def step_back(self, nxt: np.ndarray, i, q, out=None) -> np.ndarray:
         """Pull the backward vector across the transition into state i;
-        shapes as in step().  The transpose of step: r = q^T @ nxt, whose
-        row 0 is the delivered mass and rows 1 + a the dropped."""
+        shapes and out as in step().  The transpose of step: r = q^T @
+        nxt, whose row 0 is the delivered mass and rows 1 + a the
+        dropped."""
         k = i - 2
-        r = q[..., None, :, :].swapaxes(-1, -2) @ nxt
-        landed = r[..., 0, :]
-        if self.n_ins == 1:
-            acc = self.ins_weight[k][..., 0, :] * landed
-        else:
-            # row l of the shifted view is landed, l columns to the left
-            buf, shifted = self._runs(landed.shape[:-1], backward=True)
-            buf[...] = landed
-            acc = (self.ins_weight[k] * shifted).sum(axis=-2)
-        prev = self.e_match[k] * acc[..., None, :]
-        prev[..., 1:] += r[..., 1:, :-1]
+        r, landed, dropped, fill, shifted, runs = self._operands(nxt.shape[:-2], backward=True)
+        np.matmul(q[..., None, :, :].swapaxes(-1, -2), nxt, out=r)
+        if self.n_ins > 1:
+            # row l of the shifted view is landed, l columns to the left;
+            # once copied there, landed's row takes their weighted sum
+            np.copyto(fill, landed)
+            np.multiply(self.ins_weight[k], shifted, out=runs)
+            np.add.reduce(runs, axis=-2, keepdims=True, out=landed)
+        prev = np.multiply(self.emission[k], landed, out=out)
+        tail = prev[..., 1:]
+        np.add(tail, dropped, out=tail)
         return prev
 
-    def _stack(self, lead: tuple) -> np.ndarray:
-        """Reusable (*lead, 3, D) operand of step()'s matmul; its last
-        column stays 0 in rows 1-2, since no state lies above drift hi."""
-        if lead not in self._stacks:
-            self._stacks[lead] = np.zeros((*lead, 3, self.D))
-        return self._stacks[lead]
+    def _operands(self, lead: tuple, backward: bool) -> tuple:
+        """The step kernels' operands for states of leading shape lead:
+        buffers and views made on the first step of that shape and
+        direction and reused by every later one, so that a step with out=
+        allocates nothing and one with out=None only its result.  Every
+        buffer is overwritten before it is read, except its zero columns.
 
-    def _runs(self, lead: tuple, backward: bool):
-        """Reusable rows for the insertion-run sums of states with leading
-        shape lead, and a view of them with one row per run length l
-        shifted by l columns.  The rows carry n_ins - 1 zero columns past
-        the window, which the shifted view reads beyond its edge.
-        Forward: (n_ins, D) rows to fill and the view shifted right;
-        backward: one (D,) row to fill and the view shifted left."""
-        if (lead, backward) not in self._run_rows:
+        Forward, (prod, rows, z, delivered, dropped, merged, shifted,
+        runs): prod (*lead, 2, D) is prev times the step's emission table
+        and rows its two accumulated-bit rows, as (*lead, 1, D) views; z
+        (*lead, 3, D) is the matmul operand, delivered its row 0 and
+        dropped its rows 1-2 left of the last column, which stays 0,
+        since no state lies above drift hi.
+
+        Backward, (r, landed, dropped, fill, shifted, runs): r (*lead, 3,
+        D) is q^T @ nxt, landed its row 0 and dropped its rows 1-2 left of
+        the last column.
+
+        The insertion runs' pass (n_ins > 1; None otherwise) writes one
+        (*lead, 1, D) row, merged or fill, that has n_ins - 1 zero
+        columns before it (forward) or after it (backward); shifted views
+        it n_ins times, row l shifted l columns to the right (forward) or
+        left (backward), reading those zeros past its edge; and runs (*lead,
+        n_ins, D) holds shifted times the run weights, which the pass sums
+        over l."""
+        if (lead, backward) not in self._buffers:
             n, D = self.n_ins, self.D
+            mix = np.zeros((*lead, 3, D))
+            row = shifted = runs = None
+            if n > 1:
+                buf = np.zeros((*lead, 1, D + n - 1))
+                row = buf[..., :D] if backward else buf[..., n - 1 :]
+                shifted = as_strided(row, (*lead, n, D),
+                                     (*buf.strides[:-2], (1 if backward else -1) * buf.itemsize,
+                                      buf.itemsize), writeable=False)
+                runs = np.empty((*lead, n, D))
             if backward:
-                buf = np.zeros((*lead, D + n - 1))
-                strides = (*buf.strides[:-1], buf.itemsize, buf.itemsize)
+                ops = (mix, mix[..., :1, :], mix[..., 1:, :-1], row, shifted, runs)
             else:
-                buf = np.zeros((*lead, n, D + n - 1))
-                strides = (*buf.strides[:-2], buf.strides[-2] - buf.itemsize, buf.itemsize)
-            shifted = as_strided(buf, (*lead, n, D), strides, writeable=False)
-            self._run_rows[lead, backward] = (buf[..., :D], shifted)
-        return self._run_rows[lead, backward]
+                prod = np.empty((*lead, 2, D))
+                ops = (prod, (prod[..., :1, :], prod[..., 1:, :]), mix, mix[..., :1, :],
+                       mix[..., 1:, :-1], row, shifted, runs)
+            self._buffers[lead, backward] = ops
+        return self._buffers[lead, backward]
 
     def terminal_vec(self) -> np.ndarray:
         """Closure of the chain against the observed tail, shape (B, 2, D).
@@ -361,37 +407,38 @@ class Trellis:
 
     def _sweep(self, vec, advance):
         """Advance-and-renormalize over the n_code states in sweep order:
-        vec is the unnormalized vector of sweep state 0, and advance(vec, k)
-        carries that of sweep state k - 1 to state k.  Each state is
-        masked to the flows' bands.  A state is renormalized when it is
-        kept, every spread-th, or when renorm_every states have passed
-        since the last renormalization; the log scales sum the
+        vec is the unnormalized vector of sweep state 0, and advance(vec, k,
+        out) writes that of sweep state k into out from that of state
+        k - 1; two state buffers, vec and one more, take turns.  Each
+        state is masked to the flows' bands.  A state is renormalized when
+        it is kept, every spread-th, or when renorm_every states have
+        passed since the last renormalization; the log scales sum the
         renormalizations made.  Returns the normalized vectors and log
         scales of the kept states, the spread-th first, in sweep order.
         Flows past a zero-mass step keep zeros and -inf."""
         spread, every = self.spread, self.renorm_every
         kept = np.zeros((self.n_code // spread, *vec.shape))
-        scales, at_kept = [], []
-        last = -1
+        scales = np.empty((self.n_code, vec.shape[0], 1, 1))
+        states = (vec, np.empty_like(vec))
+        at_kept = []
+        made, last = 0, -1
         # a flow whose mass hits zero divides 0 by 0 at its next
         # renormalization and on; its NaNs stay in its own row and are
         # cleared after the loop
         with np.errstate(divide="ignore", invalid="ignore"):
             for k in range(self.n_code):
                 if k:
-                    vec = advance(vec, k)
+                    vec = advance(vec, k, states[k & 1])
                 if self.window is not None:
                     vec *= self.window
                 keep = (k + 1) % spread == 0
                 if keep or k - last == every:
-                    scale = np.add.reduce(vec, axis=(1, 2), keepdims=True)
-                    scales.append(scale)
-                    vec /= scale
-                    last = k
+                    vec /= np.add.reduce(vec, axis=(1, 2), keepdims=True, out=scales[made])
+                    made, last = made + 1, k
                     if keep:
                         kept[k // spread] = vec
-                        at_kept.append(len(scales) - 1)
-            logw = np.cumsum(np.log(np.stack(scales)[:, :, 0, 0]), axis=0)[at_kept]
+                        at_kept.append(made - 1)
+            logw = np.cumsum(np.log(scales[:made, :, 0, 0]), axis=0)[at_kept]
         logw[np.isnan(logw)] = -math.inf
         kept[np.isnan(kept)] = 0.0
         return kept, logw
@@ -412,11 +459,12 @@ def trellis_tables(ys, key, params: IdsParams, d_max: int | None = None,
     t = Trellis(ys, key, params, d_max, spread, wtilde)
     n = t.n_code
     terminal = t.terminal_vec()
-    t.fw = t._sweep(t.init_vec(t.prior[0]), lambda vec, k: t.step(vec, k + 1, t.prior[k]))
+    t.fw = t._sweep(t.init_vec(t.prior[0]),
+                    lambda vec, k, out: t.step(vec, k + 1, t.prior[k], out))
     # the backward sweep keeps states n - spread + 1, ..., 1; reversed
     # into state order
     bvecs, blogw = t._sweep(terminal.copy(),
-                            lambda vec, k: t.step_back(vec, n - k + 1, t.prior[n - k]))
+                            lambda vec, k, out: t.step_back(vec, n - k + 1, t.prior[n - k], out))
     t.bw = bvecs[::-1], blogw[::-1]
     closing = (t.fw[0][-1] * terminal).sum(axis=(-2, -1))
     with np.errstate(divide="ignore"):

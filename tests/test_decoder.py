@@ -633,6 +633,94 @@ def test_step_back_is_the_adjoint_of_step(rng):
             assert abs(lhs - rhs) <= 1e-12 * lhs
 
 
+def test_step_into_out_is_the_allocating_step(rng):
+    # a step written into out= equals the allocating call bit for bit,
+    # for one flow, B flows and the block layout's leading (block,
+    # hypothesis) axes, with and without insertion runs; out starts as
+    # NaN, so the step writes every entry, and the operand buffers of
+    # every shape and direction, already used, stay reusable
+    n_code, B = 30, 3
+    for p_i in (0.0, 0.2):
+        p = IdsParams(p_sub=0.1, p_delete=0.1, p_insert=p_i, max_insert_run=3)
+        key = rng.integers(0, 2, n_code, dtype=np.uint8)
+        ys = [sample_ids_channel(key, p, rng) for _ in range(B)]
+        for flows in (ys[:1], ys):
+            t = Trellis(flows, key, p, d_max=5)
+            assert t.n_ins == (4 if p_i else 1)
+            i = rng.integers(2, n_code + 1, 5)
+            for _ in range(2):
+                for lead, i_lead, same_flip in (
+                    ((), int(i[0]), rng.random(2)),
+                    ((5,), i, rng.random((5, 2))),
+                    ((5, 2), i[:, None], rng.random((5, 2, 2))),
+                ):
+                    q = t.code_weights(i_lead, same_flip)
+                    u = rng.random((*lead, len(flows), 2, t.D))
+                    # the block layout steps one state forward under both
+                    # hypotheses
+                    prev = u[:, :1] if len(lead) == 2 else u
+                    for advance, x in ((t.step, prev), (t.step_back, u)):
+                        want = advance(x, i_lead, q)
+                        out = np.full_like(want, np.nan)
+                        assert advance(x, i_lead, q, out=out) is out
+                        assert np.array_equal(out, want)
+                        assert np.array_equal(advance(x, i_lead, q), want)
+
+
+def test_tables_back_to_back_keep_no_state(rng):
+    # trellis_tables of different (B, D, n_ins), each followed by its
+    # block posteriors' batched step, run back to back and then again:
+    # every run reproduces its first one bit for bit, and the drop rows'
+    # top column of every cached forward operand stays 0
+    n_code = 40
+    cases = []
+    for B, p_i, d_max in ((1, 0.0, 4), (4, 0.2, 6), (2, 0.0, 9)):
+        p = IdsParams(p_sub=0.05, p_delete=0.1, p_insert=p_i, max_insert_run=3)
+        key = rng.integers(0, 2, n_code, dtype=np.uint8)
+        cases.append(([sample_ids_channel(key, p, rng) for _ in range(B)], key, p, d_max))
+    runs = []
+    for ys, key, p, d_max in cases + cases:
+        t = trellis_tables(ys, key, p, d_max, spread=5)
+        lp = block_posterior(t)
+        assert np.all(np.isfinite(t.log_evidence))
+        for (_, backward), operands in t._buffers.items():
+            if not backward:
+                assert not np.any(operands[2][..., 1:, -1])
+        runs.append((t, lp))
+    assert len({(t.D, t.n_ins, len(t.ys)) for t, _ in runs}) == len(cases)
+    for (a, lp_a), (b, lp_b) in zip(runs, runs[len(cases):]):
+        for x, y in ((a.fw, b.fw), (a.bw, b.bw)):
+            assert np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
+        assert np.array_equal(a.log_evidence, b.log_evidence)
+        assert np.array_equal(lp_a, lp_b)
+
+
+def test_step_tables_are_the_window_tables(rng):
+    # without insertion runs a step reads one table, e_match times
+    # ins_weight's one row, and with them the forward step reads the run
+    # weights by landing column, ins_weight's row l shifted l columns:
+    # exactly, at every position, with the band window in use and without
+    n_code = 50
+    for p_i in (0.0, 0.1):
+        p = IdsParams(p_sub=0.05, p_delete=0.1, p_insert=p_i, max_insert_run=4)
+        key = rng.integers(0, 2, n_code, dtype=np.uint8)
+        ys = [sample_ids_channel(key, p, rng) for _ in range(3)]
+        ys[1] = ys[1][:-6]
+        for flows, windowed in ((ys[:1], False), (ys, True)):
+            t = Trellis(flows, key, p, d_max=3)
+            assert (t.window is not None) == windowed
+            assert t.emission.shape == t.e_match.shape == (n_code, len(flows), 2, t.D)
+            for j in range(n_code):
+                if t.n_ins == 1:
+                    assert t.ins_landing is None
+                    assert np.array_equal(t.emission[j], t.e_match[j] * t.ins_weight[j][:, :1, :])
+                    continue
+                assert np.array_equal(t.emission[j], t.e_match[j])
+                for l in range(t.n_ins):
+                    assert np.array_equal(t.ins_landing[j][:, l, l:],
+                                          t.ins_weight[j][:, l, : t.D - l])
+
+
 # ----------------------------------------------------------------- band
 
 def test_band_is_exact(rng):
