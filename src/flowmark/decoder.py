@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from flowmark.channel import ChannelParams, substitution_prob
 from flowmark.idscode import WatermarkConfig, as_bits, keystream
@@ -127,18 +127,23 @@ class Trellis:
     scales) of the states that end and start a block of spread code bits,
     and log_evidence, log P(y) per flow.
 
-    The sparse bit enters a step only through one (2, 3) weight matrix per
-    chain (see code_weights), whose delivery column holds the weights of
-    code bit 0 and 1 and whose two drop columns hold them times p_delete,
-    so both of its values share one pass over the insertion lengths and
-    one matmul.  Without insertion runs (n_ins == 1) a step reads the
-    received bits through one emission table, e_match times the weight of
-    a delivery; with them, through e_match and then the run weights, which
-    the forward step reads by the column a run lands on (ins_landing) and
-    the backward step by the column it leaves (ins_weight).  The step
-    kernels write through operand buffers made once per leading shape
-    (see _operands), and a sweep alternates two state arrays, so a sweep
-    allocates nothing per state.
+    The law enters through three factors, each stated once.  p_delete
+    sits in the two drop columns of a step's (2, 3) weight matrix q (see
+    code_weights), beside the delivery column's weights of code bit 0
+    and 1, so both values of the sparse bit share one pass over the
+    insertion lengths and one matmul.  The delivery weight 1 - p_delete
+    sits in emission, with the weight of the first observed bit.  The
+    insertion law init_coef sits in the run table, with the weights of
+    the inserted zeros; the head, the step kernels and terminal_vec read
+    it, the forward step by the column a run lands on (ins_landing), the
+    backward step by the column it leaves (ins_weight).  Every step
+    reads emission, then, with insertion runs (n_ins > 1), the run
+    table.  A sweep's step kernels write through operand buffers made on
+    its first step (see _operands) and it alternates two state arrays,
+    so it makes no new array per state; numpy's ufunc loops still take
+    transient buffers, 5-12 KiB per step for four flows at the main
+    operating point and 0.1-0.2 MiB for 32 flows at p_insert 0.2
+    (tracemalloc, numpy 2.4).
     """
 
     def __init__(self, ys, key, params: IdsParams, d_max: int | None = None,
@@ -182,18 +187,18 @@ class Trellis:
         self.init_coef = np.where(ls < run, p.p_insert ** ls * (1.0 - p.p_insert),
                                   p.p_insert ** run)
         self.del_coef = p.p_delete
-        # coef[l]: weight of a +l drift step, a delivery and l inserted zeros
-        self.coef = (1.0 - p.p_delete) * self.init_coef
         self.n_ins = run + 1 if p.p_insert > 0.0 else 1
         # renorm_every, R: one step scales a path's mass by at least w_min,
         # half (a block's first sparse bit weighs 1/2) the least nonzero of
-        # p_delete and coef[l] times l + 1 observed bits read at the rarer
-        # of p_sub and 1 - p_sub; the head and the closing step are one
-        # such factor too.  So R states after a renormalization every live path keeps
+        # p_delete and a delivery with l inserted zeros, (1 - p_delete) *
+        # init_coef[l], times l + 1 observed bits read at the rarer of p_sub
+        # and 1 - p_sub; the head and the closing step are one such factor
+        # too.  So R states after a renormalization every live path keeps
         # at least 1e-290 of its mass there, far above float64's 2.2e-308.
         rare = min(p.p_sub, 1.0 - p.p_sub) or 1.0
-        live = np.flatnonzero(self.coef)
-        log_w = np.log(self.coef[live]) + (live + 1) * math.log(rare)
+        deliver = (1.0 - p.p_delete) * self.init_coef
+        live = np.flatnonzero(deliver)
+        log_w = np.log(deliver[live]) + (live + 1) * math.log(rare)
         if p.p_delete > 0.0:
             log_w = np.append(log_w, math.log(p.p_delete))
         log_w_min = math.log(0.5) + float(log_w.min())
@@ -244,39 +249,36 @@ class Trellis:
             obs[b, valid[b]] = y[pos[valid[b]]]
         match = np.stack([np.where(valid, np.where(obs == a, 1.0 - ps, ps), 0.0)
                           for a in (0, 1)], axis=1)
-        # zeros[b, l, j]: weight of l inserted zeros after position lo - 1 + j
-        zeros = np.ones((n_flows, self.n_ins, n_pos + 1))
+        # runs[b, l, j]: init_coef[l] times the weight of l inserted zeros
+        # after position lo - 1 + j; the head, both step kernels and
+        # terminal_vec read the insertion law only here
+        runs = np.ones((n_flows, self.n_ins, n_pos + 1))
         for l in range(1, self.n_ins):
-            zeros[:, l] = zeros[:, l - 1] * match[:, 0, l : l + n_pos + 1]
-        # e_match[i-2, b, a]: weight of the first observed bit of flow b
-        # given accumulated bit a; ins_weight[i-2, b, l]: coef[l] times the
-        # weight of the l inserted zeros after it
+            runs[:, l] = runs[:, l - 1] * match[:, 0, l : l + n_pos + 1]
+        runs *= self.init_coef[: self.n_ins, None]
+
         def windows(rows):
             return sliding_window_view(rows, self.D, axis=2).transpose(2, 0, 1, 3)
 
-        self.e_match = windows(match[:, :, 1 : n_pos + 1])
-        ins = self.coef[: self.n_ins, None] * zeros[:, :, 1:]
-        self.ins_weight = windows(ins)
-        # emission[i-2, b, a]: what a step weighs accumulated bit a's mass
-        # by, apart from the insertion runs' own pass: e_match, which at
-        # n_ins == 1 takes in ins_weight's one row, so that a delivery
-        # reads one table
-        self.emission = (self.e_match if self.n_ins > 1
-                         else windows(match[:, :, 1 : n_pos + 1] * ins))
+        # emission[i-2, b, a]: the weight of a delivery, 1 - p_delete, times
+        # that of flow b's first observed bit given accumulated bit a;
+        # ins_weight[i-2, b, l]: the runs after that bit
+        self.emission = windows(match[:, :, 1 : n_pos + 1] * (1.0 - p.p_delete))
+        self.ins_weight = windows(runs[:, :, 1:])
         # ins_landing[i-2, b, l, d] = ins_weight[i-2, b, l, d - l] for
         # d >= l: the weight of a run of l inserted zeros that lands the
-        # drift at column d (n_ins > 1 only); row l of ins, shifted l
+        # drift at column d (n_ins > 1 only); row l of the runs, shifted l
         # positions on
         self.ins_landing = None
         if self.n_ins > 1:
             landing = np.zeros((n_flows, self.n_ins, n_pos + self.n_ins - 1))
             for l in range(self.n_ins):
-                landing[:, l, l : l + n_pos] = ins[:, l]
+                landing[:, l, l : l + n_pos] = runs[:, l, 1:]
             self.ins_landing = windows(landing)
         # head: the head packet, then l inserted zeros at positions 0 .. l - 1
         ls = np.arange(min(self.n_ins - 1, self.hi) + 1)
         self.head = np.zeros((n_flows, 1, self.D))
-        self.head[:, 0, ls - self.lo] = self.init_coef[ls] * zeros[:, ls, -self.lo]
+        self.head[:, 0, ls - self.lo] = runs[:, ls, -self.lo]
         self._buffers = {}
 
     def code_weights(self, i, same_flip) -> np.ndarray:
@@ -311,15 +313,14 @@ class Trellis:
         written to out when given (not prev itself), else to a new array.
         """
         k = i - 2
-        prod, rows, z, delivered, dropped, merged, shifted, runs = self._operands(
+        prod, rows, z, delivered, dropped, shifted, runs = self._operands(
             prev.shape[:-2], backward=False)
         np.multiply(prev, self.emission[k], out=prod)
-        if self.n_ins == 1:
-            np.add(*rows, out=delivered)
-        else:
+        np.add(*rows, out=delivered)
+        if self.n_ins > 1:
             # a run of l inserted zeros moves the drift up by l: row l of
-            # the shifted view is merged, l columns to the right
-            np.add(*rows, out=merged)
+            # the shifted view is delivered, l columns to the right; once
+            # read into runs, delivered takes their weighted sum
             np.multiply(shifted, self.ins_landing[k], out=runs)
             np.add.reduce(runs, axis=-2, keepdims=True, out=delivered)
         np.copyto(dropped, prev[..., 1:])
@@ -331,12 +332,11 @@ class Trellis:
         nxt, whose row 0 is the delivered mass and rows 1 + a the
         dropped."""
         k = i - 2
-        r, landed, dropped, fill, shifted, runs = self._operands(nxt.shape[:-2], backward=True)
+        r, landed, dropped, shifted, runs = self._operands(nxt.shape[:-2], backward=True)
         np.matmul(q[..., None, :, :].swapaxes(-1, -2), nxt, out=r)
         if self.n_ins > 1:
             # row l of the shifted view is landed, l columns to the left;
-            # once copied there, landed's row takes their weighted sum
-            np.copyto(fill, landed)
+            # once read into runs, landed's row takes their weighted sum
             np.multiply(self.ins_weight[k], shifted, out=runs)
             np.add.reduce(runs, axis=-2, keepdims=True, out=landed)
         prev = np.multiply(self.emission[k], landed, out=out)
@@ -345,49 +345,43 @@ class Trellis:
         return prev
 
     def _operands(self, lead: tuple, backward: bool) -> tuple:
-        """The step kernels' operands for states of leading shape lead:
-        buffers and views made on the first step of that shape and
-        direction and reused by every later one, so that a step with out=
-        allocates nothing and one with out=None only its result.  Every
-        buffer is overwritten before it is read, except its zero columns.
+        """The step kernels' operands for states of leading shape lead.
+        Those of the sweeps' shape, (B,), are made on a sweep's first step
+        and reused by every later one, so a sweep step allocates no
+        operand; any other shape's, such as block_posterior's one step,
+        serve that step alone.  Every buffer is overwritten before it is
+        read, except its zero columns.
 
-        Forward, (prod, rows, z, delivered, dropped, merged, shifted,
-        runs): prod (*lead, 2, D) is prev times the step's emission table
-        and rows its two accumulated-bit rows, as (*lead, 1, D) views; z
-        (*lead, 3, D) is the matmul operand, delivered its row 0 and
-        dropped its rows 1-2 left of the last column, which stays 0,
-        since no state lies above drift hi.
-
-        Backward, (r, landed, dropped, fill, shifted, runs): r (*lead, 3,
-        D) is q^T @ nxt, landed its row 0 and dropped its rows 1-2 left of
-        the last column.
-
-        The insertion runs' pass (n_ins > 1; None otherwise) writes one
-        (*lead, 1, D) row, merged or fill, that has n_ins - 1 zero
-        columns before it (forward) or after it (backward); shifted views
-        it n_ins times, row l shifted l columns to the right (forward) or
-        left (backward), reading those zeros past its edge; and runs (*lead,
-        n_ins, D) holds shifted times the run weights, which the pass sums
-        over l."""
-        if (lead, backward) not in self._buffers:
-            n, D = self.n_ins, self.D
-            mix = np.zeros((*lead, 3, D))
-            row = shifted = runs = None
-            if n > 1:
-                buf = np.zeros((*lead, 1, D + n - 1))
-                row = buf[..., :D] if backward else buf[..., n - 1 :]
-                shifted = as_strided(row, (*lead, n, D),
-                                     (*buf.strides[:-2], (1 if backward else -1) * buf.itemsize,
-                                      buf.itemsize), writeable=False)
-                runs = np.empty((*lead, n, D))
-            if backward:
-                ops = (mix, mix[..., :1, :], mix[..., 1:, :-1], row, shifted, runs)
-            else:
-                prod = np.empty((*lead, 2, D))
-                ops = (prod, (prod[..., :1, :], prod[..., 1:, :]), mix, mix[..., :1, :],
-                       mix[..., 1:, :-1], row, shifted, runs)
+        Both directions share (mix, row, dropped, shifted, runs): mix
+        (*lead, 3, D) is the matmul's operand z (forward) or its result r
+        = q^T @ nxt (backward), row its row 0, the delivered or landed
+        mass, and dropped its rows 1-2 left of the last column, which in
+        z stays 0, since no state lies above drift hi.  mix is a view of a
+        zero buffer that runs n_ins - 1 columns further, before it
+        (forward) or after it (backward), and shifted is that buffer's
+        read-only sliding window over row, with row l shifted l columns to
+        the right (forward) or left (backward), reading those zeros past
+        its edge; runs (*lead, n_ins, D; None at n_ins == 1) holds shifted
+        times the run table, the insertion law, which the runs' pass sums
+        over l into row.  Forward operands lead with prod (*lead, 2, D),
+        prev times the emission table, the delivery weight, and its two
+        accumulated-bit rows, as (*lead, 1, D) views; p_delete enters
+        through q alone."""
+        if (lead, backward) in self._buffers:
+            return self._buffers[lead, backward]
+        n, D = self.n_ins, self.D
+        padded = np.zeros((*lead, 3, D + n - 1))
+        mix = padded[..., :D] if backward else padded[..., n - 1 :]
+        shifted = sliding_window_view(padded[..., 0, :], D, axis=-1)
+        runs = np.empty((*lead, n, D)) if n > 1 else None
+        ops = (mix, mix[..., :1, :], mix[..., 1:, :-1],
+               shifted if backward else shifted[..., ::-1, :], runs)
+        if not backward:
+            prod = np.empty((*lead, 2, D))
+            ops = (prod, (prod[..., :1, :], prod[..., 1:, :]), *ops)
+        if lead == self.n_obs.shape:
             self._buffers[lead, backward] = ops
-        return self._buffers[lead, backward]
+        return ops
 
     def terminal_vec(self) -> np.ndarray:
         """Closure of the chain against the observed tail, shape (B, 2, D).
@@ -402,7 +396,7 @@ class Trellis:
         ls = (self.n_obs - self.n_code)[:, None] - self.drifts
         fits = (ls >= 0) & (ls < self.n_ins)
         ins = np.take_along_axis(self.ins_weight[k], np.where(fits, ls, 0)[:, None], axis=1)
-        vec = self.e_match[k] * np.where(fits[:, None], ins, 0.0)
+        vec = self.emission[k] * np.where(fits[:, None], ins, 0.0)
         return np.where((ls == -1)[:, None], self.del_coef, vec)
 
     def _sweep(self, vec, advance):
@@ -494,7 +488,7 @@ def block_posterior(trellis: Trellis) -> np.ndarray:
     first = np.empty((n_blocks, 2, *bvecs.shape[1:]))
     first[0] = t.init_vec(t.code_weights(1, hyp))
     i = np.arange(1, n_blocks)[:, None] * t.spread + 1
-    first[1:] = t.step(fvecs[:-1, None], i, t.code_weights(i, hyp))
+    t.step(fvecs[:-1, None], i, t.code_weights(i, hyp), out=first[1:])
     flog = np.zeros((n_blocks, 1, len(t.ys)))
     flog[1:] = flogw[:-1, None]
     closing = (first * bvecs[:, None]).sum(axis=(-2, -1))

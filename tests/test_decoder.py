@@ -110,7 +110,7 @@ def test_step_law_is_a_distribution():
     for p_d, p_i, run in ((0.3, 0.3, 2), (0.1, 0.1, 8), (0.0, 0.2, 1), (0.5, 0.05, 4)):
         t = Trellis([[0, 1, 0]], [1, 0, 1], IdsParams(p_sub=0.05, p_delete=p_d,
                                                       p_insert=p_i, max_insert_run=run))
-        assert abs(t.del_coef + t.coef.sum() - 1.0) <= 1e-12
+        assert abs(t.del_coef + (1.0 - t.del_coef) * t.init_coef.sum() - 1.0) <= 1e-12
         assert abs(t.init_coef.sum() - 1.0) <= 1e-12
 
 
@@ -563,8 +563,10 @@ def test_block_posterior_matches_scalar_reference(rng):
 def test_step_batch_equals_single_rows(rng):
     # a stacked batch with per-row step indices and weight matrices is B
     # single-row steps bit for bit, and the window tables are the dense
-    # per-step tables at the band's drifts; n_code = 1 has no steps and a
-    # row shorter than a bare window
+    # per-step tables at the band's drifts: the emission table the bit
+    # weights times the delivery weight, the run table the insertion law
+    # times the zeros' weights; n_code = 1 has no steps and a row shorter
+    # than a bare window
     cases = (
         (1, IdsParams(p_sub=0.1, p_delete=0.1, p_insert=0.2, max_insert_run=3)),
         (2, IdsParams(p_sub=0.1, p_delete=0.1)),
@@ -579,11 +581,12 @@ def test_step_batch_equals_single_rows(rng):
         dense = DenseSteps(y, key, p, d_max)
         cols = t.drifts + d_max
         for b in (0, 1):
-            assert np.array_equal(t.e_match[: n_code - 1, 0, b], dense.e_match[b][:, cols])
+            assert np.array_equal(t.emission[: n_code - 1, 0, b],
+                                  (1.0 - p.p_delete) * dense.e_match[b][:, cols])
         for l in range(p.max_insert_run + 1):
             if l < t.n_ins:
                 assert np.array_equal(t.ins_weight[: n_code - 1, 0, l],
-                                      dense.coef[l] * dense.zero_w[l][:, cols])
+                                      dense.init_coef[l] * dense.zero_w[l][:, cols])
             else:
                 assert dense.coef[l] == 0.0
         if n_code < 2:
@@ -670,8 +673,11 @@ def test_step_into_out_is_the_allocating_step(rng):
 def test_tables_back_to_back_keep_no_state(rng):
     # trellis_tables of different (B, D, n_ins), each followed by its
     # block posteriors' batched step, run back to back and then again:
-    # every run reproduces its first one bit for bit, and the drop rows'
-    # top column of every cached forward operand stays 0
+    # every run reproduces its first one bit for bit, and the operand
+    # cache holds the sweeps' entries alone, one per direction.  Their
+    # zero columns stay 0: the forward drop rows' top column and the
+    # padding around both directions' run rows; and the shifted views
+    # that read those rows are read-only
     n_code = 40
     cases = []
     for B, p_i, d_max in ((1, 0.0, 4), (4, 0.2, 6), (2, 0.0, 9)):
@@ -683,9 +689,17 @@ def test_tables_back_to_back_keep_no_state(rng):
         t = trellis_tables(ys, key, p, d_max, spread=5)
         lp = block_posterior(t)
         assert np.all(np.isfinite(t.log_evidence))
-        for (_, backward), operands in t._buffers.items():
-            if not backward:
-                assert not np.any(operands[2][..., 1:, -1])
+        lead = (len(ys),)
+        assert set(t._buffers) == {(lead, False), (lead, True)}
+        # forward (prod, rows, z, ...), backward (r, ...), then both
+        # (row, dropped, shifted, runs)
+        forward, backward = t._buffers[lead, False][2:], t._buffers[lead, True]
+        assert not np.any(forward[0][..., 1:, -1])
+        for (mix, _, _, shifted, _), pad in ((forward, slice(t.n_ins - 1)),
+                                             (backward, slice(t.D, None))):
+            assert not np.any(mix.base[..., pad])
+            with pytest.raises(ValueError):
+                shifted[..., 0, 0] = 1.0
         runs.append((t, lp))
     assert len({(t.D, t.n_ins, len(t.ys)) for t, _ in runs}) == len(cases)
     for (a, lp_a), (b, lp_b) in zip(runs, runs[len(cases):]):
@@ -696,10 +710,11 @@ def test_tables_back_to_back_keep_no_state(rng):
 
 
 def test_step_tables_are_the_window_tables(rng):
-    # without insertion runs a step reads one table, e_match times
-    # ins_weight's one row, and with them the forward step reads the run
-    # weights by landing column, ins_weight's row l shifted l columns:
-    # exactly, at every position, with the band window in use and without
+    # every step reads one emission table, the bit weights times the
+    # delivery weight, at every n_ins; with insertion runs the forward
+    # step then reads the run weights by landing column, ins_weight's row
+    # l shifted l columns: exactly, at every position, with the band
+    # window in use and without
     n_code = 50
     for p_i in (0.0, 0.1):
         p = IdsParams(p_sub=0.05, p_delete=0.1, p_insert=p_i, max_insert_run=4)
@@ -709,13 +724,21 @@ def test_step_tables_are_the_window_tables(rng):
         for flows, windowed in ((ys[:1], False), (ys, True)):
             t = Trellis(flows, key, p, d_max=3)
             assert (t.window is not None) == windowed
-            assert t.emission.shape == t.e_match.shape == (n_code, len(flows), 2, t.D)
+            assert t.emission.shape == (n_code, len(flows), 2, t.D)
+            assert t.ins_weight.shape == (n_code, len(flows), t.n_ins, t.D)
+            # window k reads the bit at position k + drift
+            pos = np.arange(n_code)[:, None] + t.drifts
+            for b, y in enumerate(flows):
+                inside = (pos >= 0) & (pos < y.size)
+                obs = y[np.clip(pos, 0, y.size - 1)]
+                for a in (0, 1):
+                    bit = np.where(inside, np.where(obs == a, 1.0 - p.p_sub, p.p_sub), 0.0)
+                    assert np.array_equal(t.emission[:, b, a], bit * (1.0 - p.p_delete))
+            if t.n_ins == 1:
+                assert t.ins_landing is None
+                assert np.all(t.ins_weight == 1.0)
+                continue
             for j in range(n_code):
-                if t.n_ins == 1:
-                    assert t.ins_landing is None
-                    assert np.array_equal(t.emission[j], t.e_match[j] * t.ins_weight[j][:, :1, :])
-                    continue
-                assert np.array_equal(t.emission[j], t.e_match[j])
                 for l in range(t.n_ins):
                     assert np.array_equal(t.ins_landing[j][:, l, l:],
                                           t.ins_weight[j][:, l, : t.D - l])
