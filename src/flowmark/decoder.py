@@ -348,7 +348,7 @@ class Trellis:
         """The step kernels' operands for states of leading shape lead.
         Those of the sweeps' shape, (B,), are made on a sweep's first step
         and reused by every later one, so a sweep step allocates no
-        operand; any other shape's, such as block_posterior's one step,
+        operand; any other shape's, such as a block_posterior slice's step,
         serve that step alone.  Every buffer is overwritten before it is
         read, except its zero columns.
 
@@ -466,6 +466,13 @@ def trellis_tables(ys, key, params: IdsParams, d_max: int | None = None,
     return t
 
 
+# block_posterior's first steps take their blocks in slices whose run
+# buffer, two hypotheses by B flows by n_ins rows by D columns per block,
+# holds at most this many bytes; the step's other operands and the
+# gathered step tables scale with it
+POSTERIOR_SLICE_BYTES = 4 << 20
+
+
 def block_posterior(trellis: Trellis) -> np.ndarray:
     """log P(y | watermark bit j = h) for every flow, block j and
     hypothesis h, as a (B, n_blocks, 2) array, n_blocks = n_code // spread;
@@ -474,24 +481,29 @@ def block_posterior(trellis: Trellis) -> np.ndarray:
     The hypothesis enters only the block's first step, so each block is
     that one step under each hypothesis, from the forward vector at the
     previous block's end (from the head for block 0), closed against the
-    backward vector at the block's first state.  All blocks and both
-    hypotheses take one batched step.  That step is not masked to the
-    bands: its columns outside a flow's band meet the zeros of the swept
+    backward vector at the block's first state.  The blocks after the
+    first take batched steps over both hypotheses, as many blocks at a
+    time as POSTERIOR_SLICE_BYTES allows; the blocks are independent, so
+    the slicing changes no value.  That step is not masked to the bands:
+    its columns outside a flow's band meet the zeros of the swept
     backward vectors.
     """
     t = trellis
     (fvecs, flogw), (bvecs, blogw) = t.fw, t.bw
     n_blocks = len(bvecs)
-    # hyp[h] = (same, flip) of the block's watermark bit under h; the
-    # first step's axes are (block, hypothesis, flow, ...)
+    # hyp[h] = (same, flip) of the block's watermark bit under h; a first
+    # step's axes are (block, hypothesis, flow, ...)
     hyp = np.eye(2)
-    first = np.empty((n_blocks, 2, *bvecs.shape[1:]))
-    first[0] = t.init_vec(t.code_weights(1, hyp))
-    i = np.arange(1, n_blocks)[:, None] * t.spread + 1
-    t.step(fvecs[:-1, None], i, t.code_weights(i, hyp), out=first[1:])
+    closing = np.empty((n_blocks, 2, len(t.ys)))
+    closing[0] = (t.init_vec(t.code_weights(1, hyp)) * bvecs[0]).sum(axis=(-2, -1))
+    size = max(1, POSTERIOR_SLICE_BYTES // (bvecs[0].nbytes * t.n_ins))
+    for lo in range(1, n_blocks, size):
+        hi = min(lo + size, n_blocks)
+        i = np.arange(lo, hi)[:, None] * t.spread + 1
+        first = t.step(fvecs[lo - 1 : hi - 1, None], i, t.code_weights(i, hyp))
+        closing[lo:hi] = (first * bvecs[lo:hi, None]).sum(axis=(-2, -1))
     flog = np.zeros((n_blocks, 1, len(t.ys)))
     flog[1:] = flogw[:-1, None]
-    closing = (first * bvecs[:, None]).sum(axis=(-2, -1))
     with np.errstate(divide="ignore"):
         out = flog + np.log(closing) + blogw[:, None]
     return out.transpose(2, 0, 1)

@@ -75,23 +75,51 @@ def to_flow(ipds: np.ndarray, start: float = 0.0) -> PacketFlow:
     return PacketFlow(ts)
 
 
-def read_values(path, what: str) -> list[float]:
-    """Read one finite decimal value per line.  Lines are stripped; blank
-    lines and `#` comments are ignored; a bad value's error (`nan` and `inf`
-    are bad) names the file, the line and `what` it should be (e.g. "a timestamp")."""
-    values = []
+# read_values hands float() blocks of about this many characters' lines
+# at a time, so a long trace is never held whole
+READ_BLOCK_CHARS = 1 << 16
+
+
+def read_values(path, what: str) -> np.ndarray:
+    """Read one finite decimal value per line into a float64 array.  Lines
+    are stripped; blank lines and `#` comments are ignored; a bad value's
+    error (`nan` and `inf` are bad) names the file, the line and `what` it
+    should be (e.g. "a timestamp").
+
+    The file is read in blocks of lines, and each block is converted by
+    one pass of float(), which ignores the whitespace strip() removes, so
+    every value is exactly float() of its stripped line.  A block that
+    float() refuses somewhere, or that holds a non-finite value, takes the
+    line rule line by line."""
+    blocks = []
+    start = 1
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
+        while lines := fh.readlines(READ_BLOCK_CHARS):
             try:
-                value = float(text)
+                values = np.fromiter(map(float, lines), np.float64, len(lines))
             except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: line {lineno}: not {what}: {text!r}")
-            values.append(value)
+                values = None
+            if values is None or not np.isfinite(values).all():
+                values = np.array(_values_by_line(lines, start, path, what), dtype=np.float64)
+            blocks.append(values)
+            start += len(lines)
+    return np.concatenate(blocks) if blocks else np.empty(0)
+
+
+def _values_by_line(lines, start: int, path, what: str) -> list[float]:
+    """read_values' line rule on lines that begin at line number start."""
+    values = []
+    for lineno, line in enumerate(lines, start=start):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno}: not {what}: {text!r}")
+        values.append(value)
     return values
 
 
@@ -102,19 +130,18 @@ def read_trace(path, clamp: bool = False) -> PacketFlow:
     jitter-induced tiny negative gaps).
     """
     ts = read_values(path, "a timestamp")
-    if not ts:
+    if not ts.size:
         raise ValueError(f"{path}: no timestamps found")
-    arr = np.asarray(ts, dtype=np.float64)
     if clamp:
-        arr = np.maximum.accumulate(arr)
+        ts = np.maximum.accumulate(ts)
     else:
-        bad = np.nonzero(np.diff(arr) < 0.0)[0]
+        bad = np.nonzero(np.diff(ts) < 0.0)[0]
         if bad.size:
             raise ValueError(
                 f"{path}: timestamps decrease at entry {bad[0] + 2} "
                 "(pass clamp to clamp negative gaps to zero)"
             )
-    return PacketFlow(arr)
+    return PacketFlow(ts)
 
 
 def write_trace(flow: PacketFlow, path) -> None:

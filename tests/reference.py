@@ -4,8 +4,8 @@ Each is written independently of the code it checks: a per-transition
 law, an exhaustive channel-path enumeration, a scalar per-block
 posterior over dense per-step tables, full per-state sweeps for the
 forward/backward identity, dense sweeps over the whole drift cap for the
-band's exactness, the inverse of sparsify, and a per-packet QIM embedding
-loop.
+band's exactness, the inverse of sparsify, a per-packet QIM embedding
+loop, and the trace reader's per-line loop.
 """
 
 from __future__ import annotations
@@ -391,3 +391,24 @@ def loop_qim_embed(ipds, code, delta: float) -> np.ndarray:
         out[i] = marked
         cum_marked += marked
     return out
+
+
+def read_values_per_line(path, what: str) -> list[float]:
+    """The trace reader's line rule, one line at a time: lines are
+    stripped; blank lines and `#` comments are ignored; a bad value's error
+    (`nan` and `inf` are bad) names the file, the line and `what` it should
+    be."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno}: not {what}: {text!r}")
+            values.append(value)
+    return values

@@ -1,11 +1,13 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import sample_ids_channel
+from flowmark import decoder
 from flowmark.channel import ChannelParams, transmit
 from flowmark.decoder import (
     IdsParams,
@@ -707,6 +709,44 @@ def test_tables_back_to_back_keep_no_state(rng):
             assert np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
         assert np.array_equal(a.log_evidence, b.log_evidence)
         assert np.array_equal(lp_a, lp_b)
+
+
+def test_block_posterior_slices_change_no_value(rng, monkeypatch):
+    # the blocks are independent, so stepping them one per slice, a few
+    # per slice or all at once gives the same likelihoods bit for bit
+    n_code, spread = 60, 5
+    for B, p_i in ((3, 0.2), (2, 0.0)):
+        p = IdsParams(p_sub=0.05, p_delete=0.1, p_insert=p_i, max_insert_run=3)
+        key = rng.integers(0, 2, n_code, dtype=np.uint8)
+        t = trellis_tables([sample_ids_channel(key, p, rng) for _ in range(B)], key, p,
+                           spread=spread)
+        per_block = t.bw[0][0].nbytes * t.n_ins
+        results = []
+        for budget in (1, 4 * per_block, 10 ** 12):
+            monkeypatch.setattr(decoder, "POSTERIOR_SLICE_BYTES", budget)
+            results.append(block_posterior(t))
+        assert all(r.tobytes() == results[0].tobytes() for r in results[1:])
+        assert np.all(np.isfinite(results[0]))
+
+
+def test_block_posterior_transient_is_bounded(rng):
+    # 32 streams under insertion runs (p_delete 0.1, p_insert 0.2, nine
+    # run lengths, 50 blocks): stepped all at once, the first steps' run
+    # buffer alone would take well over 16 MiB; in slices the whole call
+    # peaks at most at 16 MiB above what the trellis holds
+    p = IdsParams(p_sub=0.05, p_delete=0.1, p_insert=0.2)
+    key = keystream(3, 500)
+    t = trellis_tables([sample_ids_channel(key, p, rng) for _ in range(32)], key, p, spread=10)
+    assert t.n_ins == 9
+    n_blocks = len(t.bw[0])
+    assert (n_blocks - 1) * t.bw[0][0].nbytes * t.n_ins > 2 * 16 * 2 ** 20
+    tracemalloc.start()
+    try:
+        block_posterior(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, f"block_posterior peaked at {peak / 2 ** 20:.1f} MiB"
 
 
 def test_step_tables_are_the_window_tables(rng):

@@ -1,9 +1,15 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from flowmark.traffic import PacketFlow, poisson_flow, read_trace, to_flow, to_ipds, write_trace
+from flowmark import traffic
+from flowmark.traffic import (PacketFlow, poisson_flow, read_trace, read_values, to_flow, to_ipds,
+                              write_trace)
+from reference import read_values_per_line
 
 
 def test_poisson_flow_basic():
@@ -103,7 +109,80 @@ def test_trace_roundtrip(tmp_path):
     path = tmp_path / "flow.txt"
     write_trace(flow, path)
     again = read_trace(path)
-    assert np.allclose(again.timestamps, flow.timestamps, atol=1e-9)
+    # what write_trace promises: each timestamp is its 9-decimal text's value
+    written = np.array([float(f"{t:.9f}") for t in flow.timestamps])
+    assert again.timestamps.tobytes() == written.tobytes()
+
+
+def test_rtt_file_roundtrip(tmp_path, rng):
+    # an RTT file, as `flowmark drtt` reads it: not monotonic, values exact
+    rtts = rng.uniform(0.02, 0.3, 500)
+    path = tmp_path / "rtt.txt"
+    path.write_text("# rtt, seconds\n" + "".join(f"{v:.9f}\n" for v in rtts))
+    got = read_values(path, "an RTT")
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array([float(f"{v:.9f}") for v in rtts]).tobytes()
+    path.write_text("0.1\n0.2\noops\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: not an RTT: 'oops'$"):
+        read_values(path, "an RTT")
+
+
+def _read_outcome(reader, path):
+    """The values a reader returns, as float64 bytes, or its error message."""
+    try:
+        return np.asarray(reader(path, "a value"), dtype=np.float64).tobytes(), None
+    except ValueError as err:
+        return None, str(err)
+
+
+# line kinds: values as write_trace and repr write them, padded values,
+# blank and whitespace-only lines, comments (indented or not), and tokens
+# that float() treats oddly: accepted (1_0), refused, or non-finite
+_value_lines = st.one_of(
+    st.floats(0.0, 1e7).map(lambda t: f"{t:.9f}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda t: f" \t{t!r}  "),
+)
+_skipped_lines = st.sampled_from(["", "   ", "\t", "# comment", "   # indented", "\t#"])
+_odd_lines = st.sampled_from(["1_0", "0x1p3", "1 2", ".", "nan", "-inf", "1e400", " inf "])
+
+
+@st.composite
+def _trace_texts(draw):
+    lines = draw(st.lists(st.one_of(_value_lines, _skipped_lines), max_size=40))
+    for odd in draw(st.lists(_odd_lines, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    last = end if lines and draw(st.booleans()) else ""
+    return end.join(lines) + last
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_trace_texts(), block_chars=st.sampled_from([1, 16, 100, traffic.READ_BLOCK_CHARS]))
+def test_read_values_matches_per_line_reader(tmp_path, text, block_chars):
+    # the block reader against today's line loop: bitwise-equal values or
+    # the same error, with blocks as short as one line, so that refused
+    # and skipped lines fall on every side of a block's edge
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(traffic, "READ_BLOCK_CHARS", block_chars):
+        assert _read_outcome(read_values, path) == _read_outcome(read_values_per_line, path)
+
+
+@pytest.mark.parametrize("line", ["bad", "nan", "", "  # note", "1_0"])
+def test_read_values_past_the_first_block(tmp_path, line):
+    # line 20,000 lies several blocks into the file: a refused line there
+    # names its own line number, and a skipped or odd one shifts nothing
+    lines = [f"{t:.9f}" for t in poisson_flow(3.3, 30_000, seed=4).timestamps]
+    assert sum(len(x) + 1 for x in lines[:19_999]) > 2 * traffic.READ_BLOCK_CHARS
+    lines[19_999] = line
+    path = tmp_path / "long.txt"
+    path.write_text("\n".join(lines) + "\n")
+    got = _read_outcome(read_values, path)
+    assert got == _read_outcome(read_values_per_line, path)
+    if line in ("bad", "nan"):
+        assert got[1] == f"{path}: line 20000: not a value: {line!r}"
 
 
 def test_trace_parse(tmp_path):
@@ -137,6 +216,8 @@ def _written(path, text):
                  id="empty"),
     pytest.param(lambda tmp: read_trace(_written(tmp / "c.txt", "# only a comment\n\n")),
                  "c.txt: no timestamps found", id="comment-only"),
+    pytest.param(lambda tmp: read_trace(_written(tmp / "e.txt", "")),
+                 "e.txt: no timestamps found", id="empty-file"),
     pytest.param(lambda tmp: poisson_flow(float("nan"), 100, seed=0), "rate must be positive",
                  id="rate-nan"),
     pytest.param(lambda tmp: poisson_flow(float("inf"), 100, seed=0), "rate must be positive",
