@@ -15,8 +15,10 @@ Forward and backward sweeps over this chain, under the code's own law for
 the sparse bits, give the evidence and, joined across one watermark
 block's first step with its bit fixed to a hypothesis, the exact per-bit
 likelihoods for maximum-likelihood decoding.  Received sequences decoded
-under one key and one channel law sweep together, on a leading flow axis
-of every state array.
+under one key and one channel law sweep together, flow-major along the
+columns of every state array: each flow's drift columns follow a pad of
+zero columns, so one step reaches every flow through one 2-D matmul
+(see Trellis).
 
 The forward and backward vectors hold linear probabilities with their log
 scales carried separately; code lengths in the hundreds underflow
@@ -114,36 +116,44 @@ class Trellis:
     """Vectorized trellis sweeps for B received sequences that share one
     key and one channel law, swept in lockstep.
 
-    State arrays have shape (..., B, 2, D): the flow axis, rows for the
-    accumulated bit, and columns for the drifts lo .. hi, the union of the
-    flows' bands; further leading axes are a batch of independent chains.
-    A flow's band is the part of its cap [-d_max, d_max] that its chain
-    can both reach and close from.  The sweeps zero each flow's columns
-    outside its band at every state, so each flow's evidence and
-    posteriors are those of a trellis over its own cap, up to rounding.
-    Linear-domain vectors are renormalized at the states the sweeps keep
-    and at least every renorm_every states, and the log scale is carried
-    separately.  trellis_tables() fills fw and bw, the (vectors, log
-    scales) of the states that end and start a block of spread code bits,
-    and log_evidence, log P(y) per flow.
+    A state is an array of shape (..., 6, W), flow-major: rows 0-1 hold
+    the vector over the accumulated bit, and along them a front pad of w
+    = max(n_ins - 1, 1) zero columns, then each flow's D columns, for the
+    drifts lo .. hi, the union of the flows' bands, each followed by w
+    zero columns, so W = w + B·(D + w); flows(state) views flow b's rows
+    over its D columns.  Rows 2-5 are the step kernels' operand rows and
+    hold no part of the vector; further leading axes are a batch of
+    independent chains.  A flow's band is the part of its cap [-d_max,
+    d_max] that its chain can both reach and close from.  The sweeps zero
+    each flow's columns outside its band and every pad at every state, so
+    each flow's evidence and posteriors are those of a trellis over its
+    own cap, up to rounding.  Linear-domain vectors are renormalized at
+    the states the sweeps keep and at least every renorm_every states,
+    and the log scale is carried separately.  trellis_tables() fills fw
+    and bw, the (vector rows, log scales) of the states that end and
+    start a block of spread code bits, and log_evidence, log P(y) per
+    flow.
 
     The law enters through three factors, each stated once.  p_delete
-    sits in the two drop columns of a step's (2, 3) weight matrix q (see
-    code_weights), beside the delivery column's weights of code bit 0
-    and 1, so both values of the sparse bit share one pass over the
-    insertion lengths and one matmul.  The delivery weight 1 - p_delete
-    sits in emission, with the weight of the first observed bit.  The
-    insertion law init_coef sits in the run table, with the weights of
-    the inserted zeros; the head, the step kernels and terminal_vec read
-    it, the forward step by the column a run lands on (ins_landing), the
-    backward step by the column it leaves (ins_weight).  Every step
-    reads emission, then, with insertion runs (n_ins > 1), the run
-    table.  A sweep's step kernels write through operand buffers made on
-    its first step (see _operands) and it alternates two state arrays,
-    so it makes no new array per state; numpy's ufunc loops still take
-    transient buffers, 5-12 KiB per step for four flows at the main
-    operating point and 0.1-0.2 MiB for 32 flows at p_insert 0.2
-    (tracemalloc, numpy 2.4).
+    sits in the two drop columns of a step's (2, 4) weight matrix q (see
+    code_weights), beside two copies of the delivery column, the weights
+    of code bit 0 and 1, so both values of the sparse bit share one pass
+    over the insertion lengths and one matmul.  The delivery weight 1 -
+    p_delete sits in emission, with the weight of the first observed bit.
+    The insertion law init_coef sits in the run table, with the weights
+    of the inserted zeros; the head, the step kernels and terminal_vec
+    read it, the forward step by the column a run lands on (ins_landing),
+    the backward step by the column it leaves (ins_weight).  The tables
+    are sliding windows over (rows, B, positions) arrays, so step k reads
+    (rows, B, columns) views of them with contiguous columns.
+
+    Since the pads are zero, a shift of the drift by one is a shift of a
+    whole row by one column, a view, and a step is one 2-D matmul over
+    all flows (see step and step_back), beside one multiply by the
+    emission table, which writes no operand it reads.  A sweep makes its
+    two state buffers and their kernel views (_views) once and alternates
+    them, so it makes no new array per state beyond numpy's transients
+    and, with insertion runs, the run pass's product.
     """
 
     def __init__(self, ys, key, params: IdsParams, d_max: int | None = None,
@@ -228,163 +238,236 @@ class Trellis:
         self.hi = max(int(self.band[:, 1].max()), 0)
         self.D = self.hi - self.lo + 1
         self.drifts = np.arange(self.lo, self.hi + 1)
-        # window: 1 on each flow's own band, None when all flows span the
-        # whole width
+        # the state layout: w pad columns, wide enough for a run of n_ins -
+        # 1 inserted zeros and for a drop, before each flow and after the
+        # last
+        self.pad = max(self.n_ins - 1, 1)
+        self.width = self.pad + n_flows * (self.D + self.pad)
+        # window: 1 on each flow's own band, 0 on the other columns and the
+        # pads; None for a single flow whose band spans every column, whose
+        # steps leave the pads at zero
         inside = (self.drifts >= self.band[:, :1]) & (self.drifts <= self.band[:, 1:])
-        self.window = None if inside.all() else inside[:, None, :].astype(np.float64)
+        self.window = None
+        if n_flows > 1 or not inside.all():
+            blocks = np.concatenate([np.zeros((n_flows, self.pad)), inside], axis=1)
+            self.window = np.append(blocks, np.zeros(self.pad))
 
         # Per-step emission context: step i (into state i) reads its first
         # observed bit at position i - 2 + drift of the source state and its
         # l inserted zeros at the positions after it, so the tables of step i
-        # are the length-D windows at i - 2 of rows over positions lo ..
-        # n_code - 1 + hi; the last window, k = n_code - 1, is the closing
-        # step of terminal_vec.  match[b, a, j]: weight of flow b's bit at
-        # position lo - 1 + j given sent bit a, 0 off the stream; the rows
-        # reach n_ins - 1 positions past the last window, for its zeros.
-        ps, n_pos = p.p_sub, self.n_code + self.D - 1
-        pos = np.arange(self.lo - 1, self.n_code + self.hi + self.n_ins - 1)
+        # are the windows at i - 2 of rows over positions from lo on; the
+        # last window, k = n_code - 1, is the closing step of terminal_vec.
+        # match[a, b, j]: weight of flow b's bit at position lo - 1 - w + j
+        # given sent bit a, 0 off the stream; the rows start w positions
+        # early, for the emission windows' pads, and reach n_ins - 1
+        # positions past the last window, for its zeros.
+        ps, n_pos, w = p.p_sub, self.n_code + self.D - 1, self.pad
+        pos = np.arange(self.lo - 1 - w, self.n_code + self.hi + self.n_ins - 1)
         valid = (pos >= 0) & (pos < self.n_obs[:, None])
         obs = np.zeros(valid.shape, dtype=np.uint8)
         for b, y in enumerate(self.ys):
             obs[b, valid[b]] = y[pos[valid[b]]]
         match = np.stack([np.where(valid, np.where(obs == a, 1.0 - ps, ps), 0.0)
-                          for a in (0, 1)], axis=1)
-        # runs[b, l, j]: init_coef[l] times the weight of l inserted zeros
+                          for a in (0, 1)])
+        # runs[l, b, j]: init_coef[l] times the weight of l inserted zeros
         # after position lo - 1 + j; the head, both step kernels and
         # terminal_vec read the insertion law only here
-        runs = np.ones((n_flows, self.n_ins, n_pos + 1))
+        runs = np.ones((self.n_ins, n_flows, n_pos + 1))
         for l in range(1, self.n_ins):
-            runs[:, l] = runs[:, l - 1] * match[:, 0, l : l + n_pos + 1]
-        runs *= self.init_coef[: self.n_ins, None]
+            runs[l] = runs[l - 1] * match[0, :, w + l : w + l + n_pos + 1]
+        runs *= self.init_coef[: self.n_ins, None, None]
 
-        def windows(rows):
-            return sliding_window_view(rows, self.D, axis=2).transpose(2, 0, 1, 3)
+        def windows(rows, width=self.D):
+            return sliding_window_view(rows, width, axis=2).transpose(2, 0, 1, 3)
 
-        # emission[i-2, b, a]: the weight of a delivery, 1 - p_delete, times
-        # that of flow b's first observed bit given accumulated bit a;
-        # ins_weight[i-2, b, l]: the runs after that bit
-        self.emission = windows(match[:, :, 1 : n_pos + 1] * (1.0 - p.p_delete))
+        # emission[i-2, a, b, j]: the weight of a delivery, 1 - p_delete,
+        # times that of flow b's first observed bit given accumulated bit
+        # a, at drift lo - w + j: the w columns before the flow's, as in a
+        # state, then its own; ins_weight[i-2, l, b, d]: the runs after
+        # that bit, at drift column d
+        self.emission = windows(match[:, :, 1 : w + n_pos + 1] * (1.0 - p.p_delete), w + self.D)
         self.ins_weight = windows(runs[:, :, 1:])
-        # ins_landing[i-2, b, l, d] = ins_weight[i-2, b, l, d - l] for
+        # ins_landing[i-2, l, b, d] = ins_weight[i-2, l, b, d - l] for
         # d >= l: the weight of a run of l inserted zeros that lands the
         # drift at column d (n_ins > 1 only); row l of the runs, shifted l
         # positions on
         self.ins_landing = None
         if self.n_ins > 1:
-            landing = np.zeros((n_flows, self.n_ins, n_pos + self.n_ins - 1))
+            landing = np.zeros((self.n_ins, n_flows, n_pos + self.n_ins - 1))
             for l in range(self.n_ins):
-                landing[:, l, l : l + n_pos] = runs[:, l, 1:]
+                landing[l, :, l : l + n_pos] = runs[l, :, 1:]
             self.ins_landing = windows(landing)
         # head: the head packet, then l inserted zeros at positions 0 .. l - 1
         ls = np.arange(min(self.n_ins - 1, self.hi) + 1)
         self.head = np.zeros((n_flows, 1, self.D))
-        self.head[:, 0, ls - self.lo] = runs[:, ls, -self.lo]
-        self._buffers = {}
+        self.head[:, 0, ls - self.lo] = runs[ls, :, -self.lo].T
+
+    def flows(self, state) -> np.ndarray:
+        """The vector of a state (..., 6, W), or of its vector rows (...,
+        2, W), as a (..., B, 2, D) view: flow b's accumulated-bit rows
+        over its drift columns."""
+        w, end = self.pad, self.width - self.pad
+        rows = state[..., :2, :end]
+        return rows.reshape(*rows.shape[:-1], len(self.ys), self.D + w)[..., w:].swapaxes(-3, -2)
+
+    def joint(self, a, b) -> np.ndarray:
+        """The sum over each flow's columns of the product of the vectors
+        of a and b, states or vector rows: (..., B)."""
+        return np.einsum("...bad,...bad->...b", self.flows(a), self.flows(b))
 
     def code_weights(self, i, same_flip) -> np.ndarray:
-        """The step weight matrix q at position i, shape (..., 2, 3), from
+        """The step weight matrix q at position i, shape (..., 2, 4), from
         the sparse bit's prior weights (same, flip): the weight of a code
         bit equal to the key bit (sparse bit 0) and differing from it,
         which give wx[c], the weight of code bit c.  Row a' is the new
-        accumulated bit.  Column 0 delivers the previous packet: code bit
-        a' starts the new accumulated bit, q[..., a', 0] = wx[a'].
-        Columns 1 + a drop it: accumulated bit a takes in the code bit and
-        becomes a', q[..., a', 1 + a] = p_delete * wx[a xor a']."""
+        accumulated bit.  Columns a drop the previous packet: accumulated
+        bit a takes in the code bit and becomes a', q[..., a', a] =
+        p_delete * wx[a xor a'].  Columns 2 and 3 deliver it: code bit a'
+        starts the new accumulated bit, q[..., a', 2] = q[..., a', 3] =
+        wx[a'] (a step without insertion runs reads the delivered mass of
+        each accumulated bit in its own operand row)."""
         same_flip = np.asarray(same_flip, dtype=np.float64)
         key = self.key[np.asarray(i) - 1]
         wx = np.where(key[..., None] == 1, same_flip[..., ::-1], same_flip)
         drop = self.del_coef * np.stack([wx, wx[..., ::-1]], axis=-2)
-        return np.concatenate([wx[..., None], drop], axis=-1)
+        return np.concatenate([drop, wx[..., None], wx[..., None]], axis=-1)
+
+    @staticmethod
+    def _transposed(q) -> np.ndarray:
+        """The backward step's weight matrix for q (..., 2, 4), shape (...,
+        4, 2): q's delivery columns, then its drop columns, as rows."""
+        return np.swapaxes(q[..., [2, 3, 0, 1]], -1, -2)
+
+    def new_state(self, lead: tuple = ()) -> np.ndarray:
+        """A zero state of leading shape lead, (*lead, 6, W)."""
+        return np.zeros((*lead, 6, self.width))
 
     def init_vec(self, q) -> np.ndarray:
-        """Distribution over state 1 given the weight matrix q (..., 2, 3):
-        head survives, a burst of inserted zeros may precede the first
-        marked IPD.  Shape (..., B, 2, D)."""
-        return q[..., None, :, :1] * self.head
+        """State 1 given the weight matrix q (..., 2, 4): head survives, a
+        burst of inserted zeros may precede the first marked IPD.  Shape
+        (..., 6, W)."""
+        state = self.new_state(q.shape[:-2])
+        self.flows(state)[...] = q[..., None, :, 2:3] * self.head
+        return state
+
+    def _views(self, state, backward: bool) -> tuple:
+        """The views of state (..., 6, W) that a step kernel in one
+        direction reads and writes, in either role; the sweeps make them
+        once per state buffer.  Both directions lead with vec, the vector
+        rows as (..., 2, B, D + w) blocks, each flow's columns and the pad
+        before them, which the emission table's windows match, and read
+        or write span, the vector rows from the first flow's first column
+        to the last flow's last.  The operand rows of a step's input and
+        output hold 0 off the flows' columns.
+
+        Forward (vec, prod, mix, span, runs): prod is vec's place in rows
+        2-3, one column to the right, where a step writes prev times the
+        emission table, and mix, rows 0-3 from column w + 1 on, is then
+        the matmul operand: the vector one drift up, for a drop, beside
+        the delivered mass of each accumulated bit.  With insertion runs
+        (else runs is None), runs = (rows, shifted, landed): the step sums
+        rows 2 and 3 into row 3, shifted is that row's read-only sliding
+        window over the flows' columns, row l shifted l columns to the
+        right, so that it reads the pad before each flow, and the run pass
+        sums it into landed, the flows' columns of row 2 of prod, which
+        with the vector rows is mix.
+
+        Backward (vec, src, mix, landed, drops, span, shifted): src, the
+        vector rows from the front pad's last column on, is the matmul
+        operand, and mix, rows 2-5 over the same columns, its result: the
+        landed mass in rows 2 and 3 and the dropped mass in rows 4-5,
+        drops one drift down.  landed is vec's place in both landed rows
+        (n_ins == 1) or in row 3, over whose flows' columns the run pass
+        sums shifted, the read-only sliding window over row 2 with row l
+        shifted l columns to the left, which reads the pad after each
+        flow."""
+        w, n, B, D = self.pad, self.n_ins, len(self.ys), self.D
+        end = self.width - w
+        lead = state.shape[:-2]
+
+        def blocks(rows, start):
+            flat = rows[..., start : start + end]
+            return flat.reshape(*flat.shape[:-1], B, D + w)
+
+        vec, span = blocks(state[..., :2, :], 0), state[..., :2, w:end]
+        shifted = None
+        if n > 1:
+            windows = sliding_window_view(state[..., 2 if backward else 3, :], n, axis=-1)
+            windows = windows[..., :end, :].reshape(*lead, B, D + w, n)
+            shifted = np.moveaxis(windows[..., w : w + D, :] if backward
+                                  else windows[..., 1 : D + 1, ::-1], -1, -3)
+        if backward:
+            landed = blocks(state[..., 2:4, :] if n == 1 else state[..., 3:4, :], 0)
+            return (vec, state[..., :2, w - 1 : end], state[..., 2:, w - 1 : end], landed,
+                    state[..., 4:, w - 1 : end - 1], span, shifted)
+        prod = blocks(state[..., 2:4, :], 1)
+        runs = None
+        if n > 1:
+            runs = ((state[..., 3, :], state[..., 2, :]), shifted, prod[..., 0, :, w:])
+        return vec, prod, state[..., : 4 if n == 1 else 3, w + 1 : end + 1], span, runs
+
+    def _forward(self, src: tuple, span, k, q):
+        """The forward kernel: the state of views src advanced through
+        the tables of step index k under weight matrix q, into the span
+        of another state."""
+        vec, prod, mix, _, runs = src
+        np.multiply(vec, self.emission[k], out=prod)
+        if runs is not None:
+            # a run of l inserted zeros moves the drift up by l: row l of
+            # the shifted view is delivered, l columns to the right
+            rows, shifted, landed = runs
+            np.add(*rows, out=rows[0])
+            np.add.reduce(shifted * self.ins_landing[k], axis=-3, out=landed)
+            q = q[..., :3]
+        np.matmul(q, mix, out=span)
+
+    def _backward(self, src, dst: tuple, k, qt):
+        """The backward kernel, the transpose of _forward: the vector rows
+        src of a state, from its front pad's last column on, pulled back
+        through the tables of step index k under qt = _transposed(q) into
+        the state of views dst."""
+        vec, _, mix, landed, drops, span, shifted = dst
+        np.matmul(qt, src, out=mix)
+        if shifted is not None:
+            # row l of the shifted view is landed, l columns to the left
+            np.add.reduce(self.ins_weight[k] * shifted, axis=-3, out=landed[..., 0, :, self.pad :])
+        np.multiply(landed, self.emission[k], out=vec)
+        np.add(span, drops, out=span)
+
+    def _out(self, state, q) -> np.ndarray:
+        return self.new_state(np.broadcast_shapes(state.shape[:-2], q.shape[:-2]))
 
     def step(self, prev: np.ndarray, i, q, out=None) -> np.ndarray:
         """Advance state i-1 to state i (resolve sent packet i-1).
 
-        prev is (..., B, 2, D); the step index i, of shape (...), and the
-        weight matrix q, of shape (..., 2, 3), broadcast over the leading
-        axes of prev and are shared by the flows.  The delivered mass,
-        summed over insertion runs, and the previous state one drift up,
-        for a drop, stack into z (..., B, 3, D), and the step is q @ z,
-        written to out when given (not prev itself), else to a new array.
-        """
-        k = i - 2
-        prod, rows, z, delivered, dropped, shifted, runs = self._operands(
-            prev.shape[:-2], backward=False)
-        np.multiply(prev, self.emission[k], out=prod)
-        np.add(*rows, out=delivered)
-        if self.n_ins > 1:
-            # a run of l inserted zeros moves the drift up by l: row l of
-            # the shifted view is delivered, l columns to the right; once
-            # read into runs, delivered takes their weighted sum
-            np.multiply(shifted, self.ins_landing[k], out=runs)
-            np.add.reduce(runs, axis=-2, keepdims=True, out=delivered)
-        np.copyto(dropped, prev[..., 1:])
-        return np.matmul(q[..., None, :, :], z, out=out)
+        prev is (..., 6, W) with zero pads; the step index i, of shape
+        (...), and the weight matrix q, of shape (..., 2, 4), broadcast
+        over the leading axes of prev and are shared by the flows.  The
+        vector one drift up, for a drop, and the delivered mass, summed
+        over insertion runs, are the operand rows z, and the new vector
+        is q @ z, one 2-D matmul over every flow's columns and the pads
+        between them, written to the vector rows of out, a state or its
+        vector rows (..., 2, W) but not prev, or of a new state.  The step
+        writes prev's operand rows and leaves out's outer pads as they
+        are and the pads between flows to the band mask."""
+        out = self._out(prev, q) if out is None else out
+        self._forward(self._views(prev, False), out[..., :2, self.pad : self.width - self.pad],
+                      np.asarray(i) - 2, q)
+        return out
 
     def step_back(self, nxt: np.ndarray, i, q, out=None) -> np.ndarray:
         """Pull the backward vector across the transition into state i;
-        shapes and out as in step().  The transpose of step: r = q^T @
-        nxt, whose row 0 is the delivered mass and rows 1 + a the
-        dropped."""
-        k = i - 2
-        r, landed, dropped, shifted, runs = self._operands(nxt.shape[:-2], backward=True)
-        np.matmul(q[..., None, :, :].swapaxes(-1, -2), nxt, out=r)
-        if self.n_ins > 1:
-            # row l of the shifted view is landed, l columns to the left;
-            # once read into runs, landed's row takes their weighted sum
-            np.multiply(self.ins_weight[k], shifted, out=runs)
-            np.add.reduce(runs, axis=-2, keepdims=True, out=landed)
-        prev = np.multiply(self.emission[k], landed, out=out)
-        tail = prev[..., 1:]
-        np.add(tail, dropped, out=tail)
-        return prev
-
-    def _operands(self, lead: tuple, backward: bool) -> tuple:
-        """The step kernels' operands for states of leading shape lead.
-        Those of the sweeps' shape, (B,), are made on a sweep's first step
-        and reused by every later one, so a sweep step allocates no
-        operand; any other shape's, such as a block_posterior slice's step,
-        serve that step alone.  Every buffer is overwritten before it is
-        read, except its zero columns.
-
-        Both directions share (mix, row, dropped, shifted, runs): mix
-        (*lead, 3, D) is the matmul's operand z (forward) or its result r
-        = q^T @ nxt (backward), row its row 0, the delivered or landed
-        mass, and dropped its rows 1-2 left of the last column, which in
-        z stays 0, since no state lies above drift hi.  mix is a view of a
-        zero buffer that runs n_ins - 1 columns further, before it
-        (forward) or after it (backward), and shifted is that buffer's
-        read-only sliding window over row, with row l shifted l columns to
-        the right (forward) or left (backward), reading those zeros past
-        its edge; runs (*lead, n_ins, D; None at n_ins == 1) holds shifted
-        times the run table, the insertion law, which the runs' pass sums
-        over l into row.  Forward operands lead with prod (*lead, 2, D),
-        prev times the emission table, the delivery weight, and its two
-        accumulated-bit rows, as (*lead, 1, D) views; p_delete enters
-        through q alone."""
-        if (lead, backward) in self._buffers:
-            return self._buffers[lead, backward]
-        n, D = self.n_ins, self.D
-        padded = np.zeros((*lead, 3, D + n - 1))
-        mix = padded[..., :D] if backward else padded[..., n - 1 :]
-        shifted = sliding_window_view(padded[..., 0, :], D, axis=-1)
-        runs = np.empty((*lead, n, D)) if n > 1 else None
-        ops = (mix, mix[..., :1, :], mix[..., 1:, :-1],
-               shifted if backward else shifted[..., ::-1, :], runs)
-        if not backward:
-            prod = np.empty((*lead, 2, D))
-            ops = (prod, (prod[..., :1, :], prod[..., 1:, :]), *ops)
-        if lead == self.n_obs.shape:
-            self._buffers[lead, backward] = ops
-        return ops
+        shapes and out as in step().  The transpose of step: the landed
+        mass and the dropped, _transposed(q) @ nxt, fill out's operand
+        rows, and its vector rows take the landed mass times the emission
+        table plus the dropped mass one drift down."""
+        out = self._out(nxt, q) if out is None else out
+        self._backward(self._views(nxt, True)[1], self._views(out, True), np.asarray(i) - 2,
+                       self._transposed(q))
+        return out
 
     def terminal_vec(self) -> np.ndarray:
-        """Closure of the chain against the observed tail, shape (B, 2, D).
+        """Closure of the chain against the observed tail, a state (6, W).
 
         The closing step resolves the last sent packet like any other
         step, read from the step tables' last window: from drift d it
@@ -395,46 +478,54 @@ class Trellis:
         k = self.n_code - 1
         ls = (self.n_obs - self.n_code)[:, None] - self.drifts
         fits = (ls >= 0) & (ls < self.n_ins)
-        ins = np.take_along_axis(self.ins_weight[k], np.where(fits, ls, 0)[:, None], axis=1)
-        vec = self.emission[k] * np.where(fits[:, None], ins, 0.0)
-        return np.where((ls == -1)[:, None], self.del_coef, vec)
+        ins = np.take_along_axis(self.ins_weight[k], np.where(fits, ls, 0)[None], axis=0)
+        vec = self.emission[k][..., self.pad :] * np.where(fits, ins, 0.0)
+        state = self.new_state()
+        self.flows(state)[...] = np.where(ls == -1, self.del_coef, vec).swapaxes(0, 1)
+        return state
 
-    def _sweep(self, vec, advance):
-        """Advance-and-renormalize over the n_code states in sweep order:
-        vec is the unnormalized vector of sweep state 0, and advance(vec, k,
-        out) writes that of sweep state k into out from that of state
-        k - 1; two state buffers, vec and one more, take turns.  Each
-        state is masked to the flows' bands.  A state is renormalized when
-        it is kept, every spread-th, or when renorm_every states have
-        passed since the last renormalization; the log scales sum the
-        renormalizations made.  Returns the normalized vectors and log
-        scales of the kept states, the spread-th first, in sweep order.
-        Flows past a zero-mass step keep zeros and -inf."""
-        spread, every = self.spread, self.renorm_every
-        kept = np.zeros((self.n_code // spread, *vec.shape))
-        scales = np.empty((self.n_code, vec.shape[0], 1, 1))
-        states = (vec, np.empty_like(vec))
+    def _sweep(self, vec, backward: bool):
+        """Advance-and-renormalize over the n_code states in sweep order,
+        forward from state 1 or backward from state N: vec is the
+        unnormalized state of sweep state 0, and each later one is stepped
+        from the one before; two state buffers, vec and one more, take
+        turns.  Each state is masked to the flows' bands, which zeroes its
+        pads.  A state is renormalized when it is kept, every spread-th,
+        or when renorm_every states have passed since the last
+        renormalization; the log scales sum the renormalizations made.
+        Returns the normalized vector rows (n_code // spread, 2, W) and
+        log scales of the kept states, the spread-th first, in sweep
+        order.  Flows past
+        a zero-mass step keep zeros and -inf."""
+        n, spread, every, window = self.n_code, self.spread, self.renorm_every, self.window
+        kept = np.zeros((n // spread, 2, self.width))
+        scales = np.empty((n, len(self.ys)))
+        states = (vec, np.zeros_like(vec))
+        views = [self._views(s, backward) for s in states]
+        rows = [s[:2] for s in states]
+        flows = [self.flows(s) for s in states]
+        weights = self._transposed(self.prior) if backward else self.prior
         at_kept = []
         made, last = 0, -1
-        # a flow whose mass hits zero divides 0 by 0 at its next
-        # renormalization and on; its NaNs stay in its own row and are
-        # cleared after the loop
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for k in range(self.n_code):
-                if k:
-                    vec = advance(vec, k, states[k & 1])
-                if self.window is not None:
-                    vec *= self.window
+        with np.errstate(divide="ignore"):
+            for k in range(n):
+                now = k & 1
+                if backward and k:
+                    self._backward(views[1 - now][1], views[now], n - 1 - k, weights[n - k])
+                elif k:
+                    self._forward(views[1 - now], views[now][3], k - 1, weights[k])
+                if window is not None:
+                    np.multiply(rows[now], window, out=rows[now])
                 keep = (k + 1) % spread == 0
                 if keep or k - last == every:
-                    vec /= np.add.reduce(vec, axis=(1, 2), keepdims=True, out=scales[made])
+                    scale = np.add.reduce(flows[now], axis=(-2, -1), out=scales[made])[:, None, None]
+                    # a flow without mass keeps its zeros
+                    np.divide(flows[now], scale, out=flows[now], where=scale > 0.0)
                     made, last = made + 1, k
                     if keep:
-                        kept[k // spread] = vec
+                        kept[k // spread] = rows[now]
                         at_kept.append(made - 1)
-            logw = np.cumsum(np.log(scales[:made, :, 0, 0]), axis=0)[at_kept]
-        logw[np.isnan(logw)] = -math.inf
-        kept[np.isnan(kept)] = 0.0
+            logw = np.cumsum(np.log(scales[:made]), axis=0)[at_kept]
         return kept, logw
 
 
@@ -443,33 +534,29 @@ def trellis_tables(ys, key, params: IdsParams, d_max: int | None = None,
     """Forward and backward sweeps over one engine for the received
     sequences ys, under the code's own law for watermark blocks of
     `spread` bits, or under the sparse pattern wtilde when given.  The
-    forward sweep keeps the vectors of the states that end a block,
-    spread, 2·spread, ..., N; the backward sweep, from the closing step
-    terminal_vec, those of the states that start one, 1, spread + 1, ...;
-    block_posterior reads both.  Each flow's drift cap is
-    max(d_max, |n_obs - n_code| + 2), d_max by default
-    default_drift_window.  log_evidence, log P(y) per flow with uniform
-    watermark bits, is exact via the carried normalizers."""
+    forward sweep keeps the states that end a block, spread, 2·spread,
+    ..., N; the backward sweep, from the closing step terminal_vec, those
+    that start one, 1, spread + 1, ...; block_posterior reads both.  Each
+    flow's drift cap is max(d_max, |n_obs - n_code| + 2), d_max by
+    default default_drift_window.  log_evidence, log P(y) per flow with
+    uniform watermark bits, is exact via the carried normalizers."""
     t = Trellis(ys, key, params, d_max, spread, wtilde)
-    n = t.n_code
     terminal = t.terminal_vec()
-    t.fw = t._sweep(t.init_vec(t.prior[0]),
-                    lambda vec, k, out: t.step(vec, k + 1, t.prior[k], out))
+    t.fw = t._sweep(t.init_vec(t.prior[0]), backward=False)
     # the backward sweep keeps states n - spread + 1, ..., 1; reversed
     # into state order
-    bvecs, blogw = t._sweep(terminal.copy(),
-                            lambda vec, k, out: t.step_back(vec, n - k + 1, t.prior[n - k], out))
+    bvecs, blogw = t._sweep(terminal.copy(), backward=True)
     t.bw = bvecs[::-1], blogw[::-1]
-    closing = (t.fw[0][-1] * terminal).sum(axis=(-2, -1))
+    closing = t.joint(t.fw[0][-1], terminal)
     with np.errstate(divide="ignore"):
         t.log_evidence = t.fw[1][-1] + np.log(closing)
     return t
 
 
-# block_posterior's first steps take their blocks in slices whose run
-# buffer, two hypotheses by B flows by n_ins rows by D columns per block,
-# holds at most this many bytes; the step's other operands and the
-# gathered step tables scale with it
+# block_posterior's first steps take their blocks in slices of at most
+# this many bytes, counted as (n_ins + 6) / 3 states per block: the step's
+# input and both hypotheses' vector rows, and the run product and the
+# gathered step tables, a third of a state per table row
 POSTERIOR_SLICE_BYTES = 4 << 20
 
 
@@ -479,29 +566,33 @@ def block_posterior(trellis: Trellis) -> np.ndarray:
     the other watermark bits are uniform, as in log_evidence.
 
     The hypothesis enters only the block's first step, so each block is
-    that one step under each hypothesis, from the forward vector at the
+    that one step under each hypothesis, from the forward state at the
     previous block's end (from the head for block 0), closed against the
-    backward vector at the block's first state.  The blocks after the
+    backward state at the block's first state.  The blocks after the
     first take batched steps over both hypotheses, as many blocks at a
     time as POSTERIOR_SLICE_BYTES allows; the blocks are independent, so
     the slicing changes no value.  That step is not masked to the bands:
     its columns outside a flow's band meet the zeros of the swept
-    backward vectors.
+    backward states, and the closing reads no pad.
     """
     t = trellis
     (fvecs, flogw), (bvecs, blogw) = t.fw, t.bw
     n_blocks = len(bvecs)
     # hyp[h] = (same, flip) of the block's watermark bit under h; a first
-    # step's axes are (block, hypothesis, flow, ...)
+    # step's axes are (block, hypothesis, ...)
     hyp = np.eye(2)
     closing = np.empty((n_blocks, 2, len(t.ys)))
-    closing[0] = (t.init_vec(t.code_weights(1, hyp)) * bvecs[0]).sum(axis=(-2, -1))
-    size = max(1, POSTERIOR_SLICE_BYTES // (bvecs[0].nbytes * t.n_ins))
+    size = max(1, 3 * POSTERIOR_SLICE_BYTES // (t.new_state().nbytes * (t.n_ins + 6)))
+    i = np.arange(n_blocks)[:, None] * t.spread + 1
+    q = t.code_weights(i, hyp)
+    closing[0] = t.joint(t.init_vec(q[0]), bvecs[0])
     for lo in range(1, n_blocks, size):
         hi = min(lo + size, n_blocks)
-        i = np.arange(lo, hi)[:, None] * t.spread + 1
-        first = t.step(fvecs[lo - 1 : hi - 1, None], i, t.code_weights(i, hyp))
-        closing[lo:hi] = (first * bvecs[lo:hi, None]).sum(axis=(-2, -1))
+        prev = t.new_state((hi - lo, 1))
+        prev[..., :2, :] = fvecs[lo - 1 : hi - 1, None]
+        # the closing reads only the first step's vector rows
+        first = t.step(prev, i[lo:hi], q[lo:hi], out=np.empty((hi - lo, 2, 2, t.width)))
+        closing[lo:hi] = t.joint(first, bvecs[lo:hi, None])
     flog = np.zeros((n_blocks, 1, len(t.ys)))
     flog[1:] = flogw[:-1, None]
     with np.errstate(divide="ignore"):
@@ -514,7 +605,11 @@ def binomial_score_threshold(n: int, alpha: float = 0.01) -> float:
 
     Nominal detection threshold when no empirical calibration is at hand:
     an unwatermarked flow agrees with a random reference on about half the
-    bits, so the null score is Binomial(n, 1/2)/n.
+    bits, so the null score is Binomial(n, 1/2)/n.  `present` detects at
+    score >= threshold, so the null's false-positive rate at the returned
+    quantile exceeds alpha: at n = 50, alpha = 0.01 it returns 0.66, which
+    the null reaches with exact probability P(X >= 33) = 0.0164 (1.6
+    alpha); the next grid point, 0.68, gives 0.0077.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -36,11 +36,12 @@ GRID_FIELDS = ("n", "delta_ms", "sigma_ms", "p_d", "p_i")
 WATERMARKED, CONTROL, HOLDOUT = range(3)
 
 # a cell's flows are decoded together in chunks of this many.  An
-# in-process decode_batch costs about 2.9, 2.0, 1.6 and 1.4 ms per flow at
-# the operating point in chunks of 4, 8, 16 and 32 flows (7.2 ms alone),
-# and 4.8, 3.4, 3.1 and 2.7 ms at p_d = p_i = 0.1 (2-core VM, Python 3.11,
-# numpy 2.4); wider chunks gain little per flow and pad more flows to the
-# union of their drift bands
+# in-process decode_batch costs about 2.4, 1.5, 1.0 and 0.9 ms per flow at
+# the operating point in chunks of 4, 8, 16 and 32 flows (6.2 ms alone),
+# and 4.5, 4.2, 3.3 and 2.0 ms at p_d = p_i = 0.1 (11.5 ms alone; medians
+# of 11 reps over 32 streams, 2-core VM, Python 3.11, numpy 2.4); wider
+# chunks gain little per flow and pad more flows to the union of their
+# drift bands
 DECODE_CHUNK = 32
 
 

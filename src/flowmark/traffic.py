@@ -90,20 +90,39 @@ def read_values(path, what: str) -> np.ndarray:
     one pass of float(), which ignores the whitespace strip() removes, so
     every value is exactly float() of its stripped line.  A block that
     float() refuses somewhere, or that holds a non-finite value, takes the
-    line rule line by line."""
+    line rule line by line.  A line that is not UTF-8 is a bad value
+    too, reported after any bad line before it."""
     blocks = []
     start = 1
-    with open(path, "r", encoding="utf-8") as fh:
-        while lines := fh.readlines(READ_BLOCK_CHARS):
-            try:
-                values = np.fromiter(map(float, lines), np.float64, len(lines))
-            except ValueError:
-                values = None
-            if values is None or not np.isfinite(values).all():
-                values = np.array(_values_by_line(lines, start, path, what), dtype=np.float64)
-            blocks.append(values)
-            start += len(lines)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            while lines := fh.readlines(READ_BLOCK_CHARS):
+                try:
+                    values = np.fromiter(map(float, lines), np.float64, len(lines))
+                except ValueError:
+                    values = None
+                if values is None or not np.isfinite(values).all():
+                    values = np.array(_values_by_line(lines, start, path, what), dtype=np.float64)
+                blocks.append(values)
+                start += len(lines)
+    except UnicodeDecodeError:
+        _raise_not_utf8(path, what)
+        raise
     return np.concatenate(blocks) if blocks else np.empty(0)
+
+
+def _raise_not_utf8(path, what: str):
+    """read_values' error for a file that is not UTF-8: the line rule on
+    its lines in order, up to the first that does not decode, which is
+    reported by its bytes."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: line {lineno}: not {what}: {raw!r}") from None
+        _values_by_line([text], lineno, path, what)
 
 
 def _values_by_line(lines, start: int, path, what: str) -> list[float]:

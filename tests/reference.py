@@ -265,8 +265,9 @@ def scalar_block_posterior(j: int, trellis, w_hypothesis: int, flow: int = 0) ->
     vector at the next block's first state (the closing step after the
     last block).  Only the stored sweeps (trellis.fw at states spread,
     2*spread, ..., and trellis.bw at states 1, spread + 1, ...) come from
-    the trellis, laid out on the flow's whole cap -d_max .. d_max; the
-    steps and the closing step are DenseSteps'.
+    the trellis, read through its flows view and laid out on the flow's
+    whole cap -d_max .. d_max; the steps and the closing step are
+    DenseSteps'.
     """
     spread = trellis.spread
     d_max = int(trellis.flow_d_max[flow])
@@ -284,6 +285,7 @@ def scalar_block_posterior(j: int, trellis, w_hypothesis: int, flow: int = 0) ->
 
     fvecs, flogw = trellis.fw
     bvecs, blogw = trellis.bw
+    fvecs, bvecs = trellis.flows(fvecs), trellis.flows(bvecs)
     start = (j - 1) * spread
     end = j * spread
 
@@ -319,11 +321,12 @@ def scalar_block_posterior(j: int, trellis, w_hypothesis: int, flow: int = 0) ->
 
 def log_sweeps(trellis):
     """Log forward and log backward vectors of every state 1..N, each of
-    shape (N, B, 2, D), swept afresh through the trellis' own init_vec,
-    step, step_back and terminal_vec under its sparse-bit law, masked to
-    the flows' bands and renormalized at every state.  The production
-    sweeps keep only block-boundary states and renormalize only there
-    and every renorm_every states."""
+    shape (N, B, 2, D) (the trellis' flows view of its states), swept
+    afresh through the trellis' own init_vec, step, step_back and
+    terminal_vec under its sparse-bit law, masked to the flows' bands and
+    renormalized at every state.  The production sweeps keep only
+    block-boundary states and renormalize only there and every
+    renorm_every states."""
     t = trellis
     fw = np.empty((t.n_code, len(t.ys), 2, t.D))
     bw = np.empty_like(fw)
@@ -338,12 +341,13 @@ def log_sweeps(trellis):
             if k:
                 vec = advance(vec, s)
             if t.window is not None:
-                vec = vec * t.window
-            scale = vec.sum(axis=(-2, -1))
+                vec[:2] *= t.window
+            flows = t.flows(vec)
+            scale = flows.sum(axis=(-2, -1))
             with np.errstate(divide="ignore"):
                 logw = logw + np.log(scale)
-                vec = vec / np.where(scale > 0.0, scale, 1.0)[:, None, None]
-                out[s - 1] = np.log(vec) + logw[:, None, None]
+                flows /= np.where(scale > 0.0, scale, 1.0)[:, None, None]
+                out[s - 1] = np.log(flows) + logw[:, None, None]
     return fw, bw
 
 

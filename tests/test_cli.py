@@ -431,6 +431,16 @@ def test_drtt_bad_line_names_file_and_line(tmp_path, capsys):
         assert json.loads(err)["message"] == f"{bad}: line 3: not an RTT: {text!r}"
 
 
+def test_drtt_file_not_utf8_names_the_line(tmp_path, capsys):
+    # a byte that is not UTF-8 is a bad line like any other
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0.050\n# note\n\xe9\n")
+    code, out, err = run_cli(capsys, "drtt", "--rtt-file", str(bad))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": f"{bad}: line 3: not an RTT: b'\\xe9'"}
+
+
 def test_drtt_csv(tmp_path, capsys):
     rtt = tmp_path / "rtt.txt"
     rng = np.random.default_rng(1)

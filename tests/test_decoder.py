@@ -288,7 +288,7 @@ def test_sweeps_match_per_step_renormalization(rng):
             lf, lb = log_sweeps(t)
             for (vecs, logw), want in ((t.fw, lf[spread - 1 :: spread]), (t.bw, lb[::spread])):
                 with np.errstate(divide="ignore"):
-                    got = np.log(vecs) + logw[:, :, None, None]
+                    got = np.log(t.flows(vecs)) + logw[:, :, None, None]
                 assert np.array_equal(np.isinf(got), np.isinf(want))
                 fin = np.isfinite(want)
                 assert np.all(np.abs(got[fin] - want[fin]) <= 1e-10)
@@ -340,7 +340,7 @@ def test_zero_mass_between_kept_states_is_zero_evidence(rng):
     lf, lb = log_sweeps(t)
     assert np.isfinite(lf[23, 0]).any() and np.isneginf(lf[24, 0]).all()
     assert np.isfinite(t.fw[1][:2, 0]).all() and np.isneginf(t.fw[1][2:, 0]).all()
-    assert not np.any(t.fw[0][2:, 0])
+    assert not np.any(t.flows(t.fw[0])[2:, 0])
     got = decode_batch([dead, live], cfg, p, w)
     assert got[0].status == "zero-evidence" and got[0].log_evidence == -math.inf
     assert not np.any(got[0].llr)
@@ -381,7 +381,7 @@ def test_terminal_vec_is_the_dense_closure(rng):
             for batch in [[y] for y in ys] + [ys]:
                 t = trellis_tables(batch, key, p)
                 n_windowed += t.window is not None
-                got = t.terminal_vec()
+                got = t.flows(t.terminal_vec())
                 for b, y in enumerate(batch):
                     d_max = int(t.flow_d_max[b])
                     lo, hi = t.band[b]
@@ -389,7 +389,7 @@ def test_terminal_vec_is_the_dense_closure(rng):
                     dense = DenseSteps(y, key, p, d_max).terminal_vec()
                     want = dense[:, t.drifts[inside] + d_max]
                     for vecs, _ in (t.fw, t.bw):
-                        assert not np.any(vecs[:, b][..., ~inside])
+                        assert not np.any(t.flows(vecs)[:, b][..., ~inside])
                     assert np.array_equal(got[b][:, inside] == 0.0, want == 0.0)
                     nz = want != 0.0
                     assert np.all(np.abs(got[b][:, inside][nz] - want[nz]) <= 1e-15 * want[nz])
@@ -407,7 +407,7 @@ def test_band_top_closes_without_deletions(rng):
     ys += [np.concatenate([ys[0], np.zeros(2, dtype=np.uint8)]), ys[1][:-1]]
     for batch in [[y] for y in ys] + [ys]:
         t = Trellis(batch, key, p)
-        closing = t.terminal_vec()
+        closing = t.flows(t.terminal_vec())
         for b in range(len(batch)):
             assert closing[b][:, t.drifts == t.band[b, 1]].any()
 
@@ -562,6 +562,14 @@ def test_block_posterior_matches_scalar_reference(rng):
     assert n_inf >= 100 and n_finite >= 400
 
 
+def _random_states(t, rng, lead):
+    """States of leading shape lead with random vectors on every flow's
+    columns and zero pads and operand rows."""
+    states = t.new_state(lead)
+    t.flows(states)[...] = rng.random((*lead, len(t.ys), 2, t.D))
+    return states
+
+
 def test_step_batch_equals_single_rows(rng):
     # a stacked batch with per-row step indices and weight matrices is B
     # single-row steps bit for bit, and the window tables are the dense
@@ -583,21 +591,21 @@ def test_step_batch_equals_single_rows(rng):
         dense = DenseSteps(y, key, p, d_max)
         cols = t.drifts + d_max
         for b in (0, 1):
-            assert np.array_equal(t.emission[: n_code - 1, 0, b],
+            assert np.array_equal(t.emission[: n_code - 1, b, 0, t.pad :],
                                   (1.0 - p.p_delete) * dense.e_match[b][:, cols])
         for l in range(p.max_insert_run + 1):
             if l < t.n_ins:
-                assert np.array_equal(t.ins_weight[: n_code - 1, 0, l],
+                assert np.array_equal(t.ins_weight[: n_code - 1, l, 0],
                                       dense.init_coef[l] * dense.zero_w[l][:, cols])
             else:
                 assert dense.coef[l] == 0.0
         if n_code < 2:
             continue
         B = 7
-        prev = rng.random((B, 1, 2, t.D))
+        prev = _random_states(t, rng, (B,))
         i = rng.integers(2, n_code + 1, B)
         q = t.code_weights(i, rng.random((B, 2)))
-        assert q.shape == (B, 2, 3)
+        assert q.shape == (B, 2, 4)
         for advance in (t.step, t.step_back):
             batch = advance(prev, i, q)
             for b in range(B):
@@ -605,7 +613,7 @@ def test_step_batch_equals_single_rows(rng):
         # block layout: one step index per block, one weight matrix per
         # hypothesis
         q2 = t.code_weights(i[:, None], rng.random((B, 2, 2)))
-        assert q2.shape == (B, 2, 2, 3)
+        assert q2.shape == (B, 2, 2, 4)
         batch = t.step(prev[:, None], i[:, None], q2)
         for b in range(B):
             for h in (0, 1):
@@ -614,8 +622,9 @@ def test_step_batch_equals_single_rows(rng):
 
 def test_step_back_is_the_adjoint_of_step(rng):
     # the backward kernel is the transpose of the forward one: for any u
-    # and v, sum(step(u) * v) == sum(u * step_back(v)), for single flows,
-    # B flows and the block layout's leading (block, hypothesis) axes
+    # and v, sum(step(u) * v) == sum(u * step_back(v)) over the flows'
+    # columns, for single flows, B flows and the block layout's leading
+    # (block, hypothesis) axes
     n_code, B = 24, 3
     for p_d, p_i in itertools.product((0.0, 0.2), (0.0, 0.2)):
         p = IdsParams(p_sub=0.1, p_delete=p_d, p_insert=p_i, max_insert_run=2)
@@ -630,10 +639,10 @@ def test_step_back_is_the_adjoint_of_step(rng):
             ((5, 2), i[:, None], rng.random((5, 2, 2))),
         ):
             q = t.code_weights(i_lead, same_flip)
-            u = rng.random((*lead, B, 2, t.D))
-            v = rng.random((*lead, B, 2, t.D))
-            lhs = float(np.sum(t.step(u, i_lead, q) * v))
-            rhs = float(np.sum(u * t.step_back(v, i_lead, q)))
+            u = _random_states(t, rng, lead)
+            v = _random_states(t, rng, lead)
+            lhs = float(np.sum(t.flows(t.step(u, i_lead, q)) * t.flows(v)))
+            rhs = float(np.sum(t.flows(u) * t.flows(t.step_back(v, i_lead, q))))
             assert lhs > 0.0
             assert abs(lhs - rhs) <= 1e-12 * lhs
 
@@ -642,8 +651,8 @@ def test_step_into_out_is_the_allocating_step(rng):
     # a step written into out= equals the allocating call bit for bit,
     # for one flow, B flows and the block layout's leading (block,
     # hypothesis) axes, with and without insertion runs; out starts as
-    # NaN, so the step writes every entry, and the operand buffers of
-    # every shape and direction, already used, stay reusable
+    # NaN between its outer pads, so the step writes every entry there,
+    # and states already stepped from stay reusable
     n_code, B = 30, 3
     for p_i in (0.0, 0.2):
         p = IdsParams(p_sub=0.1, p_delete=0.1, p_insert=p_i, max_insert_run=3)
@@ -660,13 +669,14 @@ def test_step_into_out_is_the_allocating_step(rng):
                     ((5, 2), i[:, None], rng.random((5, 2, 2))),
                 ):
                     q = t.code_weights(i_lead, same_flip)
-                    u = rng.random((*lead, len(flows), 2, t.D))
+                    u = _random_states(t, rng, lead)
                     # the block layout steps one state forward under both
                     # hypotheses
                     prev = u[:, :1] if len(lead) == 2 else u
                     for advance, x in ((t.step, prev), (t.step_back, u)):
                         want = advance(x, i_lead, q)
-                        out = np.full_like(want, np.nan)
+                        out = np.zeros_like(want)
+                        out[..., :2, t.pad : t.width - t.pad] = np.nan
                         assert advance(x, i_lead, q, out=out) is out
                         assert np.array_equal(out, want)
                         assert np.array_equal(advance(x, i_lead, q), want)
@@ -675,11 +685,9 @@ def test_step_into_out_is_the_allocating_step(rng):
 def test_tables_back_to_back_keep_no_state(rng):
     # trellis_tables of different (B, D, n_ins), each followed by its
     # block posteriors' batched step, run back to back and then again:
-    # every run reproduces its first one bit for bit, and the operand
-    # cache holds the sweeps' entries alone, one per direction.  Their
-    # zero columns stay 0: the forward drop rows' top column and the
-    # padding around both directions' run rows; and the shifted views
-    # that read those rows are read-only
+    # every run reproduces its first one bit for bit.  The kept states'
+    # pads stay 0, and
+    # the shifted views that read the run rows are read-only
     n_code = 40
     cases = []
     for B, p_i, d_max in ((1, 0.0, 4), (4, 0.2, 6), (2, 0.0, 9)):
@@ -691,17 +699,15 @@ def test_tables_back_to_back_keep_no_state(rng):
         t = trellis_tables(ys, key, p, d_max, spread=5)
         lp = block_posterior(t)
         assert np.all(np.isfinite(t.log_evidence))
-        lead = (len(ys),)
-        assert set(t._buffers) == {(lead, False), (lead, True)}
-        # forward (prod, rows, z, ...), backward (r, ...), then both
-        # (row, dropped, shifted, runs)
-        forward, backward = t._buffers[lead, False][2:], t._buffers[lead, True]
-        assert not np.any(forward[0][..., 1:, -1])
-        for (mix, _, _, shifted, _), pad in ((forward, slice(t.n_ins - 1)),
-                                             (backward, slice(t.D, None))):
-            assert not np.any(mix.base[..., pad])
-            with pytest.raises(ValueError):
-                shifted[..., 0, 0] = 1.0
+        pads = np.ones((2, t.width), dtype=bool)
+        t.flows(pads)[...] = False
+        for vecs, backward in ((t.fw[0], False), (t.bw[0], True)):
+            assert vecs.shape[1:] == (2, t.width) and not np.any(vecs[:, pads])
+            if t.n_ins > 1:
+                views = t._views(t.new_state(), backward)
+                shifted = views[-1] if backward else views[-1][1]
+                with pytest.raises(ValueError):
+                    shifted[..., 0, 0, 0] = 1.0
         runs.append((t, lp))
     assert len({(t.D, t.n_ins, len(t.ys)) for t, _ in runs}) == len(cases)
     for (a, lp_a), (b, lp_b) in zip(runs, runs[len(cases):]):
@@ -709,6 +715,33 @@ def test_tables_back_to_back_keep_no_state(rng):
             assert np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
         assert np.array_equal(a.log_evidence, b.log_evidence)
         assert np.array_equal(lp_a, lp_b)
+
+
+def test_sweep_states_are_zero_off_the_bands(rng):
+    # every state the sweeps keep holds exact zeros in its pads and in
+    # each flow's columns outside its band, and mass inside: three flows
+    # with different bands (cut short by 5 and by 2, and as sampled),
+    # with and without insertion runs, keeping every state and every
+    # tenth
+    n_code = 60
+    for p_i, n_ins in ((0.0, 1), (0.1, 9)):
+        p = IdsParams(p_sub=0.05, p_delete=0.1, p_insert=p_i, max_insert_run=8)
+        key = rng.integers(0, 2, n_code, dtype=np.uint8)
+        ys = [sample_ids_channel(key, p, rng) for _ in range(3)]
+        ys[0] = ys[0][:-5]
+        ys[1] = ys[1][:-2]
+        for spread in (1, 10):
+            t = trellis_tables(ys, key, p, d_max=3, spread=spread)
+            assert t.n_ins == n_ins and len({tuple(b) for b in t.band}) == 3
+            # a state's columns: pads, then each flow's drifts lo .. hi
+            band = np.zeros((2, t.width), dtype=bool)
+            t.flows(band)[...] = ((t.drifts >= t.band[:, :1])
+                                  & (t.drifts <= t.band[:, 1:]))[:, None, :]
+            assert band.sum() < 2 * len(ys) * t.D
+            for vecs, _ in (t.fw, t.bw):
+                assert vecs.shape == (n_code // spread, 2, t.width)
+                assert not np.any(vecs[:, ~band])
+                assert np.all(t.flows(vecs).sum(axis=(-2, -1)) > 0.0)
 
 
 def test_block_posterior_slices_change_no_value(rng, monkeypatch):
@@ -751,10 +784,11 @@ def test_block_posterior_transient_is_bounded(rng):
 
 def test_step_tables_are_the_window_tables(rng):
     # every step reads one emission table, the bit weights times the
-    # delivery weight, at every n_ins; with insertion runs the forward
-    # step then reads the run weights by landing column, ins_weight's row
-    # l shifted l columns: exactly, at every position, with the band
-    # window in use and without
+    # delivery weight, at every n_ins, over the flows' columns and the
+    # pad of w columns before them; with insertion runs the forward step
+    # then reads the run weights by landing column, ins_weight's row l
+    # shifted l columns: exactly, at every position, with the band window
+    # in use and without
     n_code = 50
     for p_i in (0.0, 0.1):
         p = IdsParams(p_sub=0.05, p_delete=0.1, p_insert=p_i, max_insert_run=4)
@@ -764,24 +798,26 @@ def test_step_tables_are_the_window_tables(rng):
         for flows, windowed in ((ys[:1], False), (ys, True)):
             t = Trellis(flows, key, p, d_max=3)
             assert (t.window is not None) == windowed
-            assert t.emission.shape == (n_code, len(flows), 2, t.D)
-            assert t.ins_weight.shape == (n_code, len(flows), t.n_ins, t.D)
-            # window k reads the bit at position k + drift
-            pos = np.arange(n_code)[:, None] + t.drifts
+            assert t.pad == max(t.n_ins - 1, 1)
+            assert t.emission.shape == (n_code, 2, len(flows), t.pad + t.D)
+            assert t.ins_weight.shape == (n_code, t.n_ins, len(flows), t.D)
+            # window k reads the bit at position k + drift, from drift
+            # lo - w on
+            pos = np.arange(n_code)[:, None] + np.arange(t.lo - t.pad, t.hi + 1)
             for b, y in enumerate(flows):
                 inside = (pos >= 0) & (pos < y.size)
                 obs = y[np.clip(pos, 0, y.size - 1)]
                 for a in (0, 1):
                     bit = np.where(inside, np.where(obs == a, 1.0 - p.p_sub, p.p_sub), 0.0)
-                    assert np.array_equal(t.emission[:, b, a], bit * (1.0 - p.p_delete))
+                    assert np.array_equal(t.emission[:, a, b], bit * (1.0 - p.p_delete))
             if t.n_ins == 1:
                 assert t.ins_landing is None
                 assert np.all(t.ins_weight == 1.0)
                 continue
             for j in range(n_code):
                 for l in range(t.n_ins):
-                    assert np.array_equal(t.ins_landing[j][:, l, l:],
-                                          t.ins_weight[j][:, l, : t.D - l])
+                    assert np.array_equal(t.ins_landing[j][l, :, l:],
+                                          t.ins_weight[j][l, :, : t.D - l])
 
 
 # ----------------------------------------------------------------- band

@@ -127,6 +127,25 @@ def test_rtt_file_roundtrip(tmp_path, rng):
         read_values(path, "an RTT")
 
 
+def test_read_values_names_a_line_that_is_not_utf8(tmp_path):
+    # a byte that does not decode is a bad value of its own line, after
+    # any bad line before it, and before any after it, blocks apart
+    path = tmp_path / "rtt.txt"
+    path.write_bytes(b"0.050\n# note\n0.\xe9\n0.060\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: not an RTT: "
+                                         + re.escape(repr(b"0.\xe9")) + "$"):
+        read_values(path, "an RTT")
+    lines = [b"0.1"] * 20_000
+    lines[5], lines[19_000] = b"oops", b"\xff"
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ValueError, match=r": line 6: not an RTT: 'oops'$"):
+        read_values(path, "an RTT")
+    lines[5] = b"0.2"
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ValueError, match=r": line 19001: not an RTT: b'\\xff'$"):
+        read_values(path, "an RTT")
+
+
 def _read_outcome(reader, path):
     """The values a reader returns, as float64 bytes, or its error message."""
     try:
