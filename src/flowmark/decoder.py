@@ -14,7 +14,9 @@ then a burst of inserted zeros; every observed bit may be substituted).
 Forward and backward sweeps over this chain, under the code's own law for
 the sparse bits, give the evidence and, joined across one watermark
 block's first step with its bit fixed to a hypothesis, the exact per-bit
-likelihoods for maximum-likelihood decoding.  Received sequences decoded
+likelihoods for maximum-likelihood decoding; the backward sweep runs
+first, and the forward sweep closes each block's first step against it
+as it passes.  Received sequences decoded
 under one key and one channel law sweep together, flow-major along the
 columns of every state array: each flow's drift columns follow a pad of
 zero columns, so one step reaches every flow through one 2-D matmul
@@ -25,12 +27,16 @@ scales carried separately; code lengths in the hundreds underflow
 otherwise.  A sweep renormalizes only the states it keeps, every spread-th,
 and at least every R states, where R is the most steps that even the
 rarest path can take from one renormalization before its mass could fall
-below 1e-290 of what it held there (Trellis.renorm_every).
+below 1e-290 of what it held there (Trellis.renorm_every).  The sweeps
+zero each flow's columns outside its band at every state with insertion
+runs, and without them only at the states they renormalize.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,27 +118,40 @@ def default_drift_window(n_code: int, params: IdsParams) -> int:
     return max(1, int(math.ceil(spread + params.max_insert_run)))
 
 
+def _close(a, b, out=None) -> np.ndarray:
+    """The sum over each flow's drift columns and accumulated bits of the
+    product of two flows views (..., B, 2, D): (..., B)."""
+    return np.einsum("...bad,...bad->...b", a, b, out=out)
+
+
 class Trellis:
     """Vectorized trellis sweeps for B received sequences that share one
     key and one channel law, swept in lockstep.
 
     A state is an array of shape (..., 6, W), flow-major: rows 0-1 hold
     the vector over the accumulated bit, and along them a front pad of w
-    = max(n_ins - 1, 1) zero columns, then each flow's D columns, for the
-    drifts lo .. hi, the union of the flows' bands, each followed by w
-    zero columns, so W = w + B·(D + w); flows(state) views flow b's rows
-    over its D columns.  Rows 2-5 are the step kernels' operand rows and
-    hold no part of the vector; further leading axes are a batch of
-    independent chains.  A flow's band is the part of its cap [-d_max,
-    d_max] that its chain can both reach and close from.  The sweeps zero
-    each flow's columns outside its band and every pad at every state, so
-    each flow's evidence and posteriors are those of a trellis over its
-    own cap, up to rounding.  Linear-domain vectors are renormalized at
-    the states the sweeps keep and at least every renorm_every states,
-    and the log scale is carried separately.  trellis_tables() fills fw
-    and bw, the (vector rows, log scales) of the states that end and
-    start a block of spread code bits, and log_evidence, log P(y) per
-    flow.
+    zero columns, then each flow's D columns, for the drifts lo .. hi,
+    the union of the flows' bands, each followed by w zero columns, so W
+    = w + B·(D + w); flows(state) views flow b's rows over its D columns.
+    Rows 2-5 are the step kernels' operand rows and hold no part of the
+    vector; further leading axes are a batch of independent chains.  A
+    flow's band is the part of its cap [-d_max, d_max] that its chain can
+    both reach and close from.  The sweeps zero each flow's columns
+    outside its band and every pad, so each flow's evidence and
+    posteriors are those of a trellis over its own cap, up to rounding.
+    With insertion runs w = n_ins - 1 and they do so at every state.
+    Without them (n_ins == 1) the drift only falls forward and only rises
+    backward, so mass that leaves a flow's band, which lies within
+    [n_obs - n_code, 0], never returns to it; then w = spread and the sweeps
+    mask only the states they renormalize, at least every spread-th, so
+    such mass moves at most w columns, within the flow's own columns and
+    its pad, before it is zeroed.  Linear-domain vectors are
+    renormalized at the states the sweeps keep and at least every
+    renorm_every states, and the log scale is carried separately.
+    trellis_tables() fills fw and bw, the (vector rows, log scales) of
+    the states that end and start a block of spread code bits,
+    block_joint, the closed first steps block_posterior reads, and
+    log_evidence, log P(y) per flow.
 
     The law enters through three factors, each stated once.  p_delete
     sits in the two drop columns of a step's (2, 4) weight matrix q (see
@@ -151,9 +170,10 @@ class Trellis:
     whole row by one column, a view, and a step is one 2-D matmul over
     all flows (see step and step_back), beside one multiply by the
     emission table, which writes no operand it reads.  A sweep makes its
-    two state buffers and their kernel views (_views) once and alternates
-    them, so it makes no new array per state beyond numpy's transients
-    and, with insertion runs, the run pass's product.
+    two state buffers and one step kernel (_kernel) from each into the
+    other once and alternates them, each step passing the kernel only
+    its tables, so it makes no new array per state beyond numpy's
+    transients and, with insertion runs, the run pass's product.
     """
 
     def __init__(self, ys, key, params: IdsParams, d_max: int | None = None,
@@ -185,6 +205,8 @@ class Trellis:
         # close, its own cap closes too
         if d_max is None:
             d_max = default_drift_window(self.n_code, params)
+        elif isinstance(d_max, bool) or not isinstance(d_max, numbers.Integral):
+            raise ValueError(f"d_max must be a whole number, not {d_max!r}")
         if d_max < 1:
             raise ValueError("d_max must be at least 1")
         self.flow_d_max = np.maximum(int(d_max), np.abs(self.n_obs - self.n_code) + 2)
@@ -238,10 +260,12 @@ class Trellis:
         self.hi = max(int(self.band[:, 1].max()), 0)
         self.D = self.hi - self.lo + 1
         self.drifts = np.arange(self.lo, self.hi + 1)
-        # the state layout: w pad columns, wide enough for a run of n_ins -
-        # 1 inserted zeros and for a drop, before each flow and after the
-        # last
-        self.pad = max(self.n_ins - 1, 1)
+        # the state layout: w pad columns before each flow and after the
+        # last, wide enough for a run of n_ins - 1 inserted zeros and for
+        # a drop; without insertion runs spread columns, for the mass
+        # that leaves a band between two masked states (see the class
+        # docstring)
+        self.pad = self.n_ins - 1 if self.n_ins > 1 else spread
         self.width = self.pad + n_flows * (self.D + self.pad)
         # window: 1 on each flow's own band, 0 on the other columns and the
         # pads; None for a single flow whose band spans every column, whose
@@ -313,7 +337,7 @@ class Trellis:
     def joint(self, a, b) -> np.ndarray:
         """The sum over each flow's columns of the product of the vectors
         of a and b, states or vector rows: (..., B)."""
-        return np.einsum("...bad,...bad->...b", self.flows(a), self.flows(b))
+        return _close(self.flows(a), self.flows(b))
 
     def code_weights(self, i, same_flip) -> np.ndarray:
         """The step weight matrix q at position i, shape (..., 2, 4), from
@@ -332,11 +356,15 @@ class Trellis:
         drop = self.del_coef * np.stack([wx, wx[..., ::-1]], axis=-2)
         return np.concatenate([drop, wx[..., None], wx[..., None]], axis=-1)
 
-    @staticmethod
-    def _transposed(q) -> np.ndarray:
-        """The backward step's weight matrix for q (..., 2, 4), shape (...,
-        4, 2): q's delivery columns, then its drop columns, as rows."""
-        return np.swapaxes(q[..., [2, 3, 0, 1]], -1, -2)
+    def _weights(self, q, backward: bool) -> np.ndarray:
+        """The weight matrix q (..., 2, 4) in the form the kernel in one
+        direction takes: forward q, less its second delivery column with
+        insertion runs, (..., 2, 3), whose run pass sums both accumulated
+        bits' delivered mass into one operand row; backward its transpose
+        with the delivery columns first, (..., 4, 2)."""
+        if backward:
+            return np.swapaxes(q[..., [2, 3, 0, 1]], -1, -2)
+        return q[..., :3] if self.n_ins > 1 else q
 
     def new_state(self, lead: tuple = ()) -> np.ndarray:
         """A zero state of leading shape lead, (*lead, 6, W)."""
@@ -406,33 +434,50 @@ class Trellis:
             runs = ((state[..., 3, :], state[..., 2, :]), shifted, prod[..., 0, :, w:])
         return vec, prod, state[..., : 4 if n == 1 else 3, w + 1 : end + 1], span, runs
 
-    def _forward(self, src: tuple, span, k, q):
-        """The forward kernel: the state of views src advanced through
-        the tables of step index k under weight matrix q, into the span
-        of another state."""
-        vec, prod, mix, _, runs = src
-        np.multiply(vec, self.emission[k], out=prod)
-        if runs is not None:
-            # a run of l inserted zeros moves the drift up by l: row l of
-            # the shifted view is delivered, l columns to the right
-            rows, shifted, landed = runs
-            np.add(*rows, out=rows[0])
-            np.add.reduce(shifted * self.ins_landing[k], axis=-3, out=landed)
-            q = q[..., :3]
-        np.matmul(q, mix, out=span)
+    def _kernel(self, src: tuple, dst: tuple, backward: bool):
+        """The step kernel from the state of views src into the state of
+        views dst, both _views in one direction: a function of one step's
+        tables (emission window, run window, weight matrix), as _tables
+        gives them, that writes dst's vector rows and the operand rows it
+        reads.  Forward, it multiplies src's vector by the emission window
+        into src's operand rows and, with insertion runs, passes the runs
+        over them; the new vector is the matmul of q with those rows.
+        Backward, its transpose: the landed mass and the dropped, the
+        transposed q @ src's vector, fill dst's operand rows, and dst's
+        vector takes the landed mass times the emission window plus the
+        dropped mass one drift down."""
+        if backward:
+            rows, (vec, _, mix, landed, drops, span, shifted) = src[1], dst
+            runs_out = None if shifted is None else landed[..., 0, :, self.pad :]
 
-    def _backward(self, src, dst: tuple, k, qt):
-        """The backward kernel, the transpose of _forward: the vector rows
-        src of a state, from its front pad's last column on, pulled back
-        through the tables of step index k under qt = _transposed(q) into
-        the state of views dst."""
-        vec, _, mix, landed, drops, span, shifted = dst
-        np.matmul(qt, src, out=mix)
-        if shifted is not None:
-            # row l of the shifted view is landed, l columns to the left
-            np.add.reduce(self.ins_weight[k] * shifted, axis=-3, out=landed[..., 0, :, self.pad :])
-        np.multiply(landed, self.emission[k], out=vec)
-        np.add(span, drops, out=span)
+            def kernel(emission, weight, qt):
+                np.matmul(qt, rows, out=mix)
+                if shifted is not None:
+                    # row l of the shifted view is landed, l columns to the left
+                    np.add.reduce(weight * shifted, axis=-3, out=runs_out)
+                np.multiply(landed, emission, out=vec)
+                np.add(span, drops, out=span)
+            return kernel
+        (vec, prod, mix, _, runs), span = src, dst[3]
+        (total, other), shifted, landed = runs or ((None, None), None, None)
+
+        def kernel(emission, landing, q):
+            np.multiply(vec, emission, out=prod)
+            if shifted is not None:
+                # a run of l inserted zeros moves the drift up by l: row l
+                # of the shifted view is delivered, l columns to the right
+                np.add(total, other, out=total)
+                np.add.reduce(shifted * landing, axis=-3, out=landed)
+            np.matmul(q, mix, out=span)
+        return kernel
+
+    def _tables(self, k, q, backward: bool) -> tuple:
+        """The tables of step index k (an index, an index array or a
+        slice) in the form the kernel in one direction takes: the
+        emission window, the run window (None without insertion runs) and
+        _weights(q)."""
+        runs = None if self.n_ins == 1 else (self.ins_weight if backward else self.ins_landing)[k]
+        return self.emission[k], runs, self._weights(q, backward)
 
     def _out(self, state, q) -> np.ndarray:
         return self.new_state(np.broadcast_shapes(state.shape[:-2], q.shape[:-2]))
@@ -446,24 +491,22 @@ class Trellis:
         vector one drift up, for a drop, and the delivered mass, summed
         over insertion runs, are the operand rows z, and the new vector
         is q @ z, one 2-D matmul over every flow's columns and the pads
-        between them, written to the vector rows of out, a state or its
-        vector rows (..., 2, W) but not prev, or of a new state.  The step
-        writes prev's operand rows and leaves out's outer pads as they
-        are and the pads between flows to the band mask."""
+        between them, written to the vector rows of out, a state other
+        than prev, or of a new state.  The step writes prev's operand
+        rows and leaves out's outer pads as they are and the pads between
+        flows to the band mask."""
         out = self._out(prev, q) if out is None else out
-        self._forward(self._views(prev, False), out[..., :2, self.pad : self.width - self.pad],
-                      np.asarray(i) - 2, q)
+        kernel = self._kernel(self._views(prev, False), self._views(out, False), False)
+        kernel(*self._tables(np.asarray(i) - 2, q, False))
         return out
 
     def step_back(self, nxt: np.ndarray, i, q, out=None) -> np.ndarray:
         """Pull the backward vector across the transition into state i;
-        shapes and out as in step().  The transpose of step: the landed
-        mass and the dropped, _transposed(q) @ nxt, fill out's operand
-        rows, and its vector rows take the landed mass times the emission
-        table plus the dropped mass one drift down."""
+        shapes and out as in step(), of which it is the transpose (see
+        _kernel)."""
         out = self._out(nxt, q) if out is None else out
-        self._backward(self._views(nxt, True)[1], self._views(out, True), np.asarray(i) - 2,
-                       self._transposed(q))
+        kernel = self._kernel(self._views(nxt, True), self._views(out, True), True)
+        kernel(*self._tables(np.asarray(i) - 2, q, True))
         return out
 
     def terminal_vec(self) -> np.ndarray:
@@ -484,40 +527,69 @@ class Trellis:
         self.flows(state)[...] = np.where(ls == -1, self.del_coef, vec).swapaxes(0, 1)
         return state
 
-    def _sweep(self, vec, backward: bool):
+    def _sweep(self, vec, backward: bool, closing=None):
         """Advance-and-renormalize over the n_code states in sweep order,
         forward from state 1 or backward from state N: vec is the
         unnormalized state of sweep state 0, and each later one is stepped
-        from the one before; two state buffers, vec and one more, take
-        turns.  Each state is masked to the flows' bands, which zeroes its
-        pads.  A state is renormalized when it is kept, every spread-th,
-        or when renorm_every states have passed since the last
-        renormalization; the log scales sum the renormalizations made.
-        Returns the normalized vector rows (n_code // spread, 2, W) and
-        log scales of the kept states, the spread-th first, in sweep
-        order.  Flows past
-        a zero-mass step keep zeros and -inf."""
+        from the one before.  Two state buffers, vec and one more, take
+        turns, each the target of one kernel (_kernel) bound to both once.
+        A state is renormalized when it is kept, every spread-th, or when
+        renorm_every states have passed since the last renormalization;
+        the log scales sum the renormalizations made.  The band mask
+        zeroes each flow's columns outside its band and the pads at every
+        state with insertion runs, and at the renormalized states without
+        (see Trellis).  Returns the normalized vector rows (n_code //
+        spread, 2, W) and log scales of the kept states, the spread-th
+        first, in sweep order, and the blocks' joint, below.  Flows past
+        a zero-mass step keep zeros and -inf.
+
+        Given closing, the backward vector rows of the states that start
+        a block, (n_blocks, 2, W) in state order, a forward sweep closes
+        each block's first step under both hypotheses of its watermark
+        bit against them as it passes: the hypotheses' weight matrices
+        meet the operand rows that the sweep's own step has just built
+        from the kept state before the block.  Block 0's first step is the
+        head's.  The joint, (n_blocks, 2, B), is else None."""
         n, spread, every, window = self.n_code, self.spread, self.renorm_every, self.window
+        mask_all = self.n_ins > 1
         kept = np.zeros((n // spread, 2, self.width))
         scales = np.empty((n, len(self.ys)))
         states = (vec, np.zeros_like(vec))
         views = [self._views(s, backward) for s in states]
+        # kernels[now] steps the other buffer into states[now]
+        kernels = [self._kernel(views[1 - now], views[now], backward) for now in (0, 1)]
+        emission, runs, weights = self._tables(slice(0, n - 1), self.prior[1:], backward)
+        steps = list(zip(emission, itertools.repeat(None) if runs is None else runs, weights))
+        if backward:
+            steps.reverse()
         rows = [s[:2] for s in states]
         flows = [self.flows(s) for s in states]
-        weights = self._transposed(self.prior) if backward else self.prior
+        joint = None
+        if closing is not None:
+            # hyp[j, h] = (same, flip) weights of block j's first step with
+            # its watermark bit fixed to h
+            hyp = self._weights(self.code_weights(np.arange(len(closing))[:, None] * spread + 1,
+                                                  np.eye(2)), False)
+            joint = np.empty((len(closing), 2, len(self.ys)))
+            joint[0] = self.joint(self.init_vec(hyp[0]), closing[0])
+            first = np.zeros((2, 2, self.width))
+            first_span, pair = first[..., self.pad : self.width - self.pad], self.flows(first)
+            back = self.flows(closing)
         at_kept = []
         made, last = 0, -1
         with np.errstate(divide="ignore"):
             for k in range(n):
                 now = k & 1
-                if backward and k:
-                    self._backward(views[1 - now][1], views[now], n - 1 - k, weights[n - k])
-                elif k:
-                    self._forward(views[1 - now], views[now][3], k - 1, weights[k])
-                if window is not None:
-                    np.multiply(rows[now], window, out=rows[now])
+                if k:
+                    kernels[now](*steps[k - 1])
+                    if joint is not None and k % spread == 0:
+                        np.matmul(hyp[k // spread], views[1 - now][2], out=first_span)
+                        _close(pair, back[k // spread], out=joint[k // spread])
                 keep = (k + 1) % spread == 0
-                if keep or k - last == every:
+                renorm = keep or k - last == every
+                if window is not None and (renorm or mask_all):
+                    np.multiply(rows[now], window, out=rows[now])
+                if renorm:
                     scale = np.add.reduce(flows[now], axis=(-2, -1), out=scales[made])[:, None, None]
                     # a flow without mass keeps its zeros
                     np.divide(flows[now], scale, out=flows[now], where=scale > 0.0)
@@ -526,7 +598,7 @@ class Trellis:
                         kept[k // spread] = rows[now]
                         at_kept.append(made - 1)
             logw = np.cumsum(np.log(scales[:made]), axis=0)[at_kept]
-        return kept, logw
+        return kept, logw, joint
 
 
 def trellis_tables(ys, key, params: IdsParams, d_max: int | None = None,
@@ -534,30 +606,26 @@ def trellis_tables(ys, key, params: IdsParams, d_max: int | None = None,
     """Forward and backward sweeps over one engine for the received
     sequences ys, under the code's own law for watermark blocks of
     `spread` bits, or under the sparse pattern wtilde when given.  The
-    forward sweep keeps the states that end a block, spread, 2·spread,
-    ..., N; the backward sweep, from the closing step terminal_vec, those
-    that start one, 1, spread + 1, ...; block_posterior reads both.  Each
-    flow's drift cap is max(d_max, |n_obs - n_code| + 2), d_max by
-    default default_drift_window.  log_evidence, log P(y) per flow with
-    uniform watermark bits, is exact via the carried normalizers."""
+    backward sweep, from the closing step terminal_vec, keeps the states
+    that start a block, 1, spread + 1, ...; the forward sweep, run after
+    it, those that end one, spread, 2·spread, ..., N, and closes each
+    block's first step under both hypotheses of its watermark bit
+    against the backward state there, for block_posterior.  Each flow's
+    drift cap is max(d_max, |n_obs - n_code| + 2), d_max by default
+    default_drift_window.  log_evidence, log P(y) per flow with uniform
+    watermark bits, is exact via the carried normalizers."""
     t = Trellis(ys, key, params, d_max, spread, wtilde)
     terminal = t.terminal_vec()
-    t.fw = t._sweep(t.init_vec(t.prior[0]), backward=False)
     # the backward sweep keeps states n - spread + 1, ..., 1; reversed
     # into state order
-    bvecs, blogw = t._sweep(terminal.copy(), backward=True)
+    bvecs, blogw, _ = t._sweep(terminal.copy(), backward=True)
     t.bw = bvecs[::-1], blogw[::-1]
-    closing = t.joint(t.fw[0][-1], terminal)
+    fvecs, flogw, t.block_joint = t._sweep(t.init_vec(t.prior[0]), False, t.bw[0])
+    t.fw = fvecs, flogw
+    closing = t.joint(fvecs[-1], terminal)
     with np.errstate(divide="ignore"):
-        t.log_evidence = t.fw[1][-1] + np.log(closing)
+        t.log_evidence = flogw[-1] + np.log(closing)
     return t
-
-
-# block_posterior's first steps take their blocks in slices of at most
-# this many bytes, counted as (n_ins + 6) / 3 states per block: the step's
-# input and both hypotheses' vector rows, and the run product and the
-# gathered step tables, a third of a state per table row
-POSTERIOR_SLICE_BYTES = 4 << 20
 
 
 def block_posterior(trellis: Trellis) -> np.ndarray:
@@ -568,35 +636,17 @@ def block_posterior(trellis: Trellis) -> np.ndarray:
     The hypothesis enters only the block's first step, so each block is
     that one step under each hypothesis, from the forward state at the
     previous block's end (from the head for block 0), closed against the
-    backward state at the block's first state.  The blocks after the
-    first take batched steps over both hypotheses, as many blocks at a
-    time as POSTERIOR_SLICE_BYTES allows; the blocks are independent, so
-    the slicing changes no value.  That step is not masked to the bands:
-    its columns outside a flow's band meet the zeros of the swept
-    backward states, and the closing reads no pad.
+    backward state at the block's first state: trellis.block_joint,
+    which the forward sweep of trellis_tables closes as it passes each
+    block.  That step is not masked to the bands: its columns outside a
+    flow's band meet the zeros of the kept backward states, and the
+    closing reads no pad.  This adds the two states' log scales.
     """
     t = trellis
-    (fvecs, flogw), (bvecs, blogw) = t.fw, t.bw
-    n_blocks = len(bvecs)
-    # hyp[h] = (same, flip) of the block's watermark bit under h; a first
-    # step's axes are (block, hypothesis, ...)
-    hyp = np.eye(2)
-    closing = np.empty((n_blocks, 2, len(t.ys)))
-    size = max(1, 3 * POSTERIOR_SLICE_BYTES // (t.new_state().nbytes * (t.n_ins + 6)))
-    i = np.arange(n_blocks)[:, None] * t.spread + 1
-    q = t.code_weights(i, hyp)
-    closing[0] = t.joint(t.init_vec(q[0]), bvecs[0])
-    for lo in range(1, n_blocks, size):
-        hi = min(lo + size, n_blocks)
-        prev = t.new_state((hi - lo, 1))
-        prev[..., :2, :] = fvecs[lo - 1 : hi - 1, None]
-        # the closing reads only the first step's vector rows
-        first = t.step(prev, i[lo:hi], q[lo:hi], out=np.empty((hi - lo, 2, 2, t.width)))
-        closing[lo:hi] = t.joint(first, bvecs[lo:hi, None])
-    flog = np.zeros((n_blocks, 1, len(t.ys)))
-    flog[1:] = flogw[:-1, None]
+    flog = np.zeros((len(t.block_joint), 1, len(t.ys)))
+    flog[1:] = t.fw[1][:-1, None]
     with np.errstate(divide="ignore"):
-        out = flog + np.log(closing) + blogw[:, None]
+        out = flog + np.log(t.block_joint) + t.bw[1][:, None]
     return out.transpose(2, 0, 1)
 
 

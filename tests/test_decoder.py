@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from conftest import sample_ids_channel
-from flowmark import decoder
 from flowmark.channel import ChannelParams, transmit
 from flowmark.decoder import (
     IdsParams,
@@ -744,42 +743,88 @@ def test_sweep_states_are_zero_off_the_bands(rng):
                 assert np.all(t.flows(vecs).sum(axis=(-2, -1)) > 0.0)
 
 
-def test_block_posterior_slices_change_no_value(rng, monkeypatch):
-    # the blocks are independent, so stepping them one per slice, a few
-    # per slice or all at once gives the same likelihoods bit for bit
-    n_code, spread = 60, 5
-    for B, p_i in ((3, 0.2), (2, 0.0)):
+def test_block_posteriors_are_the_first_steps_closed(rng):
+    # the forward sweep closes each block's first step as it passes: bit
+    # for bit, the block's first step under each hypothesis taken by
+    # t.step from the kept forward state before it (by init_vec for block
+    # 0) and closed with t.joint against the kept backward state, for one
+    # to four flows, with and without insertion runs, one block per bit
+    # and blocks of five
+    n_code = 60
+    for p_i, spread, B in itertools.product((0.0, 0.2), (1, 5), (1, 2, 3, 4)):
         p = IdsParams(p_sub=0.05, p_delete=0.1, p_insert=p_i, max_insert_run=3)
         key = rng.integers(0, 2, n_code, dtype=np.uint8)
-        t = trellis_tables([sample_ids_channel(key, p, rng) for _ in range(B)], key, p,
-                           spread=spread)
-        per_block = t.bw[0][0].nbytes * t.n_ins
-        results = []
-        for budget in (1, 4 * per_block, 10 ** 12):
-            monkeypatch.setattr(decoder, "POSTERIOR_SLICE_BYTES", budget)
-            results.append(block_posterior(t))
-        assert all(r.tobytes() == results[0].tobytes() for r in results[1:])
-        assert np.all(np.isfinite(results[0]))
+        ys = [sample_ids_channel(key, p, rng) for _ in range(B)]
+        ys[0] = ys[0][:-3]
+        t = trellis_tables(ys, key, p, spread=spread)
+        (fvecs, flogw), (bvecs, blogw) = t.fw, t.bw
+        n_blocks = n_code // spread
+        q = t.code_weights(np.arange(n_blocks)[:, None] * spread + 1, np.eye(2))
+        want = np.empty((n_blocks, 2, B))
+        want[0] = t.joint(t.init_vec(q[0]), bvecs[0])
+        for j in range(1, n_blocks):
+            prev = t.new_state()
+            prev[:2] = fvecs[j - 1]
+            want[j] = t.joint(t.step(prev, j * spread + 1, q[j]), bvecs[j])
+        assert t.block_joint.tobytes() == want.tobytes()
+        flog = np.concatenate([np.zeros((1, B)), flogw[:-1]])
+        with np.errstate(divide="ignore"):
+            lp = flog[:, None] + np.log(want) + blogw[:, None]
+        assert block_posterior(t).tobytes() == lp.transpose(2, 0, 1).tobytes()
+        assert np.isfinite(lp).sum() >= lp.size // 2
 
 
 def test_block_posterior_transient_is_bounded(rng):
     # 32 streams under insertion runs (p_delete 0.1, p_insert 0.2, nine
-    # run lengths, 50 blocks): stepped all at once, the first steps' run
-    # buffer alone would take well over 16 MiB; in slices the whole call
-    # peaks at most at 16 MiB above what the trellis holds
+    # run lengths, 50 blocks): the blocks' run buffers held at once would
+    # take well over 16 MiB, but the sweeps and the block posteriors
+    # together peak at most 16 MiB above what the returned trellis holds
     p = IdsParams(p_sub=0.05, p_delete=0.1, p_insert=0.2)
     key = keystream(3, 500)
-    t = trellis_tables([sample_ids_channel(key, p, rng) for _ in range(32)], key, p, spread=10)
+    ys = [sample_ids_channel(key, p, rng) for _ in range(32)]
+    tracemalloc.start()
+    try:
+        t = trellis_tables(ys, key, p, spread=10)
+        block_posterior(t)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert t.n_ins == 9
     n_blocks = len(t.bw[0])
     assert (n_blocks - 1) * t.bw[0][0].nbytes * t.n_ins > 2 * 16 * 2 ** 20
-    tracemalloc.start()
-    try:
-        block_posterior(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 2 ** 20, f"block_posterior peaked at {peak / 2 ** 20:.1f} MiB"
+    assert held >= t.fw[0].nbytes + t.bw[0].nbytes
+    transient = peak - held
+    assert transient <= 16 * 2 ** 20, f"the decode peaked {transient / 2 ** 20:.1f} MiB above its tables"
+
+
+def test_mask_without_insertions_keeps_the_flows_apart():
+    # without insertion runs the sweeps mask the bands only at the states
+    # they renormalize, so mass that falls below a flow's band (forward)
+    # or rises above it (backward) runs on until then; the pads, spread
+    # columns wide, keep it off the next flow's columns.  The code cut
+    # short by 2, 15 and 30 bits gives bands whose lower edges lie more
+    # than spread apart; in every order the flows decode together as each
+    # does alone, and the kept states hold zeros off the bands
+    w = watermark_bits(8, 20)
+    cfg = WatermarkConfig(watermark=w, spread=10, delta=0.1, key_seed=21)
+    key = keystream(cfg.key_seed, cfg.code_len)
+    code = encode(w, cfg)
+    p = IdsParams(p_sub=0.05, p_delete=0.1)
+    ys = [code[:-cut] for cut in (2, 15, 30)]
+    alone = [decode(y, cfg, p, w) for y in ys]
+    for order in itertools.permutations(range(len(ys))):
+        flows = [ys[b] for b in order]
+        t = trellis_tables(flows, key, p, spread=cfg.spread)
+        assert t.n_ins == 1 and t.renorm_every >= cfg.spread
+        assert np.all(np.diff(np.sort(t.band[:, 0])) > cfg.spread)
+        band = np.zeros((2, t.width), dtype=bool)
+        t.flows(band)[...] = ((t.drifts >= t.band[:, :1])
+                              & (t.drifts <= t.band[:, 1:]))[:, None, :]
+        for vecs, _ in (t.fw, t.bw):
+            assert not np.any(vecs[:, ~band])
+        for b, rep in zip(order, decode_batch(flows, cfg, p, w)):
+            assert rep.status == "ok"
+            _assert_same_decode(rep, alone[b])
 
 
 def test_step_tables_are_the_window_tables(rng):
@@ -1163,6 +1208,12 @@ def test_binomial_score_threshold():
     pytest.param(lambda: decode_batch([[0, 1]], WatermarkConfig([1, 0], 1, 0.1, 1), IdsParams(),
                                       [1]),
                  "reference watermark length does not match config", id="reference"),
+    *(pytest.param(lambda d=d: decode_batch([[0, 1]], WatermarkConfig([1], 2, 0.1, 1),
+                                            IdsParams(), [1], d_max=d),
+                   f"d_max must be a whole number, not {d!r}", id=f"d_max-{d!r}")
+      for d in (2.9, 3.0, math.nan, math.inf, True, "3")),
+    pytest.param(lambda: Trellis([[0]], [1, 0], IdsParams(), d_max=np.float64(2.0)),
+                 "d_max must be a whole number, not", id="d_max-float64"),
     *(pytest.param(lambda t=t: decode_batch([[0, 1]], WatermarkConfig([1], 2, 0.1, 1),
                                             IdsParams(), [1], threshold=t),
                    f"threshold must lie in [0, 1], not {t}", id=f"threshold-{t}")
