@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from flowmark.idscode import whole_number
 from flowmark.traffic import PacketFlow, to_flow
 
 
@@ -63,6 +64,7 @@ class ChannelParams:
             raise ValueError("p_delete must lie in [0, 1]")
         if not 0.0 <= self.p_insert < 1.0:
             raise ValueError("p_insert must lie in [0, 1)")
+        whole_number("max_insert_run", self.max_insert_run)
         if self.max_insert_run < 1:
             raise ValueError("max_insert_run must be at least 1")
         if self.jitter not in ("laplace", "quantizer"):

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,7 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from flowmark.channel import ChannelParams, substitution_prob
-from flowmark.idscode import WatermarkConfig, as_bits, keystream
+from flowmark.idscode import WatermarkConfig, as_bits, keystream, whole_number
 
 
 @dataclass(frozen=True)
@@ -66,6 +65,7 @@ class IdsParams:
                 raise ValueError(f"{name} must lie in [0, 1)")
         if not 0.0 <= self.p_delete <= 1.0:
             raise ValueError("p_delete must lie in [0, 1]")
+        whole_number("max_insert_run", self.max_insert_run)
         if self.max_insert_run < 1:
             raise ValueError("max_insert_run must be at least 1")
 
@@ -128,17 +128,17 @@ class Trellis:
     """Vectorized trellis sweeps for B received sequences that share one
     key and one channel law, swept in lockstep.
 
-    A state is an array of shape (..., 6, W), flow-major: rows 0-1 hold
-    the vector over the accumulated bit, and along them a front pad of w
+    A state is an array of shape (6, W), flow-major: rows 0-1 hold the
+    vector over the accumulated bit, and along them a front pad of w
     zero columns, then each flow's D columns, for the drifts lo .. hi,
     the union of the flows' bands, each followed by w zero columns, so W
     = w + B·(D + w); flows(state) views flow b's rows over its D columns.
     Rows 2-5 are the step kernels' operand rows and hold no part of the
-    vector; further leading axes are a batch of independent chains.  A
-    flow's band is the part of its cap [-d_max, d_max] that its chain can
-    both reach and close from.  The sweeps zero each flow's columns
-    outside its band and every pad, so each flow's evidence and
-    posteriors are those of a trellis over its own cap, up to rounding.
+    vector.  A flow's band is the part of its cap [-d_max, d_max] that
+    its chain can both reach and close from.  The sweeps zero each
+    flow's columns outside its band and every pad, so each flow's
+    evidence and posteriors are those of a trellis over its own cap, up
+    to rounding.
     With insertion runs w = n_ins - 1 and they do so at every state.
     Without them (n_ins == 1) the drift only falls forward and only rises
     backward, so mass that leaves a flow's band, which lies within
@@ -168,11 +168,11 @@ class Trellis:
 
     Since the pads are zero, a shift of the drift by one is a shift of a
     whole row by one column, a view, and a step is one 2-D matmul over
-    all flows (see step and step_back), beside one multiply by the
+    all flows (see _forward and _backward), beside one multiply by the
     emission table, which writes no operand it reads.  A sweep makes its
-    two state buffers and one step kernel (_kernel) from each into the
-    other once and alternates them, each step passing the kernel only
-    its tables, so it makes no new array per state beyond numpy's
+    two state buffers and binds one step kernel from each into the other
+    once and alternates them, each step passing the kernel only its
+    tables, so it makes no new array per state beyond numpy's
     transients and, with insertion runs, the run pass's product.
     """
 
@@ -186,6 +186,7 @@ class Trellis:
         self.n_code = int(self.key.size)
         if self.n_code < 1:
             raise ValueError("key must contain at least one bit")
+        whole_number("spread", spread)
         if spread < 1 or self.n_code % spread:
             raise ValueError(f"spread {spread} does not divide the code length {self.n_code}")
         self.spread = spread
@@ -205,8 +206,7 @@ class Trellis:
         # close, its own cap closes too
         if d_max is None:
             d_max = default_drift_window(self.n_code, params)
-        elif isinstance(d_max, bool) or not isinstance(d_max, numbers.Integral):
-            raise ValueError(f"d_max must be a whole number, not {d_max!r}")
+        whole_number("d_max", d_max)
         if d_max < 1:
             raise ValueError("d_max must be at least 1")
         self.flow_d_max = np.maximum(int(d_max), np.abs(self.n_obs - self.n_code) + 2)
@@ -326,13 +326,18 @@ class Trellis:
         self.head = np.zeros((n_flows, 1, self.D))
         self.head[:, 0, ls - self.lo] = runs[ls, :, -self.lo].T
 
+    def _blocks(self, rows, start: int = 0) -> np.ndarray:
+        """rows (..., W) from column start on as (..., B, D + w) blocks,
+        each flow's D columns after the w pad columns before them, which
+        the emission table's windows match."""
+        flat = rows[..., start : start + self.width - self.pad]
+        return flat.reshape(*flat.shape[:-1], len(self.ys), self.D + self.pad)
+
     def flows(self, state) -> np.ndarray:
-        """The vector of a state (..., 6, W), or of its vector rows (...,
-        2, W), as a (..., B, 2, D) view: flow b's accumulated-bit rows
-        over its drift columns."""
-        w, end = self.pad, self.width - self.pad
-        rows = state[..., :2, :end]
-        return rows.reshape(*rows.shape[:-1], len(self.ys), self.D + w)[..., w:].swapaxes(-3, -2)
+        """The vector of a state (6, W), of a stack of them, or of their
+        vector rows (..., 2, W), as a (..., B, 2, D) view: flow b's
+        accumulated-bit rows over its drift columns."""
+        return self._blocks(state[..., :2, :])[..., self.pad :].swapaxes(-3, -2)
 
     def joint(self, a, b) -> np.ndarray:
         """The sum over each flow's columns of the product of the vectors
@@ -356,157 +361,105 @@ class Trellis:
         drop = self.del_coef * np.stack([wx, wx[..., ::-1]], axis=-2)
         return np.concatenate([drop, wx[..., None], wx[..., None]], axis=-1)
 
-    def _weights(self, q, backward: bool) -> np.ndarray:
-        """The weight matrix q (..., 2, 4) in the form the kernel in one
-        direction takes: forward q, less its second delivery column with
-        insertion runs, (..., 2, 3), whose run pass sums both accumulated
-        bits' delivered mass into one operand row; backward its transpose
-        with the delivery columns first, (..., 4, 2)."""
-        if backward:
-            return np.swapaxes(q[..., [2, 3, 0, 1]], -1, -2)
-        return q[..., :3] if self.n_ins > 1 else q
-
-    def new_state(self, lead: tuple = ()) -> np.ndarray:
-        """A zero state of leading shape lead, (*lead, 6, W)."""
-        return np.zeros((*lead, 6, self.width))
+    def new_state(self) -> np.ndarray:
+        """A zero state, (6, W)."""
+        return np.zeros((6, self.width))
 
     def init_vec(self, q) -> np.ndarray:
         """State 1 given the weight matrix q (..., 2, 4): head survives, a
         burst of inserted zeros may precede the first marked IPD.  Shape
-        (..., 6, W)."""
-        state = self.new_state(q.shape[:-2])
+        (..., 6, W), one state per weight matrix."""
+        state = np.zeros((*q.shape[:-2], 6, self.width))
         self.flows(state)[...] = q[..., None, :, 2:3] * self.head
         return state
 
-    def _views(self, state, backward: bool) -> tuple:
-        """The views of state (..., 6, W) that a step kernel in one
-        direction reads and writes, in either role; the sweeps make them
-        once per state buffer.  Both directions lead with vec, the vector
-        rows as (..., 2, B, D + w) blocks, each flow's columns and the pad
-        before them, which the emission table's windows match, and read
-        or write span, the vector rows from the first flow's first column
-        to the last flow's last.  The operand rows of a step's input and
-        output hold 0 off the flows' columns.
-
-        Forward (vec, prod, mix, span, runs): prod is vec's place in rows
-        2-3, one column to the right, where a step writes prev times the
-        emission table, and mix, rows 0-3 from column w + 1 on, is then
-        the matmul operand: the vector one drift up, for a drop, beside
-        the delivered mass of each accumulated bit.  With insertion runs
-        (else runs is None), runs = (rows, shifted, landed): the step sums
-        rows 2 and 3 into row 3, shifted is that row's read-only sliding
-        window over the flows' columns, row l shifted l columns to the
-        right, so that it reads the pad before each flow, and the run pass
-        sums it into landed, the flows' columns of row 2 of prod, which
-        with the vector rows is mix.
-
-        Backward (vec, src, mix, landed, drops, span, shifted): src, the
-        vector rows from the front pad's last column on, is the matmul
-        operand, and mix, rows 2-5 over the same columns, its result: the
-        landed mass in rows 2 and 3 and the dropped mass in rows 4-5,
-        drops one drift down.  landed is vec's place in both landed rows
-        (n_ins == 1) or in row 3, over whose flows' columns the run pass
-        sums shifted, the read-only sliding window over row 2 with row l
-        shifted l columns to the left, which reads the pad after each
-        flow."""
-        w, n, B, D = self.pad, self.n_ins, len(self.ys), self.D
-        end = self.width - w
-        lead = state.shape[:-2]
-
-        def blocks(rows, start):
-            flat = rows[..., start : start + end]
-            return flat.reshape(*flat.shape[:-1], B, D + w)
-
-        vec, span = blocks(state[..., :2, :], 0), state[..., :2, w:end]
-        shifted = None
-        if n > 1:
-            windows = sliding_window_view(state[..., 2 if backward else 3, :], n, axis=-1)
-            windows = windows[..., :end, :].reshape(*lead, B, D + w, n)
-            shifted = np.moveaxis(windows[..., w : w + D, :] if backward
-                                  else windows[..., 1 : D + 1, ::-1], -1, -3)
+    def _step_tables(self, k, q, backward: bool) -> tuple:
+        """The tables of step index k (an index or a slice) in the form the
+        kernel in one direction takes: the emission window, the run window
+        (None without insertion runs) and the weight matrix q (..., 2, 4).
+        Forward, the runs by the column they land on and q, less its
+        second delivery column with insertion runs, (..., 2, 3), whose run
+        pass sums both accumulated bits' delivered mass into one operand
+        row; backward, the runs by the column they leave and the transpose
+        of q with the delivery columns first, (..., 4, 2)."""
         if backward:
-            landed = blocks(state[..., 2:4, :] if n == 1 else state[..., 3:4, :], 0)
-            return (vec, state[..., :2, w - 1 : end], state[..., 2:, w - 1 : end], landed,
-                    state[..., 4:, w - 1 : end - 1], span, shifted)
-        prod = blocks(state[..., 2:4, :], 1)
-        runs = None
+            runs, q = self.ins_weight, np.swapaxes(q[..., [2, 3, 0, 1]], -1, -2)
+        else:
+            runs, q = self.ins_landing, q[..., :3] if self.n_ins > 1 else q
+        return self.emission[k], None if self.n_ins == 1 else runs[k], q
+
+    def _forward(self, src, dst):
+        """The forward step kernel from state src into state dst, both (6,
+        W): a function of one step's _step_tables that writes src's
+        operand rows and dst's vector rows from the first flow's first
+        column to the last flow's last, the sweeps binding it once per
+        pair of state buffers.  It multiplies src's vector, as _blocks, by
+        the emission window into rows 2-3 one column to the right, so
+        that rows 0-3 from column w + 1 on hold the vector one drift up,
+        for a drop, beside the delivered mass of each accumulated bit.
+        With insertion runs it sums rows 2 and 3 into row 3 and passes the
+        runs over that row's read-only sliding window, row l shifted l
+        columns to the right, which reads the pad before each flow, into
+        the flows' columns of row 2; the operand rows are then rows 0-2.
+        The new vector is q @ the operand rows, the kernel's operands
+        attribute, which the forward sweep's block closing reads too."""
+        w, n, end = self.pad, self.n_ins, self.width - self.pad
+        vec, prod = self._blocks(src[:2]), self._blocks(src[2:4], 1)
+        operands, span = src[: 4 if n == 1 else 3, w + 1 : end + 1], dst[:2, w:end]
         if n > 1:
-            runs = ((state[..., 3, :], state[..., 2, :]), shifted, prod[..., 0, :, w:])
-        return vec, prod, state[..., : 4 if n == 1 else 3, w + 1 : end + 1], span, runs
-
-    def _kernel(self, src: tuple, dst: tuple, backward: bool):
-        """The step kernel from the state of views src into the state of
-        views dst, both _views in one direction: a function of one step's
-        tables (emission window, run window, weight matrix), as _tables
-        gives them, that writes dst's vector rows and the operand rows it
-        reads.  Forward, it multiplies src's vector by the emission window
-        into src's operand rows and, with insertion runs, passes the runs
-        over them; the new vector is the matmul of q with those rows.
-        Backward, its transpose: the landed mass and the dropped, the
-        transposed q @ src's vector, fill dst's operand rows, and dst's
-        vector takes the landed mass times the emission window plus the
-        dropped mass one drift down."""
-        if backward:
-            rows, (vec, _, mix, landed, drops, span, shifted) = src[1], dst
-            runs_out = None if shifted is None else landed[..., 0, :, self.pad :]
-
-            def kernel(emission, weight, qt):
-                np.matmul(qt, rows, out=mix)
-                if shifted is not None:
-                    # row l of the shifted view is landed, l columns to the left
-                    np.add.reduce(weight * shifted, axis=-3, out=runs_out)
-                np.multiply(landed, emission, out=vec)
-                np.add(span, drops, out=span)
-            return kernel
-        (vec, prod, mix, _, runs), span = src, dst[3]
-        (total, other), shifted, landed = runs or ((None, None), None, None)
+            total, other = src[3], src[2]
+            shifted = np.moveaxis(sliding_window_view(prod[1], n, axis=-1)[..., ::-1], -1, 0)
+            landed = prod[0, :, w:]
 
         def kernel(emission, landing, q):
             np.multiply(vec, emission, out=prod)
-            if shifted is not None:
+            if n > 1:
                 # a run of l inserted zeros moves the drift up by l: row l
                 # of the shifted view is delivered, l columns to the right
                 np.add(total, other, out=total)
-                np.add.reduce(shifted * landing, axis=-3, out=landed)
-            np.matmul(q, mix, out=span)
+                np.add.reduce(shifted * landing, axis=0, out=landed)
+            np.matmul(q, operands, out=span)
+        kernel.operands = operands
         return kernel
 
-    def _tables(self, k, q, backward: bool) -> tuple:
-        """The tables of step index k (an index, an index array or a
-        slice) in the form the kernel in one direction takes: the
-        emission window, the run window (None without insertion runs) and
-        _weights(q)."""
-        runs = None if self.n_ins == 1 else (self.ins_weight if backward else self.ins_landing)[k]
-        return self.emission[k], runs, self._weights(q, backward)
+    def _backward(self, src, dst):
+        """The backward step kernel from state src into state dst, both (6,
+        W), the transpose of _forward's.  The transposed q @ src's vector
+        rows, from the front pad's last column on, fills dst's operand
+        rows over the same columns: the landed mass in rows 2 and 3 and
+        the dropped mass in rows 4-5.  With insertion runs the run pass
+        sums the read-only sliding window over row 2, row l shifted l
+        columns to the left, which reads the pad after each flow, into the
+        flows' columns of row 3.  dst's vector is then the landed mass,
+        rows 2-3 or with insertion runs row 3, times the emission window
+        plus the dropped mass one drift down."""
+        w, n, end = self.pad, self.n_ins, self.width - self.pad
+        rows, mix = src[:2, w - 1 : end], dst[2:, w - 1 : end]
+        vec, landed = self._blocks(dst[:2]), self._blocks(dst[2:4] if n == 1 else dst[3:4])
+        span, drops = dst[:2, w:end], dst[4:, w - 1 : end - 1]
+        if n > 1:
+            shifted = np.moveaxis(sliding_window_view(self._blocks(dst[2], w), n, axis=-1), -1, 0)
+            runs = landed[0, :, w:]
 
-    def _out(self, state, q) -> np.ndarray:
-        return self.new_state(np.broadcast_shapes(state.shape[:-2], q.shape[:-2]))
+        def kernel(emission, weight, qt):
+            np.matmul(qt, rows, out=mix)
+            if n > 1:
+                # row l of the shifted view is landed, l columns to the left
+                np.add.reduce(weight * shifted, axis=0, out=runs)
+            np.multiply(landed, emission, out=vec)
+            np.add(span, drops, out=span)
+        return kernel
 
-    def step(self, prev: np.ndarray, i, q, out=None) -> np.ndarray:
-        """Advance state i-1 to state i (resolve sent packet i-1).
-
-        prev is (..., 6, W) with zero pads; the step index i, of shape
-        (...), and the weight matrix q, of shape (..., 2, 4), broadcast
-        over the leading axes of prev and are shared by the flows.  The
-        vector one drift up, for a drop, and the delivered mass, summed
-        over insertion runs, are the operand rows z, and the new vector
-        is q @ z, one 2-D matmul over every flow's columns and the pads
-        between them, written to the vector rows of out, a state other
-        than prev, or of a new state.  The step writes prev's operand
-        rows and leaves out's outer pads as they are and the pads between
-        flows to the band mask."""
-        out = self._out(prev, q) if out is None else out
-        kernel = self._kernel(self._views(prev, False), self._views(out, False), False)
-        kernel(*self._tables(np.asarray(i) - 2, q, False))
-        return out
-
-    def step_back(self, nxt: np.ndarray, i, q, out=None) -> np.ndarray:
-        """Pull the backward vector across the transition into state i;
-        shapes and out as in step(), of which it is the transpose (see
-        _kernel)."""
-        out = self._out(nxt, q) if out is None else out
-        kernel = self._kernel(self._views(nxt, True), self._views(out, True), True)
-        kernel(*self._tables(np.asarray(i) - 2, q, True))
+    def step(self, state, i, q, backward: bool = False) -> np.ndarray:
+        """Step i of the chain as a new state: forward, state i - 1
+        advanced to state i (sent packet i - 1 resolved); backward, its
+        transpose, the backward vector of state i pulled into state i - 1.
+        state is (6, W) with zero pads and q the weight matrix (2, 4) at
+        position i.  The step writes state's operand rows and leaves the
+        pads between flows to the band mask."""
+        out = self.new_state()
+        kernel = (self._backward if backward else self._forward)(state, out)
+        kernel(*self._step_tables(i - 2, q, backward))
         return out
 
     def terminal_vec(self) -> np.ndarray:
@@ -532,33 +485,34 @@ class Trellis:
         forward from state 1 or backward from state N: vec is the
         unnormalized state of sweep state 0, and each later one is stepped
         from the one before.  Two state buffers, vec and one more, take
-        turns, each the target of one kernel (_kernel) bound to both once.
-        A state is renormalized when it is kept, every spread-th, or when
-        renorm_every states have passed since the last renormalization;
-        the log scales sum the renormalizations made.  The band mask
-        zeroes each flow's columns outside its band and the pads at every
-        state with insertion runs, and at the renormalized states without
-        (see Trellis).  Returns the normalized vector rows (n_code //
-        spread, 2, W) and log scales of the kept states, the spread-th
-        first, in sweep order, and the blocks' joint, below.  Flows past
-        a zero-mass step keep zeros and -inf.
+        turns, each the target of one kernel (_forward or _backward) bound
+        to both once.  A state is renormalized when it is kept, every
+        spread-th, or when renorm_every states have passed since the last
+        renormalization; the log scales sum the renormalizations made.
+        The band mask zeroes each flow's columns outside its band and the
+        pads at every state with insertion runs, and at the renormalized
+        states without (see Trellis).  Returns the normalized vector rows
+        (n_code // spread, 2, W) and log scales of the kept states, the
+        spread-th first, in sweep order, and the blocks' joint, below.
+        Flows past a zero-mass step keep zeros and -inf.
 
         Given closing, the backward vector rows of the states that start
         a block, (n_blocks, 2, W) in state order, a forward sweep closes
         each block's first step under both hypotheses of its watermark
         bit against them as it passes: the hypotheses' weight matrices
         meet the operand rows that the sweep's own step has just built
-        from the kept state before the block.  Block 0's first step is the
-        head's.  The joint, (n_blocks, 2, B), is else None."""
+        from the kept state before the block, its kernel's operands.
+        Block 0's first step is the head's.  The joint, (n_blocks, 2, B),
+        is else None."""
         n, spread, every, window = self.n_code, self.spread, self.renorm_every, self.window
         mask_all = self.n_ins > 1
         kept = np.zeros((n // spread, 2, self.width))
         scales = np.empty((n, len(self.ys)))
         states = (vec, np.zeros_like(vec))
-        views = [self._views(s, backward) for s in states]
+        build = self._backward if backward else self._forward
         # kernels[now] steps the other buffer into states[now]
-        kernels = [self._kernel(views[1 - now], views[now], backward) for now in (0, 1)]
-        emission, runs, weights = self._tables(slice(0, n - 1), self.prior[1:], backward)
+        kernels = [build(states[1 - now], states[now]) for now in (0, 1)]
+        emission, runs, weights = self._step_tables(slice(0, n - 1), self.prior[1:], backward)
         steps = list(zip(emission, itertools.repeat(None) if runs is None else runs, weights))
         if backward:
             steps.reverse()
@@ -568,8 +522,8 @@ class Trellis:
         if closing is not None:
             # hyp[j, h] = (same, flip) weights of block j's first step with
             # its watermark bit fixed to h
-            hyp = self._weights(self.code_weights(np.arange(len(closing))[:, None] * spread + 1,
-                                                  np.eye(2)), False)
+            *_, hyp = self._step_tables(0, self.code_weights(
+                np.arange(len(closing))[:, None] * spread + 1, np.eye(2)), False)
             joint = np.empty((len(closing), 2, len(self.ys)))
             joint[0] = self.joint(self.init_vec(hyp[0]), closing[0])
             first = np.zeros((2, 2, self.width))
@@ -583,7 +537,7 @@ class Trellis:
                 if k:
                     kernels[now](*steps[k - 1])
                     if joint is not None and k % spread == 0:
-                        np.matmul(hyp[k // spread], views[1 - now][2], out=first_span)
+                        np.matmul(hyp[k // spread], kernels[now].operands, out=first_span)
                         _close(pair, back[k // spread], out=joint[k // spread])
                 keep = (k + 1) % spread == 0
                 renorm = keep or k - last == every

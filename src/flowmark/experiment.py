@@ -24,7 +24,7 @@ import numpy as np
 
 from flowmark.channel import ChannelParams, transmit
 from flowmark.decoder import IdsParams, calibrate_threshold, decode_batch, present
-from flowmark.idscode import WatermarkConfig, encode, watermark_bits
+from flowmark.idscode import WatermarkConfig, encode, watermark_bits, whole_number
 from flowmark.qim import embed_flow, qim_extract
 from flowmark.traffic import PacketFlow, poisson_flow, read_trace, to_ipds
 
@@ -81,6 +81,10 @@ class ExperimentConfig:
     dec_p_i: float | None = None
 
     def __post_init__(self):
+        for n in self.n if isinstance(self.n, (list, tuple)) else [self.n]:
+            whole_number("n", n)
+        for name in ("spread", "key_seed", "max_insert_run", "flow_len", "trials", "seed", "jobs"):
+            whole_number(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0.0 < self.alpha < 0.5:

@@ -9,6 +9,7 @@ decoder can infer lost and inserted positions by comparing against the key.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,13 @@ def as_bits(seq) -> np.ndarray:
     return bits
 
 
+def whole_number(name: str, value) -> None:
+    """Refuse a setting that is not a whole number: a bool, or anything
+    that is not a numbers.Integral (numpy integers are)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be a whole number, not {value!r}")
+
+
 @dataclass(frozen=True)
 class WatermarkConfig:
     """Watermark bits plus the parameters shared by embedder and decoder."""
@@ -37,6 +45,7 @@ class WatermarkConfig:
         w = as_bits(self.watermark)
         w.flags.writeable = False
         object.__setattr__(self, "watermark", w)
+        whole_number("spread", self.spread)
         if self.spread < 1:
             raise ValueError("spread factor must be a positive integer")
         if not 0.0 < self.delta < np.inf:
@@ -60,6 +69,7 @@ def sparsify(w, spread: int) -> np.ndarray:
     codeword stays close to the key.
     """
     w = as_bits(w)
+    whole_number("spread", spread)
     if spread < 1:
         raise ValueError("spread factor must be a positive integer")
     out = np.zeros(w.size * spread, dtype=np.uint8)

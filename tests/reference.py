@@ -322,7 +322,7 @@ def scalar_block_posterior(j: int, trellis, w_hypothesis: int, flow: int = 0) ->
 def log_sweeps(trellis):
     """Log forward and log backward vectors of every state 1..N, each of
     shape (N, B, 2, D) (the trellis' flows view of its states), swept
-    afresh through the trellis' own init_vec, step, step_back and
+    afresh through the trellis' own init_vec, step (both directions) and
     terminal_vec under its sparse-bit law, masked to the flows' bands and
     renormalized at every state.  The production sweeps keep only
     block-boundary states and renormalize only there and every
@@ -333,7 +333,7 @@ def log_sweeps(trellis):
     for out, vec, advance, states in (
         (fw, t.init_vec(t.prior[0]), lambda v, s: t.step(v, s, t.prior[s - 1]),
          range(1, t.n_code + 1)),
-        (bw, t.terminal_vec(), lambda v, s: t.step_back(v, s + 1, t.prior[s]),
+        (bw, t.terminal_vec(), lambda v, s: t.step(v, s + 1, t.prior[s], backward=True),
          range(t.n_code, 0, -1)),
     ):
         logw = np.zeros(len(t.ys))

@@ -146,6 +146,8 @@ def test_params_validation():
 @pytest.mark.parametrize("call, fragment", [
     pytest.param(lambda: ChannelParams(p_delete=1.5), "p_delete must lie in [0, 1]",
                  id="p_delete"),
+    pytest.param(lambda: ChannelParams(max_insert_run=3.0),
+                 "max_insert_run must be a whole number, not 3.0", id="run-cap-float"),
     pytest.param(lambda: substitution_prob(-0.1, 0.01), "delta must be nonnegative", id="delta"),
     pytest.param(lambda: substitution_prob(0.1, -0.01), "sigma must be nonnegative", id="sigma"),
     pytest.param(lambda: substitution_prob(math.nan, 0.01), "delta must be nonnegative",

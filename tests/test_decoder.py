@@ -1,12 +1,16 @@
 import itertools
+import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import sample_ids_channel
+from flowmark import decoder
 from flowmark.channel import ChannelParams, transmit
 from flowmark.decoder import (
     IdsParams,
@@ -561,132 +565,49 @@ def test_block_posterior_matches_scalar_reference(rng):
     assert n_inf >= 100 and n_finite >= 400
 
 
-def _random_states(t, rng, lead):
-    """States of leading shape lead with random vectors on every flow's
-    columns and zero pads and operand rows."""
-    states = t.new_state(lead)
-    t.flows(states)[...] = rng.random((*lead, len(t.ys), 2, t.D))
-    return states
-
-
-def test_step_batch_equals_single_rows(rng):
-    # a stacked batch with per-row step indices and weight matrices is B
-    # single-row steps bit for bit, and the window tables are the dense
-    # per-step tables at the band's drifts: the emission table the bit
-    # weights times the delivery weight, the run table the insertion law
-    # times the zeros' weights; n_code = 1 has no steps and a row shorter
-    # than a bare window
-    cases = (
-        (1, IdsParams(p_sub=0.1, p_delete=0.1, p_insert=0.2, max_insert_run=3)),
-        (2, IdsParams(p_sub=0.1, p_delete=0.1)),
-        (37, IdsParams(p_sub=0.05, p_delete=0.1, p_insert=0.1, max_insert_run=4)),
-        (60, IdsParams(p_sub=0.05, p_delete=0.2)),
-    )
-    for n_code, p in cases:
-        key = rng.integers(0, 2, n_code, dtype=np.uint8)
-        y = sample_ids_channel(key, p, rng)
-        t = Trellis([y], key, p)
-        d_max = int(t.flow_d_max[0])
-        dense = DenseSteps(y, key, p, d_max)
-        cols = t.drifts + d_max
-        for b in (0, 1):
-            assert np.array_equal(t.emission[: n_code - 1, b, 0, t.pad :],
-                                  (1.0 - p.p_delete) * dense.e_match[b][:, cols])
-        for l in range(p.max_insert_run + 1):
-            if l < t.n_ins:
-                assert np.array_equal(t.ins_weight[: n_code - 1, l, 0],
-                                      dense.init_coef[l] * dense.zero_w[l][:, cols])
-            else:
-                assert dense.coef[l] == 0.0
-        if n_code < 2:
-            continue
-        B = 7
-        prev = _random_states(t, rng, (B,))
-        i = rng.integers(2, n_code + 1, B)
-        q = t.code_weights(i, rng.random((B, 2)))
-        assert q.shape == (B, 2, 4)
-        for advance in (t.step, t.step_back):
-            batch = advance(prev, i, q)
-            for b in range(B):
-                assert np.array_equal(batch[b], advance(prev[b], int(i[b]), q[b]))
-        # block layout: one step index per block, one weight matrix per
-        # hypothesis
-        q2 = t.code_weights(i[:, None], rng.random((B, 2, 2)))
-        assert q2.shape == (B, 2, 2, 4)
-        batch = t.step(prev[:, None], i[:, None], q2)
-        for b in range(B):
-            for h in (0, 1):
-                assert np.array_equal(batch[b, h], t.step(prev[b], int(i[b]), q2[b, h]))
+def _random_state(t, rng):
+    """A state with random vectors on every flow's columns and zero pads
+    and operand rows."""
+    state = t.new_state()
+    t.flows(state)[...] = rng.random((len(t.ys), 2, t.D))
+    return state
 
 
 def test_step_back_is_the_adjoint_of_step(rng):
     # the backward kernel is the transpose of the forward one: for any u
-    # and v, sum(step(u) * v) == sum(u * step_back(v)) over the flows'
-    # columns, for single flows, B flows and the block layout's leading
-    # (block, hypothesis) axes
+    # and v, sum(step(u) * v) == sum(u * step(v, backward=True)) over the
+    # flows' columns, for one flow and three, at several steps
     n_code, B = 24, 3
     for p_d, p_i in itertools.product((0.0, 0.2), (0.0, 0.2)):
         p = IdsParams(p_sub=0.1, p_delete=p_d, p_insert=p_i, max_insert_run=2)
         key = rng.integers(0, 2, n_code, dtype=np.uint8)
         ys = [sample_ids_channel(key, p, rng) for _ in range(B)]
-        t = Trellis(ys, key, p, d_max=6)
-        assert t.n_ins == (3 if p_i else 1)
-        i = rng.integers(2, n_code + 1, 5)
-        for lead, i_lead, same_flip in (
-            ((), int(i[0]), rng.random(2)),
-            ((5,), i, rng.random((5, 2))),
-            ((5, 2), i[:, None], rng.random((5, 2, 2))),
-        ):
-            q = t.code_weights(i_lead, same_flip)
-            u = _random_states(t, rng, lead)
-            v = _random_states(t, rng, lead)
-            lhs = float(np.sum(t.flows(t.step(u, i_lead, q)) * t.flows(v)))
-            rhs = float(np.sum(t.flows(u) * t.flows(t.step_back(v, i_lead, q))))
-            assert lhs > 0.0
-            assert abs(lhs - rhs) <= 1e-12 * lhs
-
-
-def test_step_into_out_is_the_allocating_step(rng):
-    # a step written into out= equals the allocating call bit for bit,
-    # for one flow, B flows and the block layout's leading (block,
-    # hypothesis) axes, with and without insertion runs; out starts as
-    # NaN between its outer pads, so the step writes every entry there,
-    # and states already stepped from stay reusable
-    n_code, B = 30, 3
-    for p_i in (0.0, 0.2):
-        p = IdsParams(p_sub=0.1, p_delete=0.1, p_insert=p_i, max_insert_run=3)
-        key = rng.integers(0, 2, n_code, dtype=np.uint8)
-        ys = [sample_ids_channel(key, p, rng) for _ in range(B)]
         for flows in (ys[:1], ys):
-            t = Trellis(flows, key, p, d_max=5)
-            assert t.n_ins == (4 if p_i else 1)
-            i = rng.integers(2, n_code + 1, 5)
-            for _ in range(2):
-                for lead, i_lead, same_flip in (
-                    ((), int(i[0]), rng.random(2)),
-                    ((5,), i, rng.random((5, 2))),
-                    ((5, 2), i[:, None], rng.random((5, 2, 2))),
-                ):
-                    q = t.code_weights(i_lead, same_flip)
-                    u = _random_states(t, rng, lead)
-                    # the block layout steps one state forward under both
-                    # hypotheses
-                    prev = u[:, :1] if len(lead) == 2 else u
-                    for advance, x in ((t.step, prev), (t.step_back, u)):
-                        want = advance(x, i_lead, q)
-                        out = np.zeros_like(want)
-                        out[..., :2, t.pad : t.width - t.pad] = np.nan
-                        assert advance(x, i_lead, q, out=out) is out
-                        assert np.array_equal(out, want)
-                        assert np.array_equal(advance(x, i_lead, q), want)
+            t = Trellis(flows, key, p, d_max=6)
+            assert t.n_ins == (3 if p_i else 1)
+            for i in rng.integers(2, n_code + 1, 3).tolist():
+                q = t.code_weights(i, rng.random(2))
+                u, v = _random_state(t, rng), _random_state(t, rng)
+                lhs = float(np.sum(t.flows(t.step(u, i, q)) * t.flows(v)))
+                rhs = float(np.sum(t.flows(u) * t.flows(t.step(v, i, q, backward=True))))
+                assert lhs > 0.0
+                assert abs(lhs - rhs) <= 1e-12 * lhs
 
 
-def test_tables_back_to_back_keep_no_state(rng):
+def test_tables_back_to_back_keep_no_state(rng, monkeypatch):
     # trellis_tables of different (B, D, n_ins), each followed by its
-    # block posteriors' batched step, run back to back and then again:
-    # every run reproduces its first one bit for bit.  The kept states'
-    # pads stay 0, and
-    # the shifted views that read the run rows are read-only
+    # block posteriors, run back to back and then again: every run
+    # reproduces its first one bit for bit.  The kept states' pads stay
+    # 0, and every sliding window the decoder makes is read-only: the
+    # step tables' and, with insertion runs, the (B, D, n_ins) windows
+    # over the run rows, two per sweep
+    windows = []
+
+    def recording_window(*args, **kwargs):
+        windows.append(sliding_window_view(*args, **kwargs))
+        return windows[-1]
+
+    monkeypatch.setattr(decoder, "sliding_window_view", recording_window)
     n_code = 40
     cases = []
     for B, p_i, d_max in ((1, 0.0, 4), (4, 0.2, 6), (2, 0.0, 9)):
@@ -695,18 +616,17 @@ def test_tables_back_to_back_keep_no_state(rng):
         cases.append(([sample_ids_channel(key, p, rng) for _ in range(B)], key, p, d_max))
     runs = []
     for ys, key, p, d_max in cases + cases:
+        windows.clear()
         t = trellis_tables(ys, key, p, d_max, spread=5)
         lp = block_posterior(t)
         assert np.all(np.isfinite(t.log_evidence))
         pads = np.ones((2, t.width), dtype=bool)
         t.flows(pads)[...] = False
-        for vecs, backward in ((t.fw[0], False), (t.bw[0], True)):
+        for vecs in (t.fw[0], t.bw[0]):
             assert vecs.shape[1:] == (2, t.width) and not np.any(vecs[:, pads])
-            if t.n_ins > 1:
-                views = t._views(t.new_state(), backward)
-                shifted = views[-1] if backward else views[-1][1]
-                with pytest.raises(ValueError):
-                    shifted[..., 0, 0, 0] = 1.0
+        run_windows = [v for v in windows if v.shape == (len(ys), t.D, t.n_ins)]
+        assert len(run_windows) == (4 if t.n_ins > 1 else 0)
+        assert windows and not any(v.flags.writeable for v in windows)
         runs.append((t, lp))
     assert len({(t.D, t.n_ins, len(t.ys)) for t, _ in runs}) == len(cases)
     for (a, lp_a), (b, lp_b) in zip(runs, runs[len(cases):]):
@@ -745,11 +665,11 @@ def test_sweep_states_are_zero_off_the_bands(rng):
 
 def test_block_posteriors_are_the_first_steps_closed(rng):
     # the forward sweep closes each block's first step as it passes: bit
-    # for bit, the block's first step under each hypothesis taken by
-    # t.step from the kept forward state before it (by init_vec for block
-    # 0) and closed with t.joint against the kept backward state, for one
-    # to four flows, with and without insertion runs, one block per bit
-    # and blocks of five
+    # for bit, the block's first step under each hypothesis, each taken
+    # on its own by t.step from the kept forward state before it (by
+    # init_vec, both at once, for block 0) and closed with t.joint
+    # against the kept backward state, for one to four flows, with and
+    # without insertion runs, one block per bit and blocks of five
     n_code = 60
     for p_i, spread, B in itertools.product((0.0, 0.2), (1, 5), (1, 2, 3, 4)):
         p = IdsParams(p_sub=0.05, p_delete=0.1, p_insert=p_i, max_insert_run=3)
@@ -765,7 +685,7 @@ def test_block_posteriors_are_the_first_steps_closed(rng):
         for j in range(1, n_blocks):
             prev = t.new_state()
             prev[:2] = fvecs[j - 1]
-            want[j] = t.joint(t.step(prev, j * spread + 1, q[j]), bvecs[j])
+            want[j] = [t.joint(t.step(prev, j * spread + 1, q[j, h]), bvecs[j]) for h in (0, 1)]
         assert t.block_joint.tobytes() == want.tobytes()
         flog = np.concatenate([np.zeros((1, B)), flogw[:-1]])
         with np.errstate(divide="ignore"):
@@ -833,28 +753,47 @@ def test_step_tables_are_the_window_tables(rng):
     # pad of w columns before them; with insertion runs the forward step
     # then reads the run weights by landing column, ins_weight's row l
     # shifted l columns: exactly, at every position, with the band window
-    # in use and without
-    n_code = 50
-    for p_i in (0.0, 0.1):
-        p = IdsParams(p_sub=0.05, p_delete=0.1, p_insert=p_i, max_insert_run=4)
+    # in use and without.  Over each flow's columns the steps' tables are
+    # the dense per-step tables: the emission table as above, the run
+    # table the insertion law times the zeros' weights.  n_code = 1 has
+    # no steps and a row shorter than a bare window
+    cases = [(50, IdsParams(p_sub=0.05, p_delete=0.1, p_insert=p_i, max_insert_run=4), 3)
+             for p_i in (0.0, 0.1)]
+    cases += [(1, IdsParams(p_sub=0.1, p_delete=0.1, p_insert=0.2, max_insert_run=3), None),
+              (2, IdsParams(p_sub=0.1, p_delete=0.1), None),
+              (37, IdsParams(p_sub=0.05, p_delete=0.1, p_insert=0.1, max_insert_run=4), None),
+              (60, IdsParams(p_sub=0.05, p_delete=0.2), None)]
+    for n_code, p, d_max in cases:
         key = rng.integers(0, 2, n_code, dtype=np.uint8)
         ys = [sample_ids_channel(key, p, rng) for _ in range(3)]
         ys[1] = ys[1][:-6]
-        for flows, windowed in ((ys[:1], False), (ys, True)):
-            t = Trellis(flows, key, p, d_max=3)
-            assert (t.window is not None) == windowed
+        for flows in (ys[:1], ys):
+            t = Trellis(flows, key, p, d_max=d_max)
+            if d_max is not None:
+                assert (t.window is not None) == (len(flows) > 1)
             assert t.pad == max(t.n_ins - 1, 1)
             assert t.emission.shape == (n_code, 2, len(flows), t.pad + t.D)
             assert t.ins_weight.shape == (n_code, t.n_ins, len(flows), t.D)
             # window k reads the bit at position k + drift, from drift
             # lo - w on
             pos = np.arange(n_code)[:, None] + np.arange(t.lo - t.pad, t.hi + 1)
+            cap = int(t.flow_d_max.max())
+            cols = t.drifts + cap
             for b, y in enumerate(flows):
                 inside = (pos >= 0) & (pos < y.size)
-                obs = y[np.clip(pos, 0, y.size - 1)]
+                obs = y[np.clip(pos, 0, max(y.size - 1, 0))] if y.size else np.zeros_like(pos)
+                dense = DenseSteps(y, key, p, cap)
                 for a in (0, 1):
                     bit = np.where(inside, np.where(obs == a, 1.0 - p.p_sub, p.p_sub), 0.0)
                     assert np.array_equal(t.emission[:, a, b], bit * (1.0 - p.p_delete))
+                    assert np.array_equal(t.emission[: n_code - 1, a, b, t.pad :],
+                                          (1.0 - p.p_delete) * dense.e_match[a][:, cols])
+                for l in range(p.max_insert_run + 1):
+                    if l < t.n_ins:
+                        assert np.array_equal(t.ins_weight[: n_code - 1, l, b],
+                                              dense.init_coef[l] * dense.zero_w[l][:, cols])
+                    else:
+                        assert dense.coef[l] == 0.0
             if t.n_ins == 1:
                 assert t.ins_landing is None
                 assert np.all(t.ins_weight == 1.0)
@@ -1032,6 +971,33 @@ def _assert_same_decode(got, want):
         assert got.log_evidence == want.log_evidence
 
 
+def test_decodes_match_the_recorded_outputs():
+    # the identity contract that refactors keep: eight harness streams of
+    # the operating point and eight of the hard cell, decoded alone and in
+    # chunks of 4, give the reports recorded in decode_identity.json (see
+    # its "about"): w_hat, score, detected and status exactly, the LLRs
+    # and log_evidence to 1e-9
+    with open(Path(__file__).with_name("decode_identity.json"), encoding="utf-8") as fh:
+        record = json.load(fh)
+    w = np.array([int(c) for c in record["watermark"]], dtype=np.uint8)
+    cfg = WatermarkConfig(watermark=w, **record["config"])
+    for cell in record["cells"]:
+        law = IdsParams(**cell["law"])
+        ys = [np.array([int(c) for c in s], dtype=np.uint8) for s in cell["streams"]]
+        for chunk in (1, 4):
+            got = [rep for c in range(0, len(ys), chunk)
+                   for rep in decode_batch(ys[c : c + chunk], cfg, law, w)]
+            want = cell[f"chunk_{chunk}"]
+            assert len(got) == len(want) == 8
+            for rep, rec in zip(got, want):
+                assert rep.w_hat.tolist() == rec["w_hat"]
+                assert (rep.score, rep.detected, rep.status) == (
+                    rec["score"], rec["detected"], rec["status"])
+                np.testing.assert_allclose(rep.llr, rec["llr"], rtol=1e-9, atol=1e-9)
+                np.testing.assert_allclose(rep.log_evidence, rec["log_evidence"],
+                                           rtol=1e-9, atol=1e-9)
+
+
 def test_decode_batch_matches_per_flow():
     # one lockstep sweep over caps of very different widths: under one
     # narrow cap each flow's cap is its own floor, and each flow decodes
@@ -1190,6 +1156,8 @@ def test_binomial_score_threshold():
                  id="p_delete-nan"),
     pytest.param(lambda: IdsParams(max_insert_run=0), "max_insert_run must be at least 1",
                  id="run-cap"),
+    pytest.param(lambda: IdsParams(max_insert_run=3.0),
+                 "max_insert_run must be a whole number, not 3.0", id="run-cap-float"),
     pytest.param(lambda: IdsParams.from_channel(ChannelParams(sigma=0.01)),
                  "the bit law needs the channel's delta", id="channel-without-delta"),
     pytest.param(lambda: Trellis([], [1, 0], IdsParams()), "need at least one received sequence",
@@ -1198,6 +1166,9 @@ def test_binomial_score_threshold():
                  id="empty-key"),
     pytest.param(lambda: Trellis([[0]], [1, 0, 1], IdsParams(), spread=2),
                  "spread 2 does not divide the code length 3", id="spread"),
+    *(pytest.param(lambda s=s: Trellis([[0]], [1, 0, 1, 0], IdsParams(), spread=s),
+                   f"spread must be a whole number, not {s!r}", id=f"spread-{s!r}")
+      for s in (4.0, True)),
     pytest.param(lambda: Trellis([[0]], [1, 0], IdsParams(), wtilde=[1]),
                  "conditioning pattern must match the code length", id="wtilde"),
     pytest.param(lambda: binomial_score_threshold(0), "n must be positive", id="binomial-n"),

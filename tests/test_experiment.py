@@ -357,6 +357,12 @@ def test_head_only_trials_decode_as_the_empty_stream():
                  id="key-seed"),
     pytest.param(lambda tmp: grid_cells(small_config(trace_dir=str(tmp))), "no trace files in",
                  id="trace-dir-without-files"),
+    *(pytest.param(lambda tmp, name=name, value=value: small_config(**{name: value}),
+                   f"{name} must be a whole number, not {bad!r}", id=f"{name}-{value!r}")
+      for name, value, bad in (("n", 4.5, 4.5), ("n", [10, 4.5], 4.5), ("spread", 5.0, 5.0),
+                               ("key_seed", 1.0, 1.0), ("max_insert_run", 2.5, 2.5),
+                               ("flow_len", 120.0, 120.0), ("trials", 2.0, 2.0),
+                               ("seed", 7.0, 7.0), ("jobs", 1.5, 1.5), ("jobs", True, True))),
 ])
 def test_input_checks(tmp_path, make, fragment):
     (tmp_path / "sub").mkdir()

@@ -101,6 +101,11 @@ def test_config_validation():
     pytest.param(lambda: as_bits([[0, 1]]), "bit sequence must be one-dimensional", id="2-d"),
     pytest.param(lambda: sparsify([1], 0), "spread factor must be a positive integer",
                  id="spread"),
+    pytest.param(lambda: sparsify([1], 2.0), "spread must be a whole number, not 2.0",
+                 id="spread-float"),
+    *(pytest.param(lambda s=s: WatermarkConfig([1], s, 0.1, 1),
+                   f"spread must be a whole number, not {s!r}", id=f"config-spread-{s!r}")
+      for s in (2.5, True)),
     pytest.param(lambda: keystream(1, -1), "length must be nonnegative", id="key-length"),
     pytest.param(lambda: watermark_bits(1, 0), "watermark length must be positive", id="n"),
     pytest.param(lambda: WatermarkConfig([1], 2, float("nan"), 1), "delta must be positive",
