@@ -573,6 +573,37 @@ def _random_state(t, rng):
     return state
 
 
+def test_step_batch_equals_single_rows(rng):
+    # a step over B flows in one trellis is, on each flow's columns, the
+    # step of that flow's vector in a trellis of its own, forward and
+    # backward, with and without drops and insertion runs; the flows
+    # share one length, so one band and one set of drift columns.  The
+    # matmul may round a product of 4 terms differently at another
+    # width, so the two agree to a few units in the last place
+    n_code, B = 30, 3
+    for p_d, p_i in itertools.product((0.0, 0.2), (0.0, 0.2)):
+        p = IdsParams(p_sub=0.1, p_delete=p_d, p_insert=p_i, max_insert_run=3)
+        key = rng.integers(0, 2, n_code, dtype=np.uint8)
+        ys = [sample_ids_channel(key, p, rng) for _ in range(B)]
+        m = min(y.size for y in ys)
+        ys = [y[:m] for y in ys]
+        t = Trellis(ys, key, p, d_max=5)
+        alone = [Trellis([y], key, p, d_max=5) for y in ys]
+        for s in alone:
+            assert (s.lo, s.hi, s.pad, s.n_ins) == (t.lo, t.hi, t.pad, t.n_ins)
+        for i in rng.integers(2, n_code + 1, 3).tolist():
+            q = t.code_weights(i, rng.random(2))
+            state = _random_state(t, rng)
+            for backward in (False, True):
+                batch = t.flows(t.step(state.copy(), i, q, backward=backward))
+                for b, s in enumerate(alone):
+                    single = s.new_state()
+                    s.flows(single)[0] = t.flows(state)[b]
+                    got = s.flows(s.step(single, i, q, backward=backward))[0]
+                    assert np.any(got > 0.0)
+                    assert np.all(np.abs(batch[b] - got) <= 4 * np.finfo(float).eps * got)
+
+
 def test_step_back_is_the_adjoint_of_step(rng):
     # the backward kernel is the transpose of the forward one: for any u
     # and v, sum(step(u) * v) == sum(u * step(v, backward=True)) over the
