@@ -46,6 +46,7 @@ class WatermarkConfig:
         w.flags.writeable = False
         object.__setattr__(self, "watermark", w)
         whole_number("spread", self.spread)
+        whole_number("key_seed", self.key_seed)
         if self.spread < 1:
             raise ValueError("spread factor must be a positive integer")
         if not 0.0 < self.delta < np.inf:
@@ -79,6 +80,8 @@ def sparsify(w, spread: int) -> np.ndarray:
 
 def keystream(seed: int, length: int) -> np.ndarray:
     """Pseudo-random key bits, reproducible from the seed (PCG64)."""
+    whole_number("seed", seed)
+    whole_number("length", length)
     if length < 0:
         raise ValueError("length must be nonnegative")
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -87,6 +90,8 @@ def keystream(seed: int, length: int) -> np.ndarray:
 
 def watermark_bits(seed: int, n: int) -> np.ndarray:
     """Draw n uniform watermark bits from a dedicated, documented stream."""
+    whole_number("seed", seed)
+    whole_number("n", n)
     if n < 1:
         raise ValueError("watermark length must be positive")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x77617465])))

@@ -76,7 +76,7 @@ def to_flow(ipds: np.ndarray, start: float = 0.0) -> PacketFlow:
 
 
 # read_values hands float() blocks of about this many characters' lines
-# at a time, so a long trace is never held whole
+# at a time, in one pass over the file, so a long trace is never held whole
 READ_BLOCK_CHARS = 1 << 16
 
 
@@ -86,49 +86,38 @@ def read_values(path, what: str) -> np.ndarray:
     error (`nan` and `inf` are bad) names the file, the line and `what` it
     should be (e.g. "a timestamp").
 
-    The file is read in blocks of lines, and each block is converted by
-    one pass of float(), which ignores the whitespace strip() removes, so
-    every value is exactly float() of its stripped line.  A block that
+    The file is read once, in blocks of lines, and each block is converted
+    by one pass of float(), which ignores the whitespace strip() removes,
+    so every value is exactly float() of its stripped line.  A block that
     float() refuses somewhere, or that holds a non-finite value, takes the
-    line rule line by line.  A line that is not UTF-8 is a bad value
-    too, reported after any bad line before it."""
+    line rule line by line.  A byte that is not UTF-8 is read as a lone
+    surrogate, which float() refuses, so its line, comment or not, is a
+    bad line of the same pass, reported by its bytes."""
     blocks = []
     start = 1
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            while lines := fh.readlines(READ_BLOCK_CHARS):
-                try:
-                    values = np.fromiter(map(float, lines), np.float64, len(lines))
-                except ValueError:
-                    values = None
-                if values is None or not np.isfinite(values).all():
-                    values = np.array(_values_by_line(lines, start, path, what), dtype=np.float64)
-                blocks.append(values)
-                start += len(lines)
-    except UnicodeDecodeError:
-        _raise_not_utf8(path, what)
-        raise
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        while lines := fh.readlines(READ_BLOCK_CHARS):
+            try:
+                values = np.fromiter(map(float, lines), np.float64, len(lines))
+            except ValueError:
+                values = None
+            if values is None or not np.isfinite(values).all():
+                values = np.array(_values_by_line(lines, start, path, what), dtype=np.float64)
+            blocks.append(values)
+            start += len(lines)
     return np.concatenate(blocks) if blocks else np.empty(0)
-
-
-def _raise_not_utf8(path, what: str):
-    """read_values' error for a file that is not UTF-8: the line rule on
-    its lines in order, up to the first that does not decode, which is
-    reported by its bytes."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: line {lineno}: not {what}: {raw!r}") from None
-        _values_by_line([text], lineno, path, what)
 
 
 def _values_by_line(lines, start: int, path, what: str) -> list[float]:
     """read_values' line rule on lines that begin at line number start."""
     values = []
     for lineno, line in enumerate(lines, start=start):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raw = line.removesuffix("\n").encode("utf-8", "surrogateescape")
+                raise ValueError(f"{path}: line {lineno}: not {what}: {raw!r}") from None
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -144,13 +133,15 @@ def _values_by_line(lines, start: int, path, what: str) -> list[float]:
 
 def read_trace(path, clamp: bool = False) -> PacketFlow:
     """Read a timestamp trace: one decimal seconds value per line, as
-    read_values reads it.  Decreasing timestamps are an error unless
-    `clamp` is set, which clamps negative gaps to zero (for traces with
-    jitter-induced tiny negative gaps).
+    read_values reads it.  A negative first timestamp is an error, and so
+    are decreasing timestamps unless `clamp` is set, which clamps negative
+    gaps to zero (for traces with jitter-induced tiny negative gaps).
     """
     ts = read_values(path, "a timestamp")
     if not ts.size:
         raise ValueError(f"{path}: no timestamps found")
+    if ts[0] < 0.0:
+        raise ValueError(f"{path}: negative timestamp at entry 1")
     if clamp:
         ts = np.maximum.accumulate(ts)
     else:

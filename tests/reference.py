@@ -398,21 +398,26 @@ def loop_qim_embed(ipds, code, delta: float) -> np.ndarray:
 
 
 def read_values_per_line(path, what: str) -> list[float]:
-    """The trace reader's line rule, one line at a time: lines are
-    stripped; blank lines and `#` comments are ignored; a bad value's error
-    (`nan` and `inf` are bad) names the file, the line and `what` it should
-    be."""
+    """The trace reader's line rule, one line at a time over the file's
+    bytes: lines are stripped; blank lines and `#` comments are ignored; a
+    bad value's error (`nan` and `inf` are bad) names the file, the line
+    and `what` it should be; a line that does not decode as UTF-8 is bad
+    too, comment or not, and is reported by its bytes."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: line {lineno}: not {what}: {text!r}")
-            values.append(value)
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            text = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: line {lineno}: not {what}: {raw!r}") from None
+        if not text or text.startswith("#"):
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno}: not {what}: {text!r}")
+        values.append(value)
     return values

@@ -106,8 +106,19 @@ def test_config_validation():
     *(pytest.param(lambda s=s: WatermarkConfig([1], s, 0.1, 1),
                    f"spread must be a whole number, not {s!r}", id=f"config-spread-{s!r}")
       for s in (2.5, True)),
+    *(pytest.param(lambda k=k: WatermarkConfig(np.zeros(4, np.uint8), 2, 0.1, k),
+                   f"key_seed must be a whole number, not {k!r}", id=f"config-key-seed-{k!r}")
+      for k in (1.5, True)),
     pytest.param(lambda: keystream(1, -1), "length must be nonnegative", id="key-length"),
+    pytest.param(lambda: keystream(1, 3.0), "length must be a whole number, not 3.0",
+                 id="key-length-float"),
+    pytest.param(lambda: keystream(1.5, 3), "seed must be a whole number, not 1.5",
+                 id="key-seed-float"),
     pytest.param(lambda: watermark_bits(1, 0), "watermark length must be positive", id="n"),
+    pytest.param(lambda: watermark_bits(1, 4.0), "n must be a whole number, not 4.0",
+                 id="n-float"),
+    pytest.param(lambda: watermark_bits(True, 4), "seed must be a whole number, not True",
+                 id="wm-seed-bool"),
     pytest.param(lambda: WatermarkConfig([1], 2, float("nan"), 1), "delta must be positive",
                  id="delta-nan"),
     pytest.param(lambda: WatermarkConfig([1], 2, float("inf"), 1), "delta must be positive",

@@ -127,9 +127,17 @@ def test_rtt_file_roundtrip(tmp_path, rng):
         read_values(path, "an RTT")
 
 
-def test_read_values_names_a_line_that_is_not_utf8(tmp_path):
+def test_read_values_names_a_line_that_is_not_utf8(tmp_path, monkeypatch):
     # a byte that does not decode is a bad value of its own line, after
-    # any bad line before it, and before any after it, blocks apart
+    # any bad line before it, and before any after it, blocks apart, and
+    # is found in the one pass that reads the values
+    opens = []
+
+    def counting_open(*args, **kwargs):
+        opens.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(traffic, "open", counting_open, raising=False)
     path = tmp_path / "rtt.txt"
     path.write_bytes(b"0.050\n# note\n0.\xe9\n0.060\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: not an RTT: "
@@ -144,6 +152,7 @@ def test_read_values_names_a_line_that_is_not_utf8(tmp_path):
     path.write_bytes(b"\r\n".join(lines))
     with pytest.raises(ValueError, match=r": line 19001: not an RTT: b'\\xff'$"):
         read_values(path, "an RTT")
+    assert opens == [path] * 3
 
 
 def _read_outcome(reader, path):
@@ -163,28 +172,35 @@ _value_lines = st.one_of(
     st.floats(-1e3, 1e3).map(lambda t: f" \t{t!r}  "),
 )
 _skipped_lines = st.sampled_from(["", "   ", "\t", "# comment", "   # indented", "\t#"])
-_odd_lines = st.sampled_from(["1_0", "0x1p3", "1 2", ".", "nan", "-inf", "1e400", " inf "])
+# odd lines also hold bytes that are not UTF-8, bare or in a value or comment
+_odd_lines = st.one_of(
+    st.sampled_from(["1_0", "0x1p3", "1 2", ".", "nan", "-inf", "1e400", " inf "])
+    .map(str.encode),
+    st.sampled_from([b"\xe9", b"0.\xff", b"# caf\xe9", b" 1.5\xed\xa0\x80 ", b"\xe2\x82"]),
+)
 
 
 @st.composite
-def _trace_texts(draw):
-    lines = draw(st.lists(st.one_of(_value_lines, _skipped_lines), max_size=40))
+def _trace_bytes(draw):
+    lines = [x.encode() for x in draw(st.lists(st.one_of(_value_lines, _skipped_lines),
+                                                 max_size=40))]
     for odd in draw(st.lists(_odd_lines, max_size=2)):
         lines.insert(draw(st.integers(0, len(lines))), odd)
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    last = end if lines and draw(st.booleans()) else ""
+    end = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    last = end if lines and draw(st.booleans()) else b""
     return end.join(lines) + last
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=_trace_texts(), block_chars=st.sampled_from([1, 16, 100, traffic.READ_BLOCK_CHARS]))
-def test_read_values_matches_per_line_reader(tmp_path, text, block_chars):
-    # the block reader against today's line loop: bitwise-equal values or
-    # the same error, with blocks as short as one line, so that refused
-    # and skipped lines fall on every side of a block's edge
+@given(data=_trace_bytes(), block_chars=st.sampled_from([1, 16, 100, traffic.READ_BLOCK_CHARS]))
+def test_read_values_matches_per_line_reader(tmp_path, data, block_chars):
+    # the block reader against a line loop over the file's bytes:
+    # bitwise-equal values or the same error, with blocks as short as one
+    # line, so that refused, undecodable and skipped lines fall on every
+    # side of a block's edge
     path = tmp_path / "t.txt"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(data)
     with mock.patch.object(traffic, "READ_BLOCK_CHARS", block_chars):
         assert _read_outcome(read_values, path) == _read_outcome(read_values_per_line, path)
 
@@ -237,6 +253,10 @@ def _written(path, text):
                  "c.txt: no timestamps found", id="comment-only"),
     pytest.param(lambda tmp: read_trace(_written(tmp / "e.txt", "")),
                  "e.txt: no timestamps found", id="empty-file"),
+    *(pytest.param(lambda tmp, clamp=clamp: read_trace(_written(tmp / "neg.txt", "-1.0\n0.5\n"),
+                                                       clamp=clamp),
+                   "neg.txt: negative timestamp at entry 1", id=f"negative-first-clamp-{clamp}")
+      for clamp in (False, True)),
     pytest.param(lambda tmp: poisson_flow(float("nan"), 100, seed=0), "rate must be positive",
                  id="rate-nan"),
     pytest.param(lambda tmp: poisson_flow(float("inf"), 100, seed=0), "rate must be positive",
